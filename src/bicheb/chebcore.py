@@ -5,13 +5,13 @@ A function f on a rectangle is represented as
     f(x, y) ~ sum_k sum_j coeffs[k, j] * T_k(u) * T_j(v)
 
 where (u, v) is (x, y) mapped affinely onto the unit square [-1, 1]^2.
-Coefficients come from function samples on the periodicized grid
-cos(2 pi k / m) through the unscaled 2-D FFT: the transform output divided
-by m^2 approximates the Fourier coefficients of f(cos t, cos s), and the
-real parts scaled by 4 (halved along the first row and column, quartered at
-the corner) are the trapezoid-rule estimates of the Chebyshev coefficients.
-The adaptive builder doubles the degree bound until the trailing block of
-coefficients is negligible, then trims and truncates.
+Coefficients come from one transform, a DCT-I of samples on the distinct
+Chebyshev-Lobatto nodes cos(i pi / N).  The paper's radix-2 2-D FFT over the
+periodicized grid cos(2 pi k / m), which repeats each node cos(i pi / (m/2))
+up to four times, gives the same numbers and is kept as the tests' oracle
+(``sample_grid``, ``coeffs_from_samples``).  The adaptive builder doubles the
+degree bound until the trailing block of coefficients is negligible, then
+trims and truncates.
 """
 
 import json
@@ -196,26 +196,16 @@ class SparseCoeffs:
 
 
 def cheb_t(k, x):
-    """T_k(x) by the three-term recurrence T_{k+1} = 2 x T_k - T_{k-1}.
+    """T_k(x), the last entry of ``cheb_vector(k, x)``.
 
     x may overshoot [-1, 1] by up to 1e-12 and is clamped; anything further
     out raises DomainError.
     """
-    if k < 0:
-        raise InvalidInputError("degree must be >= 0")
-    if abs(x) > 1.0 + _OVERSHOOT:
-        raise DomainError(f"argument {x!r} lies outside [-1, 1]")
-    x = min(1.0, max(-1.0, float(x)))
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, x
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
+    return float(cheb_vector(k, x)[k])
 
 
 def cheb_vector(n, x):
-    """Vector (T_0(x), ..., T_n(x)) in a single recurrence pass."""
+    """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}."""
     if n < 0:
         raise InvalidInputError("degree must be >= 0")
     if abs(x) > 1.0 + _OVERSHOOT:
@@ -244,14 +234,25 @@ def cheb_basis(n, t):
 # sampling
 
 
+def lobatto_nodes(n):
+    """cos(i pi / n) for i = 0..n, mirrored so node[n-i] equals -node[i]
+    bit-for-bit (an exact 0 in the middle when n is even)."""
+    if n < 1:
+        raise InvalidInputError("degenerate degree: need n >= 1")
+    nodes = np.empty(n + 1)
+    half = n // 2
+    nodes[: half + 1] = np.cos(np.pi * np.arange(half + 1) / n)
+    nodes[n - half:] = -nodes[half::-1]
+    if n % 2 == 0:
+        nodes[half] = 0.0
+    return nodes
+
+
 def _periodic_nodes(m):
-    """cos(2 pi k / m) for k = 0..m-1, mirrored so node[m-k] equals node[k]
-    bit-for-bit (m is even)."""
-    u = np.empty(m)
-    half = m // 2
-    u[: half + 1] = np.cos(2.0 * np.pi * np.arange(half + 1) / m)
-    u[half + 1:] = u[1:half][::-1]
-    return u
+    """cos(2 pi k / m), k = 0..m-1 (m even): the Lobatto nodes of degree m / 2
+    and their interior mirror, so node[m-k] equals node[k] bit-for-bit."""
+    u = lobatto_nodes(m // 2)
+    return np.concatenate([u, u[-2:0:-1]])
 
 
 def _sample_on(f, xs, ys, vectorized=None):
@@ -296,6 +297,19 @@ def sample_grid(f, m, domain=UNIT_SQUARE, vectorized=None):
 
 # ---------------------------------------------------------------------------
 # coefficients
+
+
+def _lobatto_coeffs(values):
+    """Chebyshev coefficients of the interpolant through samples on the
+    (n + 1) x (m + 1) Lobatto grid, n, m >= 1: along each axis the real FFT of
+    the even extension, real part over n, first and last entries halved."""
+    for _ in range(2):
+        n = values.shape[1] - 1
+        ext = np.concatenate([values, values[:, -2:0:-1]], axis=1)
+        values = np.fft.rfft(ext).real / n
+        values[:, [0, n]] /= 2.0
+        values = values.T
+    return values
 
 
 def coeffs_from_samples(grid, n):
@@ -368,10 +382,10 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
 
     n = n0
     while True:
-        m = next_power_of_two(2 * (n + 1))
-        grid = sample_grid(f, m, domain, vectorized)
-        coeffs = coeffs_from_samples(grid, n)
-        threshold = tol * np.abs(grid.values).max() if relative else float(tol)
+        u = lobatto_nodes(2 * n)
+        values = _sample_on(f, domain.x_from_unit(u), domain.y_from_unit(u), vectorized)
+        coeffs = _lobatto_coeffs(values)[: n + 1, : n + 1]
+        threshold = tol * np.abs(values).max() if relative else float(tol)
         tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
         if tail < threshold:
             break
@@ -495,18 +509,18 @@ def evaluate_grid(c, xs, ys):
 def parseval_indicator(c, f, vectorized=None):
     """Weighted L2 mass of f minus the mass captured by the stored coefficients.
 
-    The weighted integral of f^2 is estimated as the plain mean of f^2 over
-    a periodicized Chebyshev grid at twice the resolution the stored degrees
-    require (the DC trapezoid coefficient of the squared samples).  Rounding
+    The weighted integral of f^2 is estimated as the constant coefficient of
+    f^2 on a Lobatto grid twice as fine as the stored degrees require (the
+    mean of f^2 over the periodicized grid of the same nodes).  Rounding
     can make the result slightly negative; it is returned unmodified.
     """
     a = c.coeffs
     mass = a[0, 0] ** 2
     mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
     mass += 0.25 * np.sum(a[1:, 1:] ** 2)
-    m = 2 * next_power_of_two(2 * (max(c.degree_x, c.degree_y) + 1))
-    grid = sample_grid(f, m, c.domain, vectorized)
-    return float(np.mean(grid.values ** 2) - mass)
+    u = lobatto_nodes(next_power_of_two(2 * (max(c.degree_x, c.degree_y) + 1)))
+    values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u), vectorized)
+    return float(_lobatto_coeffs(values ** 2)[0, 0] - mass)
 
 
 def coeffs_by_quadrature(f, k, j, nodes, vectorized=None):
@@ -618,18 +632,26 @@ def _require_real(v, what):
     return float(v)
 
 
+def _read_ascii(path, what):
+    """Text of an ASCII file; another byte raises ParseError at its offset."""
+    with open(path, "r", encoding="ascii") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} holds a non-ASCII byte", exc.start) from None
+
+
 def load(source):
     """Read a SparseCoeffs document from a path or text file object.
 
-    Malformed JSON raises ParseError with the offending location; a
-    well-formed document that violates the coefficient invariants raises
-    ValidationError.
+    Malformed JSON or a non-ASCII byte in the file raises ParseError with
+    the offending location; a well-formed document that violates the
+    coefficient invariants raises ValidationError.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
-        with open(source, "r", encoding="ascii") as handle:
-            text = handle.read()
+        text = _read_ascii(source, "coefficient document")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

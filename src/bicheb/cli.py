@@ -28,6 +28,7 @@ from .chebcore import (
     Cheb2,
     Domain2,
     UNIT_SQUARE,
+    _read_ascii,
     build_adaptive,
     evaluate_grid,
     evaluate_matrix,
@@ -161,11 +162,10 @@ def cmd_approx(config):
 def _collect_points(config, domain):
     points = [_parse_point(p) for p in config.points]
     if config.points_file is not None:
-        with open(config.points_file, "r", encoding="ascii") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    points.append(_parse_point(line))
+        for line in _read_ascii(config.points_file, "points file").split("\n"):
+            line = line.strip()
+            if line:
+                points.append(_parse_point(line))
     if config.grid_domain is not None or not points:
         grid = config.grid_domain or domain
         xs = np.linspace(grid.xlo, grid.xhi, config.resolution)

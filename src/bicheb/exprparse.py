@@ -64,6 +64,13 @@ FUNCTIONS = {
 }
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# Parsing, evaluating and printing recurse: ``parse`` rejects formulas
+# nested deeper (brackets, calls, powers, negations; about five parser frames
+# each) or with a taller tree (a sum of k terms is k high) than Python's
+# default recursion limit of 1000 frames allows.
+_MAX_NESTING = 128
+_MAX_HEIGHT = 500
+
 _TOKEN_RE = re.compile(r"""
     (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<identifier>[A-Za-z_][A-Za-z_0-9]*)
@@ -93,6 +100,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = list(tokens)
         self.index = 0
+        self.nesting = 0
 
     def _end_position(self):
         if not self.tokens:
@@ -142,11 +150,18 @@ class _Parser:
                 return node
 
     def factor(self):
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels",
+                             self.tokens[self.index - 1].position)
         token = self.peek()
         if token is not None and token.kind == "operator" and token.text == "-":
             self.index += 1
-            return Neg(self.factor())
-        return self.power()
+            node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self):
         base = self.atom()
@@ -205,7 +220,28 @@ def parse(tokens):
     trailing = parser.peek()
     if trailing is not None:
         raise ParseError(f"unexpected token {trailing.text!r}", trailing.position)
+    if _height(node) > _MAX_HEIGHT:
+        raise ParseError(f"expression tree higher than {_MAX_HEIGHT} levels", 0)
     return node
+
+
+def _height(node):
+    """Number of levels of an expression tree, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [child for n in level for child in _children(n)]
+    return height
+
+
+def _children(node):
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    return ()
 
 
 def parse_expression(source):

@@ -4,11 +4,11 @@ The forward transform of a p-by-q matrix x is
 
     y[r, s] = sum_k sum_j x[k, j] * exp(-2i pi k r / p) * exp(-2i pi j s / q)
 
-with no normalization.  ``dft2_naive`` evaluates the defining double sum
-directly (through explicit transform matrices) and serves as the in-repo
-oracle.  ``fft2`` computes the same values with radix-2 decimation-in-time
-transforms applied along rows and then columns, restricted to power-of-two
-dimensions.
+with no normalization.  ``fft2`` computes it with radix-2 decimation-in-time
+transforms along rows and then columns, for power-of-two dimensions, and
+``dft2_naive`` evaluates the double sum directly as its oracle.  ``fft2`` is
+the paper's transform of the periodicized sample grid; production takes the
+DCT-I of the distinct Lobatto samples in ``chebcore``, with ``fft2`` as oracle.
 """
 
 import numpy as np

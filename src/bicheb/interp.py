@@ -1,17 +1,17 @@
 """Lagrange interpolation on the Chebyshev-Lobatto product grid.
 
-The interpolant through f on the nodes cos(i pi / n) x cos(j pi / m) is
-written in the Chebyshev basis; its coefficients follow from the discrete
-orthogonality of the basis on that grid.  Because T_k and T_{2pn +/- k}
-coincide on the n-grid, the interpolation coefficients are folded sums of
-the underlying series coefficients, which ``aliasing_coeffs`` reproduces.
+The Chebyshev coefficients of the interpolant through f on the nodes
+cos(i pi / n) x cos(j pi / m) come from the builder's DCT-I; the paper's
+periodic grid and radix-2 FFT compute them too and serve as the oracle.
+Because T_k and T_{2pn +/- k} coincide on the n-grid, they are folded sums
+of the underlying series coefficients, which ``aliasing_coeffs`` reproduces.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebcore import UNIT_SQUARE, _sample_on, cheb_basis
+from .chebcore import UNIT_SQUARE, _lobatto_coeffs, _sample_on, lobatto_nodes
 from .errors import InvalidInputError
 
 
@@ -32,15 +32,7 @@ class LobattoGrid:
 
 def lobatto_grid(n):
     """Grid of the n + 1 extremum nodes, strictly decreasing from 1 to -1."""
-    if n < 1:
-        raise InvalidInputError("degenerate degree: need n >= 1")
-    nodes = np.empty(n + 1)
-    half = n // 2
-    nodes[: half + 1] = np.cos(np.pi * np.arange(half + 1) / n)
-    # mirror so the grid is symmetric about 0 bit-for-bit
-    nodes[n - half:] = -nodes[half::-1]
-    if n % 2 == 0:
-        nodes[half] = 0.0
+    nodes = lobatto_nodes(n)
     weights = np.ones(n + 1)
     weights[0] = weights[n] = 0.5
     edge_scale = np.full(n + 1, 0.5)
@@ -66,21 +58,14 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE, vectorized=None):
         c[i, j] = 4 / (n m) * w_i w_j *
                   sum_k sum_l w_k w_l f(x_k, y_l) T_i(x_k) T_j(y_l)
 
-    where w is the half-at-the-endpoints weight vector.  The resulting
-    polynomial matches f at every grid node.
+    where w is the half-at-the-endpoints weight vector, computed as a DCT-I
+    along each axis.  The resulting polynomial matches f at every grid node.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("interpolation degrees must be >= 1")
-    gx = lobatto_grid(n)
-    gy = lobatto_grid(m)
-    xs = domain.x_from_unit(gx.nodes)
-    ys = domain.y_from_unit(gy.nodes)
-    values = _sample_on(f, xs, ys, vectorized)
-    tx = cheb_basis(n, gx.nodes)
-    ty = cheb_basis(m, gy.nodes)
-    weighted = (gx.weights[:, None] * gy.weights[None, :]) * values
-    core = tx.T @ weighted @ ty
-    return (4.0 / (n * m)) * np.outer(gx.weights, gy.weights) * core
+    xs = domain.x_from_unit(lobatto_nodes(n))
+    ys = domain.y_from_unit(lobatto_nodes(m))
+    return _lobatto_coeffs(_sample_on(f, xs, ys, vectorized))
 
 
 def _alias_class(i, n, cutoff):

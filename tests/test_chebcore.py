@@ -15,6 +15,8 @@ from bicheb.errors import (
     ValidationError,
 )
 
+from bicheb import chebcore
+
 from conftest import f_cosxy, f_example2
 
 # published reference values for the cos(x y) coefficient corner
@@ -186,6 +188,40 @@ class TestBuildAdaptive:
                               relative=True)
         assert c.tol == pytest.approx(1e-9, rel=1e-6)
         assert c.coeffs[0, 0] == pytest.approx(1e6 * 0.880725579, rel=1e-6)
+
+    def test_coefficients_match_paper_transform(self, monkeypatch):
+        # at every degree bound n the builder's coefficients are those of
+        # the paper's radix-2 FFT over the periodicized grid of m = 4n points
+        def runge(x, y):
+            return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+        transform = chebcore._lobatto_coeffs
+        blocks = []
+
+        def recording(values):
+            blocks.append(transform(values))
+            return blocks[-1].copy()  # the builder trims its block in place
+
+        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        bc.build_adaptive(runge, 1e-14, relative=True)
+        bounds = [(len(block) - 1) // 2 for block in blocks]
+        assert bounds == [8, 16, 32, 64, 128, 256]
+        for n, block in zip(bounds, blocks):
+            paper = bc.coeffs_from_samples(bc.sample_grid(runge, 4 * n), n)
+            assert np.abs(block[: n + 1, : n + 1] - paper).max() <= 1e-15
+
+    def test_samples_each_node_once(self):
+        calls = []
+
+        def recorder(x, y):
+            xb, yb = np.broadcast_arrays(x, y)
+            calls.append(list(zip(xb.ravel().tolist(), yb.ravel().tolist())))
+            return np.cos(x * y)
+
+        bc.build_adaptive(recorder, 1e-15)
+        assert calls
+        for points in calls:
+            assert len(set(points)) == len(points)
 
     def test_no_convergence_carries_tail(self):
         with pytest.raises(ConvergenceError) as info:
@@ -417,6 +453,14 @@ class TestPersistence:
         with pytest.raises(ParseError) as info:
             bc.load(io.StringIO('{"degree_x": 0, '))
         assert info.value.position >= 0
+
+    def test_non_ascii_byte_is_parse_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"degree_x": 0, "degree_y": 0, "domain": '
+                         b'[-1, 1, -1, 1], "tol": 0, "entries": []}\xc3\xa9')
+        with pytest.raises(ParseError) as info:
+            bc.load(path)
+        assert info.value.position == path.stat().st_size - 2
 
     def test_entry_beyond_degrees_is_invalid(self):
         text = ('{"degree_x": 2, "degree_y": 2, "domain": [-1, 1, -1, 1], '

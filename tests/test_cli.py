@@ -71,6 +71,12 @@ class TestApprox:
         assert code == EXIT_PARSE
         assert "error" in err
 
+    def test_too_deep_expression_exit_code(self, capsys, tmp_path):
+        out = str(tmp_path / "c.json")
+        for formula in ("(" * 5000 + "x" + ")" * 5000, "+".join(["x"] * 3000)):
+            code, _, _ = run(capsys, "approx", formula, "-o", out)
+            assert code == EXIT_PARSE
+
     def test_no_convergence_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "abs(x)", "--max-n", "16",
                            "-o", str(tmp_path / "x.json"))
@@ -157,6 +163,21 @@ class TestEval:
         path.write_text("{not json")
         code, _, _ = run(capsys, "eval", str(path), "--point", "0,0")
         assert code == EXIT_PARSE
+
+    def test_non_ascii_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"degree_x": 0, "degree_y": 0, "domain": '
+                         b'[-1, 1, -1, 1], "tol": 0, "entries": []}\xff')
+        code, _, err = run(capsys, "eval", str(path), "--point", "0,0")
+        assert code == EXIT_PARSE
+        assert "non-ASCII" in err
+
+    def test_non_ascii_points_file(self, capsys, cos_file, tmp_path):
+        pts = tmp_path / "pts.txt"
+        pts.write_bytes(b"0.5, 0.5\n0.25 \xc3\xa9-0.5\n")
+        code, _, err = run(capsys, "eval", str(cos_file), "--points-file", str(pts))
+        assert code == EXIT_PARSE
+        assert "non-ASCII" in err
 
     def test_inconsistent_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -85,6 +85,20 @@ class TestParse:
             parse_expression(source)
         assert 0 <= info.value.position <= len(source)
 
+    def test_deep_parentheses_are_rejected(self):
+        with pytest.raises(ParseError):
+            parse_expression("(" * 5000 + "x" + ")" * 5000)
+
+    def test_long_flat_sum_is_rejected(self):
+        # parses to a left-leaning tree 3000 levels high
+        with pytest.raises(ParseError):
+            parse_expression("+".join(["x"] * 3000))
+
+    def test_moderate_depth_parses_and_evaluates(self):
+        assert eval_ast(parse_expression("+".join(["x"] * 200)), 0.5, 0.0) == 100.0
+        nested = parse_expression("(" * 100 + "x" + ")" * 100)
+        assert eval_ast(nested, 0.25, 0.0) == 0.25
+
 
 class TestEval:
     def test_cos_at_origin(self):

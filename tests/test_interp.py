@@ -147,9 +147,11 @@ class TestAliasing:
             return np.exp(x * y)
 
         alpha = bc.coeffs_from_samples(bc.sample_grid(f, 64), 31)
-        folded = aliasing_coeffs(alpha, 4, 4)
-        direct = lagrange_cheb_coeffs(f, 4, 4)
-        assert np.abs(folded - direct).max() <= 1e-9
+        for n, m in ((4, 4), (5, 7), (12, 3)):
+            folded = aliasing_coeffs(alpha, n, m)
+            direct = lagrange_cheb_coeffs(f, n, m)
+            assert direct.shape == (n + 1, m + 1)
+            assert np.abs(folded - direct).max() <= 1e-9
 
     def test_cutoff_limits_folds(self):
         alpha = np.zeros((17, 1))
