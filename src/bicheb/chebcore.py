@@ -12,6 +12,11 @@ up to four times, gives the same numbers and is kept as the tests' oracle
 (``sample_grid``, ``coeffs_from_samples``).  The adaptive builder doubles the
 degree bound until the trailing block of coefficients is negligible, then
 trims and truncates.
+
+Evaluation has one kernel, the basis matrices of the points on either side
+of the coefficient matrix: ``evaluate_matrix`` takes scalars or whole arrays
+of scattered points (in bounded blocks), ``evaluate_grid`` a tensor grid.
+Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
 """
 
 import json
@@ -32,6 +37,10 @@ from .fft2d import fft2, is_power_of_two, next_power_of_two
 
 # Tolerated relative overshoot of evaluation points beyond the unit square.
 _OVERSHOOT = 1e-12
+
+# Points per block of the batched evaluate_matrix: each block holds two basis
+# matrices of _EVAL_BLOCK x (degree + 1) doubles.
+_EVAL_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +267,11 @@ def _periodic_nodes(m):
 def _sample_on(f, xs, ys, vectorized=None):
     """Evaluate f on the tensor grid xs x ys as a (len(xs), len(ys)) array.
 
-    A single broadcast call is attempted first; callables that only accept
-    scalars fall back to a sequential per-node loop.  vectorized=True forces
-    the broadcast path, vectorized=False forces the loop.  Non-finite
-    samples raise SamplingError naming the node.
+    A single broadcast call is attempted first.  If it raises TypeError or
+    ValueError, the errors of scalar-only callables given arrays, f is
+    sampled by a sequential per-node loop instead; any other error
+    propagates.  vectorized=True forces the broadcast path, vectorized=False
+    forces the loop.  Non-finite samples raise SamplingError naming the node.
     """
     shape = (len(xs), len(ys))
     values = None
@@ -269,7 +279,7 @@ def _sample_on(f, xs, ys, vectorized=None):
         try:
             raw = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
             values = np.array(np.broadcast_to(raw, shape))
-        except Exception:
+        except (TypeError, ValueError):
             if vectorized:
                 raise
     if values is None:
@@ -349,8 +359,8 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
     ----------
     f : callable
         Function of two real arguments, total on the domain.  It may accept
-        numpy arrays for fast sampling; scalar-only callables are sampled
-        sequentially.
+        numpy arrays for fast sampling; callables that raise TypeError or
+        ValueError on arrays are sampled sequentially.
     tol : float
         Trim threshold, absolute by default.  With relative=True the
         threshold is tol times the largest sampled magnitude, which keeps
@@ -450,29 +460,66 @@ def truncate(c, degree_x, degree_y):
 # evaluation
 
 
-def _unit_point(c, x, y):
+def _unit_points(c, x, y):
+    """x and y mapped onto [-1, 1], an overshoot of up to 1e-12 clamped.
+
+    x and y are scalars or arrays that broadcast against each other.  The
+    first point (x, y) of the broadcast, in row-major order, that lies
+    further out or is not finite raises DomainError.
+    """
     u = c.domain.unit_from_x(x)
     v = c.domain.unit_from_y(y)
-    if abs(u) > 1.0 + _OVERSHOOT or abs(v) > 1.0 + _OVERSHOOT:
+    bad_u = ~(np.abs(u) <= 1.0 + _OVERSHOOT)
+    bad_v = ~(np.abs(v) <= 1.0 + _OVERSHOOT)
+    if bad_u.any() or bad_v.any():
+        bad = bad_u | bad_v
+        k = np.flatnonzero(bad)[0]
+        x0 = float(np.broadcast_to(x, bad.shape).flat[k])
+        y0 = float(np.broadcast_to(y, bad.shape).flat[k])
+        d = c.domain
         raise DomainError(
-            f"point ({x!r}, {y!r}) lies outside the domain rectangle "
-            f"[{c.domain.xlo}, {c.domain.xhi}] x [{c.domain.ylo}, {c.domain.yhi}]")
-    return min(1.0, max(-1.0, u)), min(1.0, max(-1.0, v))
+            f"point ({x0!r}, {y0!r}) lies outside the domain rectangle "
+            f"[{d.xlo}, {d.xhi}] x [{d.ylo}, {d.yhi}]")
+    # np.clip costs several microseconds more on scalars
+    return np.minimum(np.maximum(u, -1.0), 1.0), np.minimum(np.maximum(v, -1.0), 1.0)
 
 
 def evaluate_matrix(c, x, y):
-    """Value at (x, y) as the bilinear form V'(u) coeffs V(v)."""
-    u, v = _unit_point(c, x, y)
-    return float(cheb_vector(c.degree_x, u) @ c.coeffs @ cheb_vector(c.degree_y, v))
+    """Values at the points (x, y) as the bilinear form V'(u) coeffs V(v).
+
+    Scalar x and y give a float.  Arrays give an array of their broadcast
+    shape; 1-D arrays of equal length pair up point by point.  Every point
+    is checked first, then the values are computed _EVAL_BLOCK points at a
+    time as the row sums of (cheb_basis(u) @ coeffs) * cheb_basis(v).
+    """
+    if np.ndim(x) == 0 and np.ndim(y) == 0:
+        u, v = _unit_points(c, x, y)
+        return float(cheb_vector(c.degree_x, u) @ c.coeffs @ cheb_vector(c.degree_y, v))
+    try:
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                   np.asarray(y, dtype=float))
+    except ValueError:
+        raise InvalidInputError(
+            f"point coordinates of shapes {np.shape(x)} and {np.shape(y)} "
+            "do not broadcast") from None
+    u, v = (t.ravel() for t in _unit_points(c, x, y))
+    values = np.empty(u.size)
+    for start in range(0, u.size, _EVAL_BLOCK):
+        block = slice(start, start + _EVAL_BLOCK)
+        values[block] = np.einsum(
+            "ij,ij->i", cheb_basis(c.degree_x, u[block]) @ c.coeffs,
+            cheb_basis(c.degree_y, v[block]))
+    return values.reshape(x.shape)
 
 
 def evaluate_clenshaw(c, x, y):
-    """Same polynomial as evaluate_matrix, via backward recurrences.
+    """Same polynomial as evaluate_matrix at one point, via backward
+    recurrences (Clenshaw 1955); the tests' oracle for the matrix form.
 
     Each row of the coefficient matrix is collapsed with a Clenshaw pass in
     the second variable, then one more pass runs across the rows.
     """
-    u, v = _unit_point(c, x, y)
+    u, v = _unit_points(c, float(x), float(y))
     a = c.coeffs
     b1 = np.zeros(a.shape[0])
     b2 = np.zeros(a.shape[0])
@@ -490,16 +537,12 @@ def evaluate_grid(c, xs, ys):
     """Values on the tensor grid xs x ys as a (len(xs), len(ys)) matrix."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    u = c.domain.unit_from_x(xs)
-    v = c.domain.unit_from_y(ys)
-    for mapped, original, axis in ((u, xs, "x"), (v, ys, "y")):
-        bad = np.abs(mapped) > 1.0 + _OVERSHOOT
-        if np.any(bad):
-            raise DomainError(
-                f"{axis} = {original[bad][0]!r} lies outside the domain rectangle")
-    np.clip(u, -1.0, 1.0, out=u)
-    np.clip(v, -1.0, 1.0, out=v)
-    return cheb_basis(c.degree_x, u) @ c.coeffs @ cheb_basis(c.degree_y, v).T
+    if xs.ndim != 1 or ys.ndim != 1:
+        raise InvalidInputError(
+            f"grid axes must be 1-D, got shapes {xs.shape} and {ys.shape}")
+    u, v = _unit_points(c, xs[:, None], ys[None, :])
+    basis_x = cheb_basis(c.degree_x, u.ravel())
+    return basis_x @ c.coeffs @ cheb_basis(c.degree_y, v.ravel()).T
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ inputs, and failures map to documented exit codes:
 
 The default trim tolerance is 1e-15 and may be overridden with the
 BICHEB_TOL environment variable.
+
+``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
+--compare-expr reference in one call of ``eval_ast``, before it opens its
+output, so a bad point or reference leaves no partial output.  ``eval`` and
+``export`` write their rows in blocks, each value as ``%.17g``.
 """
 
 import argparse
@@ -160,18 +165,23 @@ def cmd_approx(config):
 
 
 def _collect_points(config, domain):
+    """The points to evaluate as two arrays, xs and ys."""
     points = [_parse_point(p) for p in config.points]
     if config.points_file is not None:
         for line in _read_ascii(config.points_file, "points file").split("\n"):
             line = line.strip()
             if line:
                 points.append(_parse_point(line))
+    xs = np.array([x for x, _ in points], dtype=float)
+    ys = np.array([y for _, y in points], dtype=float)
     if config.grid_domain is not None or not points:
         grid = config.grid_domain or domain
-        xs = np.linspace(grid.xlo, grid.xhi, config.resolution)
-        ys = np.linspace(grid.ylo, grid.yhi, config.resolution)
-        points.extend((float(x), float(y)) for x in xs for y in ys)
-    return points
+        gx, gy = np.meshgrid(np.linspace(grid.xlo, grid.xhi, config.resolution),
+                             np.linspace(grid.ylo, grid.yhi, config.resolution),
+                             indexing="ij")
+        xs = np.concatenate([xs, gx.ravel()])
+        ys = np.concatenate([ys, gy.ravel()])
+    return xs, ys
 
 
 def _open_sink(path):
@@ -180,26 +190,42 @@ def _open_sink(path):
     return open(path, "w", encoding="ascii"), True
 
 
+def _compare_ast(config):
+    if config.compare_expr is None:
+        return None
+    return parse_expression(config.compare_expr)
+
+
+def _value_columns(values, compare_ast, x, y):
+    """The columns eval and export write: the values and, given a reference
+    formula, its values at the points (x, y) and the absolute errors."""
+    if compare_ast is None:
+        return [values]
+    reference = np.broadcast_to(
+        np.asarray(eval_ast(compare_ast, x, y), dtype=float), values.shape)
+    return [values, reference, np.abs(values - reference)]
+
+
+# Rows formatted per write by eval; "%.17g" gives the text of _fmt.
+_ROWS_PER_WRITE = 4096
+
+
 def cmd_eval(config):
+    # every point is checked, evaluated and compared before the sink opens,
+    # so a failure leaves no partial output
     c = to_cheb2(load(config.input_path))
-    points = _collect_points(config, c.domain)
-    compare_ast = None
-    if config.compare_expr is not None:
-        compare_ast = parse_expression(config.compare_expr)
+    xs, ys = _collect_points(config, c.domain)
+    compare_ast = _compare_ast(config)
+    columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
+    row = " ".join(["%.17g"] * len(columns)) + "\n"
     sink, owned = _open_sink(config.output_path)
     try:
-        max_error = 0.0
-        for x, y in points:
-            value = evaluate_matrix(c, x, y)
-            if compare_ast is None:
-                sink.write(f"{_fmt(value)}\n")
-            else:
-                reference = eval_ast(compare_ast, x, y)
-                error = abs(value - reference)
-                max_error = max(max_error, error)
-                sink.write(f"{_fmt(value)} {_fmt(reference)} {_fmt(error)}\n")
+        for start in range(0, xs.size, _ROWS_PER_WRITE):
+            block = [column[start:start + _ROWS_PER_WRITE].tolist()
+                     for column in columns]
+            sink.write("".join(row % cells for cells in zip(*block)))
         if compare_ast is not None:
-            sink.write(f"max_abs_error {_fmt(max_error)}\n")
+            sink.write(f"max_abs_error {_fmt(columns[2].max())}\n")
     finally:
         if owned:
             sink.close()
@@ -252,28 +278,21 @@ def cmd_export(config):
     grid = config.grid_domain or c.domain
     xs = np.linspace(grid.xlo, grid.xhi, config.resolution)
     ys = np.linspace(grid.ylo, grid.yhi, config.resolution)
-    values = evaluate_grid(c, xs, ys)
-    compare = None
-    if config.compare_expr is not None:
-        ast = parse_expression(config.compare_expr)
-        compare = np.broadcast_to(
-            np.asarray(eval_ast(ast, xs[:, None], ys[None, :]), dtype=float),
-            values.shape)
+    compare_ast = _compare_ast(config)
+    columns = _value_columns(evaluate_grid(c, xs, ys), compare_ast,
+                             xs[:, None], ys[None, :])
+    header = ",".join(["x", "y", "value", "reference", "abs_error"][: 2 + len(columns)])
+    # x and y text once per grid line, one %-format per row
+    row = "%s,%s" + ",%.17g" * len(columns) + "\n"
+    fys = [_fmt(y) for y in ys]
     with open(config.output_path, "w", encoding="ascii") as sink:
-        if compare is None:
-            sink.write("x,y,value\n")
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    sink.write(f"{_fmt(x)},{_fmt(y)},{_fmt(values[i, j])}\n")
-        else:
-            sink.write("x,y,value,reference,abs_error\n")
-            errors = np.abs(values - compare)
-            for i, x in enumerate(xs):
-                for j, y in enumerate(ys):
-                    sink.write(
-                        f"{_fmt(x)},{_fmt(y)},{_fmt(values[i, j])},"
-                        f"{_fmt(compare[i, j])},{_fmt(errors[i, j])}\n")
-            print(f"max_abs_error {_fmt(errors.max())}")
+        sink.write(header + "\n")
+        for i, x in enumerate(xs):
+            fx = _fmt(x)
+            cells = zip(fys, *(column[i].tolist() for column in columns))
+            sink.write("".join(row % (fx, *cell) for cell in cells))
+    if compare_ast is not None:
+        print(f"max_abs_error {_fmt(columns[2].max())}")
     print(f"wrote {config.resolution * config.resolution} rows to {config.output_path}")
     return EXIT_OK
 

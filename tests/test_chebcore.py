@@ -1,6 +1,8 @@
 """Tests for approximant construction, evaluation, quality and persistence."""
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import bicheb as bc
 from bicheb.errors import (
     ConvergenceError,
     DomainError,
+    EvalError,
     InvalidInputError,
     ParseError,
     SamplingError,
@@ -223,6 +226,22 @@ class TestBuildAdaptive:
         for points in calls:
             assert len(set(points)) == len(points)
 
+    def test_error_on_arrays_is_not_retried_per_node(self):
+        calls = []
+
+        def f(x, y):
+            calls.append(np.shape(x))
+            raise EvalError("log of a nonpositive value", "log(x)")
+
+        with pytest.raises(EvalError):
+            bc.build_adaptive(f, 1e-15)
+        assert len(calls) == 1
+
+    def test_scalar_only_callable_still_builds(self, cosxy):
+        c = bc.build_adaptive(lambda x, y: math.cos(x * y), 1e-15)
+        assert c.coeffs.shape == cosxy.coeffs.shape
+        assert np.abs(c.coeffs - cosxy.coeffs).max() <= 1e-15
+
     def test_no_convergence_carries_tail(self):
         with pytest.raises(ConvergenceError) as info:
             bc.build_adaptive(lambda x, y: np.abs(x) + 0.0 * y, 1e-15, max_n=16)
@@ -315,6 +334,66 @@ class TestEvaluate:
             bc.evaluate_clenshaw(c, 0.5, -0.1)
         with pytest.raises(DomainError):
             bc.evaluate_grid(c, [0.2, 1.4], [0.5])
+
+    def test_array_points_match_clenshaw_across_blocks(self):
+        def runge(x, y):
+            return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+        c = bc.build_adaptive(runge, 1e-14, relative=True)
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(-1.0, 1.0, size=(2, chebcore._EVAL_BLOCK + 37))
+        values = bc.evaluate_matrix(c, xs, ys)
+        assert values.shape == xs.shape
+        oracle = np.array([bc.evaluate_clenshaw(c, x, y) for x, y in zip(xs, ys)])
+        assert np.abs(values - oracle).max() <= 1e-14
+
+    def test_scalar_point_gives_float(self, cosxy):
+        assert type(bc.evaluate_matrix(cosxy, 0.3, -0.7)) is float
+        assert type(bc.evaluate_matrix(cosxy, np.float64(0.3), np.float64(-0.7))) is float
+
+    def test_empty_arrays_give_empty_array(self, cosxy):
+        values = bc.evaluate_matrix(cosxy, np.array([]), np.array([]))
+        assert isinstance(values, np.ndarray)
+        assert values.shape == (0,)
+
+    def test_unequal_lengths_rejected(self, cosxy):
+        with pytest.raises(InvalidInputError):
+            bc.evaluate_matrix(cosxy, np.zeros(3), np.zeros(5))
+
+    def test_grid_axes_must_be_one_dimensional(self, cosxy):
+        with pytest.raises(InvalidInputError):
+            bc.evaluate_grid(cosxy, np.zeros((2, 3)), [0.0])
+
+    def test_broadcast_points_match_grid(self, cosxy):
+        xs = np.linspace(-1.0, 1.0, 7)
+        ys = np.linspace(-1.0, 1.0, 5)
+        values = bc.evaluate_matrix(cosxy, xs[:, None], ys[None, :])
+        assert values.shape == (7, 5)
+        assert np.abs(values - bc.evaluate_grid(cosxy, xs, ys)).max() <= 1e-14
+
+    def test_one_point_outside_among_many(self):
+        c = bc.Cheb2(np.ones((3, 3)), bc.Domain2(0.0, 1.0, 0.0, 1.0))
+        xs = np.linspace(0.0, 1.0, 3000)
+        ys = xs[::-1].copy()
+        ys[2500] = 1.25
+        ys[2700] = -3.0
+        with pytest.raises(DomainError, match=re.escape(f"({float(xs[2500])!r}, 1.25)")):
+            bc.evaluate_matrix(c, xs, ys)
+
+    def test_overshoot_is_clamped_for_arrays(self, cosxy):
+        edge = np.array([1.0 + 1e-13, -1.0 - 1e-13])
+        corners = np.array([1.0, -1.0])
+        assert np.array_equal(bc.evaluate_matrix(cosxy, edge, edge),
+                              bc.evaluate_matrix(cosxy, corners, corners))
+
+    def test_non_finite_point_is_outside(self, cosxy):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                bc.evaluate_matrix(cosxy, bad, 0.0)
+            with pytest.raises(DomainError):
+                bc.evaluate_matrix(cosxy, np.array([0.0, bad]), np.zeros(2))
+            with pytest.raises(DomainError):
+                bc.evaluate_grid(cosxy, [0.0], [0.5, bad])
 
     def test_grid_matches_pointwise(self, cosxy):
         xs = np.linspace(-1.0, 1.0, 7)

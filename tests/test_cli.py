@@ -77,6 +77,13 @@ class TestApprox:
             code, _, _ = run(capsys, "approx", formula, "-o", out)
             assert code == EXIT_PARSE
 
+    def test_log_of_negative_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, "approx", "log(x)", "-o", str(path))
+        assert code == EXIT_EVAL
+        assert "log" in err
+        assert not path.exists()
+
     def test_no_convergence_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "abs(x)", "--max-n", "16",
                            "-o", str(tmp_path / "x.json"))
@@ -152,6 +159,47 @@ class TestEval:
         code, _, err = run(capsys, "eval", str(cos_file), "--point", "2,0")
         assert code == EXIT_EVAL
         assert "2" in err
+
+    @pytest.mark.parametrize("last, compare", [
+        ("2,0", None),            # outside the domain
+        ("-0.5,0.5", "log(x)"),   # EvalError in the reference
+    ])
+    def test_failure_at_last_point_writes_nothing(self, capsys, cos_file,
+                                                  tmp_path, last, compare):
+        pts = tmp_path / "pts.txt"
+        pts.write_text("".join(f"0.{k},0.5\n" for k in range(1, 10)) + last + "\n")
+        args = ["eval", str(cos_file), "--points-file", str(pts)]
+        if compare is not None:
+            args += ["--compare-expr", compare]
+        code, out, _ = run(capsys, *args)
+        assert code == EXIT_EVAL
+        assert out == ""
+        dst = tmp_path / "values.txt"
+        code, out, _ = run(capsys, *args, "-o", str(dst))
+        assert code == EXIT_EVAL
+        assert out == ""
+        assert not dst.exists()
+
+    def test_points_file_reruns_are_byte_identical(self, capsys, cos_file, tmp_path):
+        rng = np.random.default_rng(3)
+        pts = tmp_path / "pts.txt"
+        pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in
+                               rng.uniform(-1.0, 1.0, size=(300, 2)).tolist()))
+        outputs = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        for dst in outputs:
+            code, _, _ = run(capsys, "eval", str(cos_file), "--points-file",
+                             str(pts), "--compare-expr", "cos(x*y)", "-o", str(dst))
+            assert code == EXIT_OK
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+        xs, ys = np.loadtxt(pts, delimiter=",").T
+        values = bc.evaluate_matrix(bc.to_cheb2(bc.load(cos_file)), xs, ys)
+        reference = bc.eval_ast(bc.parse_expression("cos(x*y)"), xs, ys)
+        errors = np.abs(values - reference)
+        lines = [" ".join(format(float(v), ".17g") for v in row)
+                 for row in zip(values, reference, errors)]
+        lines.append(f"max_abs_error {format(float(errors.max()), '.17g')}")
+        assert outputs[0].read_text() == "\n".join(lines) + "\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "eval", str(tmp_path / "nope.json"),
@@ -320,6 +368,36 @@ class TestExport:
         max_err = max(float(row.split(",")[4]) for row in lines[1:])
         assert max_err == pytest.approx(0.000082141, abs=2e-5)
         assert _summary_value(out, "max_abs_error") == pytest.approx(max_err)
+
+    @pytest.mark.parametrize("compare", [None, "cos(x*y)"])
+    def test_rows_match_per_cell_format(self, capsys, tmp_path, cosxy, compare):
+        # the text of formatting every cell on its own with format(v, ".17g")
+        src = tmp_path / "t.json"
+        dst = tmp_path / "t.csv"
+        c = bc.truncate(cosxy, 6, 6)
+        bc.save(bc.to_sparse(c), src)
+        args = ["export", str(src), "-o", str(dst), "--resolution", "23",
+                "--grid-domain=-0.75,1,-1,0.5"]
+        if compare is not None:
+            args += ["--compare-expr", compare]
+        assert run(capsys, *args)[0] == EXIT_OK
+
+        xs = np.linspace(-0.75, 1.0, 23)
+        ys = np.linspace(-1.0, 0.5, 23)
+        values = bc.evaluate_grid(bc.to_cheb2(bc.load(src)), xs, ys)
+        lines = ["x,y,value"]
+        if compare is not None:
+            lines = ["x,y,value,reference,abs_error"]
+            reference = bc.eval_ast(bc.parse_expression(compare),
+                                    xs[:, None], ys[None, :])
+            errors = np.abs(values - reference)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                cells = [x, y, values[i, j]]
+                if compare is not None:
+                    cells += [reference[i, j], errors[i, j]]
+                lines.append(",".join(format(float(v), ".17g") for v in cells))
+        assert dst.read_text() == "\n".join(lines) + "\n"
 
     def test_unwritable_path(self, capsys, tmp_path):
         src = tmp_path / "k.json"
