@@ -264,25 +264,19 @@ def _periodic_nodes(m):
     return np.concatenate([u, u[-2:0:-1]])
 
 
-def _sample_on(f, xs, ys, vectorized=None):
+def _sample_on(f, xs, ys):
     """Evaluate f on the tensor grid xs x ys as a (len(xs), len(ys)) array.
 
     A single broadcast call is attempted first.  If it raises TypeError or
     ValueError, the errors of scalar-only callables given arrays, f is
     sampled by a sequential per-node loop instead; any other error
-    propagates.  vectorized=True forces the broadcast path, vectorized=False
-    forces the loop.  Non-finite samples raise SamplingError naming the node.
+    propagates.  Non-finite samples raise SamplingError naming the node.
     """
     shape = (len(xs), len(ys))
-    values = None
-    if vectorized is None or vectorized:
-        try:
-            raw = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-            values = np.array(np.broadcast_to(raw, shape))
-        except (TypeError, ValueError):
-            if vectorized:
-                raise
-    if values is None:
+    try:
+        raw = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
+        values = np.array(np.broadcast_to(raw, shape))
+    except (TypeError, ValueError):
         values = np.empty(shape)
         for k in range(shape[0]):
             for j in range(shape[1]):
@@ -295,14 +289,14 @@ def _sample_on(f, xs, ys, vectorized=None):
     return values
 
 
-def sample_grid(f, m, domain=UNIT_SQUARE, vectorized=None):
+def sample_grid(f, m, domain=UNIT_SQUARE):
     """Sample f on the m-point periodicized Chebyshev grid of the domain."""
     if not is_power_of_two(m) or m < 2:
         raise InvalidInputError(f"grid size must be a power of two >= 2, got {m}")
     u = _periodic_nodes(m)
     xs = domain.x_from_unit(u)
     ys = domain.y_from_unit(u)
-    return SampleGrid(m, _sample_on(f, xs, ys, vectorized))
+    return SampleGrid(m, _sample_on(f, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ def coeffs_from_samples(grid, n):
 
 
 def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
-                   relative=False, vectorized=None):
+                   relative=False):
     """Construct a Cheb2 for f, doubling the degree until the tail is negligible.
 
     Parameters
@@ -393,7 +387,7 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
     n = n0
     while True:
         u = lobatto_nodes(2 * n)
-        values = _sample_on(f, domain.x_from_unit(u), domain.y_from_unit(u), vectorized)
+        values = _sample_on(f, domain.x_from_unit(u), domain.y_from_unit(u))
         coeffs = _lobatto_coeffs(values)[: n + 1, : n + 1]
         threshold = tol * np.abs(values).max() if relative else float(tol)
         tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
@@ -549,7 +543,7 @@ def evaluate_grid(c, xs, ys):
 # quality measures
 
 
-def parseval_indicator(c, f, vectorized=None):
+def parseval_indicator(c, f):
     """Weighted L2 mass of f minus the mass captured by the stored coefficients.
 
     The weighted integral of f^2 is estimated as the constant coefficient of
@@ -562,11 +556,11 @@ def parseval_indicator(c, f, vectorized=None):
     mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
     mass += 0.25 * np.sum(a[1:, 1:] ** 2)
     u = lobatto_nodes(next_power_of_two(2 * (max(c.degree_x, c.degree_y) + 1)))
-    values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u), vectorized)
+    values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u))
     return float(_lobatto_coeffs(values ** 2)[0, 0] - mass)
 
 
-def coeffs_by_quadrature(f, k, j, nodes, vectorized=None):
+def coeffs_by_quadrature(f, k, j, nodes):
     """Single coefficient by midpoint quadrature of the weighted inner product.
 
     Integrates f(cos t, cos s) cos(k t) cos(j s) over [0, pi]^2 on an
@@ -582,7 +576,7 @@ def coeffs_by_quadrature(f, k, j, nodes, vectorized=None):
             f"({k}, {j}), got {nodes}")
     t = (np.arange(nodes) + 0.5) * (np.pi / nodes)
     xs = np.cos(t)
-    values = _sample_on(f, xs, xs, vectorized)
+    values = _sample_on(f, xs, xs)
     weights = np.cos(k * t)[:, None] * np.cos(j * t)[None, :]
     estimate = 4.0 / nodes ** 2 * float(np.sum(values * weights))
     if k == 0:

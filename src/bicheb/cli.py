@@ -11,8 +11,9 @@ inputs, and failures map to documented exit codes:
     5  I/O failure
     6  evaluation failure (outside domain, non-finite sample)
 
-The default trim tolerance is 1e-15 and may be overridden with the
-BICHEB_TOL environment variable.
+Each command reads the parsed arguments, whose defaults live in the parser.
+BICHEB_TOL overrides the default tolerance, 1e-15, of the commands that
+take --tol (approx, integrate, interp); the others ignore it.
 
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
@@ -21,10 +22,10 @@ output, so a bad point or reference leaves no partial output.  ``eval`` and
 """
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,36 +68,6 @@ EXIT_EVAL = 6
 _TOL_ENV = "BICHEB_TOL"
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, assembled from the parsed arguments."""
-
-    subcommand: str
-    expression: str = None
-    domain: Domain2 = UNIT_SQUARE
-    tol: float = 1e-15
-    max_n: int = 8192
-    n0: int = 8
-    relative: bool = False
-    input_path: str = None
-    output_path: str = None
-    resolution: int = 50
-    points: list = field(default_factory=list)
-    points_file: str = None
-    grid_domain: Domain2 = None
-    compare_expr: str = None
-    axis: str = "x"
-    degree_n: int = 8
-    degree_m: int = 8
-    verify: bool = False
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ValidationError("tolerance must be positive")
-        if self.resolution < 2:
-            raise ValidationError("resolution must be >= 2")
-
-
 def _fmt(v):
     return format(float(v), ".17g")
 
@@ -126,37 +97,44 @@ def _parse_point(text):
         raise ValidationError(f"point coordinates must be numbers, got {text!r}") from None
 
 
-def _default_tol():
-    raw = os.environ.get(_TOL_ENV)
-    if raw is None:
-        return 1e-15
+def _tolerance(args):
+    """--tol, else $BICHEB_TOL, else 1e-15; it must be a finite number > 0."""
+    raw = args.tol if args.tol is not None else os.environ.get(_TOL_ENV, "1e-15")
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(
-            f"{_TOL_ENV} must be a number, got {raw!r}") from None
+            f"tolerance (--tol or ${_TOL_ENV}) must be a finite number > 0, got {raw!r}")
+    return tol
+
+
+def _check_resolution(args):
+    if args.resolution < 2:
+        raise ValidationError("resolution must be >= 2")
 
 
 def _ast_function(ast):
     return lambda x, y: eval_ast(ast, x, y)
 
 
-def _build_from_expression(config):
-    ast = parse_expression(config.expression)
-    f = _ast_function(ast)
-    c = build_adaptive(f, config.tol, n0=config.n0, max_n=config.max_n,
-                       domain=config.domain, relative=config.relative)
+def _build_from_expression(args, expression, tol):
+    f = _ast_function(parse_expression(expression))
+    c = build_adaptive(f, tol, n0=args.n0, max_n=args.max_n,
+                       domain=args.domain, relative=args.relative_tol)
     return c, f
 
 
-def cmd_approx(config):
+def cmd_approx(args):
+    tol = _tolerance(args)
     started = time.perf_counter()
-    c, f = _build_from_expression(config)
+    c, f = _build_from_expression(args, args.expression, tol)
     indicator = parseval_indicator(c, f)
     elapsed = time.perf_counter() - started
     sparse = to_sparse(c)
-    save(sparse, config.output_path)
-    print(f"wrote {config.output_path}")
+    save(sparse, args.output)
+    print(f"wrote {args.output}")
     print(f"degrees: {c.degree_x} {c.degree_y}")
     print(f"nonzero coefficients: {len(sparse.entries)}")
     print(f"parseval indicator: {_fmt(indicator)}")
@@ -164,20 +142,20 @@ def cmd_approx(config):
     return EXIT_OK
 
 
-def _collect_points(config, domain):
+def _collect_points(args, domain):
     """The points to evaluate as two arrays, xs and ys."""
-    points = [_parse_point(p) for p in config.points]
-    if config.points_file is not None:
-        for line in _read_ascii(config.points_file, "points file").split("\n"):
+    points = [_parse_point(p) for p in args.point]
+    if args.points_file is not None:
+        for line in _read_ascii(args.points_file, "points file").split("\n"):
             line = line.strip()
             if line:
                 points.append(_parse_point(line))
     xs = np.array([x for x, _ in points], dtype=float)
     ys = np.array([y for _, y in points], dtype=float)
-    if config.grid_domain is not None or not points:
-        grid = config.grid_domain or domain
-        gx, gy = np.meshgrid(np.linspace(grid.xlo, grid.xhi, config.resolution),
-                             np.linspace(grid.ylo, grid.yhi, config.resolution),
+    if args.grid_domain is not None or not points:
+        grid = args.grid_domain or domain
+        gx, gy = np.meshgrid(np.linspace(grid.xlo, grid.xhi, args.resolution),
+                             np.linspace(grid.ylo, grid.yhi, args.resolution),
                              indexing="ij")
         xs = np.concatenate([xs, gx.ravel()])
         ys = np.concatenate([ys, gy.ravel()])
@@ -190,10 +168,10 @@ def _open_sink(path):
     return open(path, "w", encoding="ascii"), True
 
 
-def _compare_ast(config):
-    if config.compare_expr is None:
+def _compare_ast(args):
+    if args.compare_expr is None:
         return None
-    return parse_expression(config.compare_expr)
+    return parse_expression(args.compare_expr)
 
 
 def _value_columns(values, compare_ast, x, y):
@@ -210,15 +188,16 @@ def _value_columns(values, compare_ast, x, y):
 _ROWS_PER_WRITE = 4096
 
 
-def cmd_eval(config):
+def cmd_eval(args):
     # every point is checked, evaluated and compared before the sink opens,
     # so a failure leaves no partial output
-    c = to_cheb2(load(config.input_path))
-    xs, ys = _collect_points(config, c.domain)
-    compare_ast = _compare_ast(config)
+    _check_resolution(args)
+    c = to_cheb2(load(args.input))
+    xs, ys = _collect_points(args, c.domain)
+    compare_ast = _compare_ast(args)
     columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
     row = " ".join(["%.17g"] * len(columns)) + "\n"
-    sink, owned = _open_sink(config.output_path)
+    sink, owned = _open_sink(args.output)
     try:
         for start in range(0, xs.size, _ROWS_PER_WRITE):
             block = [column[start:start + _ROWS_PER_WRITE].tolist()
@@ -232,40 +211,45 @@ def cmd_eval(config):
     return EXIT_OK
 
 
-def cmd_integrate(config):
-    if config.input_path is not None:
-        c = to_cheb2(load(config.input_path))
+def cmd_integrate(args):
+    if (args.input is None) == (args.expr is None):
+        raise ValidationError(
+            "integrate takes either a coefficient file or --expr; "
+            f"got file {args.input!r} and --expr {args.expr!r}")
+    tol = _tolerance(args)
+    if args.input is not None:
+        c = to_cheb2(load(args.input))
     else:
-        c, _ = _build_from_expression(config)
+        c, _ = _build_from_expression(args, args.expr, tol)
     print(_fmt(integrate(c)))
     return EXIT_OK
 
 
-def cmd_diff(config):
-    c = to_cheb2(load(config.input_path))
-    derivative = diff_x(c) if config.axis == "x" else diff_y(c)
+def cmd_diff(args):
+    c = to_cheb2(load(args.input))
+    derivative = diff_x(c) if args.axis == "x" else diff_y(c)
     sparse = trim(derivative.coeffs, derivative.tol, derivative.domain)
-    save(sparse, config.output_path)
-    print(f"wrote {config.output_path}")
+    save(sparse, args.output)
+    print(f"wrote {args.output}")
     print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
     print(f"nonzero coefficients: {len(sparse.entries)}")
     return EXIT_OK
 
 
-def cmd_interp(config):
-    ast = parse_expression(config.expression)
+def cmd_interp(args):
+    tol = _tolerance(args)
+    ast = parse_expression(args.expression)
     f = _ast_function(ast)
-    coeffs = lagrange_cheb_coeffs(f, config.degree_n, config.degree_m,
-                                  domain=config.domain)
-    sparse = trim(coeffs, config.tol, config.domain)
-    save(sparse, config.output_path)
-    print(f"wrote {config.output_path}")
+    coeffs = lagrange_cheb_coeffs(f, args.n, args.m, domain=args.domain)
+    sparse = trim(coeffs, tol, args.domain)
+    save(sparse, args.output)
+    print(f"wrote {args.output}")
     print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
     print(f"nonzero coefficients: {len(sparse.entries)}")
-    if config.verify:
-        c = Cheb2(coeffs, config.domain, config.tol)
-        xs = config.domain.x_from_unit(lobatto_grid(config.degree_n).nodes)
-        ys = config.domain.y_from_unit(lobatto_grid(config.degree_m).nodes)
+    if args.verify:
+        c = Cheb2(coeffs, args.domain, tol)
+        xs = args.domain.x_from_unit(lobatto_grid(args.n).nodes)
+        ys = args.domain.y_from_unit(lobatto_grid(args.m).nodes)
         approx = evaluate_grid(c, xs, ys)
         exact = eval_ast(ast, xs[:, None], ys[None, :])
         residual = float(np.abs(approx - exact).max())
@@ -273,19 +257,20 @@ def cmd_interp(config):
     return EXIT_OK
 
 
-def cmd_export(config):
-    c = to_cheb2(load(config.input_path))
-    grid = config.grid_domain or c.domain
-    xs = np.linspace(grid.xlo, grid.xhi, config.resolution)
-    ys = np.linspace(grid.ylo, grid.yhi, config.resolution)
-    compare_ast = _compare_ast(config)
+def cmd_export(args):
+    _check_resolution(args)
+    c = to_cheb2(load(args.input))
+    grid = args.grid_domain or c.domain
+    xs = np.linspace(grid.xlo, grid.xhi, args.resolution)
+    ys = np.linspace(grid.ylo, grid.yhi, args.resolution)
+    compare_ast = _compare_ast(args)
     columns = _value_columns(evaluate_grid(c, xs, ys), compare_ast,
                              xs[:, None], ys[None, :])
     header = ",".join(["x", "y", "value", "reference", "abs_error"][: 2 + len(columns)])
     # x and y text once per grid line, one %-format per row
     row = "%s,%s" + ",%.17g" * len(columns) + "\n"
     fys = [_fmt(y) for y in ys]
-    with open(config.output_path, "w", encoding="ascii") as sink:
+    with open(args.output, "w", encoding="ascii") as sink:
         sink.write(header + "\n")
         for i, x in enumerate(xs):
             fx = _fmt(x)
@@ -293,29 +278,32 @@ def cmd_export(config):
             sink.write("".join(row % (fx, *cell) for cell in cells))
     if compare_ast is not None:
         print(f"max_abs_error {_fmt(columns[2].max())}")
-    print(f"wrote {config.resolution * config.resolution} rows to {config.output_path}")
+    print(f"wrote {args.resolution * args.resolution} rows to {args.output}")
     return EXIT_OK
 
 
-_DISPATCH = {
-    "approx": cmd_approx,
-    "eval": cmd_eval,
-    "integrate": cmd_integrate,
-    "diff": cmd_diff,
-    "interp": cmd_interp,
-    "export": cmd_export,
-}
+def _add_formula_options(sub, tol_help):
+    """--domain and --tol, taken by every command that samples a formula."""
+    sub.add_argument("--domain", type=_parse_domain, default=UNIT_SQUARE,
+                     metavar="XLO,XHI,YLO,YHI",
+                     help="approximation rectangle (default -1,1,-1,1)")
+    sub.add_argument("--tol", type=float, default=None,
+                     help=f"{tol_help} (default 1e-15 or ${_TOL_ENV})")
+
+
+def _add_grid_options(sub, grid_help):
+    sub.add_argument("--grid-domain", type=_parse_domain, default=None,
+                     metavar="XLO,XHI,YLO,YHI", help=grid_help)
+    sub.add_argument("--resolution", type=int, default=50,
+                     help="grid points per axis (default 50)")
 
 
 def _add_build_options(sub):
-    sub.add_argument("--domain", default=None, metavar="XLO,XHI,YLO,YHI",
-                     help="approximation rectangle (default -1,1,-1,1)")
-    sub.add_argument("--tol", type=float, default=None,
-                     help=f"trim tolerance (default 1e-15 or ${_TOL_ENV})")
+    _add_formula_options(sub, "trim tolerance")
     sub.add_argument("--max-n", type=int, default=8192,
-                     help="degree cap for the adaptive loop")
+                     help="degree cap for the adaptive loop (default 8192)")
     sub.add_argument("--n0", type=int, default=8,
-                     help="initial degree bound")
+                     help="initial degree bound (default 8)")
     sub.add_argument("--relative-tol", action="store_true",
                      help="scale the tolerance by the largest sampled magnitude")
 
@@ -327,101 +315,67 @@ def _build_parser():
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("approx", help="build an approximant from a formula")
+    p.set_defaults(run=cmd_approx)
     p.add_argument("expression", help="formula in x and y, e.g. 'cos(x*y)'")
     p.add_argument("-o", "--output", default="coeffs.json",
                    help="coefficient file to write (default coeffs.json)")
     _add_build_options(p)
 
     p = subs.add_parser("eval", help="evaluate a coefficient file")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("input", help="coefficient file")
     p.add_argument("--point", action="append", default=[], metavar="X,Y",
                    help="evaluation point (repeatable)")
     p.add_argument("--points-file", default=None,
                    help="file with one 'x,y' pair per line")
-    p.add_argument("--grid-domain", default=None, metavar="XLO,XHI,YLO,YHI",
-                   help="evaluate on a grid over this rectangle instead")
-    p.add_argument("--resolution", type=int, default=50,
-                   help="grid points per axis (default 50)")
+    _add_grid_options(p, "evaluate on a grid over this rectangle instead")
     p.add_argument("--compare-expr", default=None,
                    help="reference formula; adds error columns and a max line")
     p.add_argument("-o", "--output", default=None,
                    help="write values here instead of stdout")
 
     p = subs.add_parser("integrate", help="integrate over the domain")
+    p.set_defaults(run=cmd_integrate)
     p.add_argument("input", nargs="?", default=None, help="coefficient file")
     p.add_argument("--expr", default=None,
                    help="build from this formula instead of a file")
     _add_build_options(p)
 
     p = subs.add_parser("diff", help="differentiate a coefficient file")
+    p.set_defaults(run=cmd_diff)
     p.add_argument("input", help="coefficient file")
     p.add_argument("--axis", choices=("x", "y"), required=True)
     p.add_argument("-o", "--output", default="deriv.json",
                    help="coefficient file to write")
 
     p = subs.add_parser("interp", help="interpolate a formula on the Lobatto grid")
+    p.set_defaults(run=cmd_interp)
     p.add_argument("expression", help="formula in x and y")
     p.add_argument("-n", type=int, required=True, help="degree in x")
     p.add_argument("-m", type=int, required=True, help="degree in y")
     p.add_argument("-o", "--output", default="interp.json",
                    help="coefficient file to write")
-    p.add_argument("--domain", default=None, metavar="XLO,XHI,YLO,YHI")
-    p.add_argument("--tol", type=float, default=None,
-                   help="trim tolerance for the written file")
+    _add_formula_options(p, "trim tolerance for the written file")
     p.add_argument("--verify", action="store_true",
                    help="print the largest residual at the grid nodes")
 
     p = subs.add_parser("export", help="export grid values as CSV")
+    p.set_defaults(run=cmd_export)
     p.add_argument("input", help="coefficient file")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
-    p.add_argument("--grid-domain", default=None, metavar="XLO,XHI,YLO,YHI",
-                   help="report rectangle (default: the file's domain)")
-    p.add_argument("--resolution", type=int, default=50)
+    _add_grid_options(p, "report rectangle (default: the file's domain)")
     p.add_argument("--compare-expr", default=None,
                    help="reference formula; adds reference and abs_error columns")
 
     return parser
 
 
-def _config_from_args(args):
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        tol = _default_tol()
-    domain = UNIT_SQUARE
-    if getattr(args, "domain", None):
-        domain = _parse_domain(args.domain)
-    grid_domain = None
-    if getattr(args, "grid_domain", None):
-        grid_domain = _parse_domain(args.grid_domain)
-    if args.subcommand == "integrate" and args.input is None and args.expr is None:
-        raise ValidationError("integrate needs a coefficient file or --expr")
-    return RunConfig(
-        subcommand=args.subcommand,
-        expression=getattr(args, "expression", None) or getattr(args, "expr", None),
-        domain=domain,
-        tol=tol,
-        max_n=getattr(args, "max_n", 8192),
-        n0=getattr(args, "n0", 8),
-        relative=getattr(args, "relative_tol", False),
-        input_path=getattr(args, "input", None),
-        output_path=getattr(args, "output", None),
-        resolution=getattr(args, "resolution", 50),
-        points=getattr(args, "point", []),
-        points_file=getattr(args, "points_file", None),
-        grid_domain=grid_domain,
-        compare_expr=getattr(args, "compare_expr", None),
-        axis=getattr(args, "axis", "x"),
-        degree_n=getattr(args, "n", 8),
-        degree_m=getattr(args, "m", 8),
-        verify=getattr(args, "verify", False),
-    )
-
-
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _DISPATCH[config.subcommand](config)
+        # inside the try: a bad --domain or --grid-domain raises
+        # ValidationError from the parser
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except (LexError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

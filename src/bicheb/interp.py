@@ -40,7 +40,7 @@ def lobatto_grid(n):
     return LobattoGrid(n, nodes, weights, edge_scale)
 
 
-def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE, vectorized=None):
+def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
     """Chebyshev-basis coefficients of the (n, m)-degree interpolant of f.
 
     Parameters
@@ -65,7 +65,7 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE, vectorized=None):
         raise InvalidInputError("interpolation degrees must be >= 1")
     xs = domain.x_from_unit(lobatto_nodes(n))
     ys = domain.y_from_unit(lobatto_nodes(m))
-    return _lobatto_coeffs(_sample_on(f, xs, ys, vectorized))
+    return _lobatto_coeffs(_sample_on(f, xs, ys))
 
 
 def _alias_class(i, n, cutoff):

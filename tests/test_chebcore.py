@@ -100,8 +100,7 @@ class TestSampleGrid:
 
     def test_scalar_fallback_matches_vectorized(self):
         vec = bc.sample_grid(f_cosxy, 8)
-        loop = bc.sample_grid(lambda x, y: float(np.cos(x * y)), 8,
-                              vectorized=False)
+        loop = bc.sample_grid(lambda x, y: float(np.cos(x * y)), 8)
         assert np.array_equal(vec.values, loop.values)
 
     def test_non_finite_sample_names_node(self):

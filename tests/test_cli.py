@@ -11,6 +11,7 @@ from bicheb.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_VALIDATION,
+    _build_parser,
     main,
 )
 
@@ -264,6 +265,14 @@ class TestIntegrate:
         code, _, _ = run(capsys, "integrate")
         assert code == EXIT_VALIDATION
 
+    def test_rejects_both_file_and_expr(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        run(capsys, "approx", "cos(x*y)", "-o", str(path))
+        code, out, err = run(capsys, "integrate", str(path), "--expr", "x*y^3")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert str(path) in err and "x*y^3" in err
+
 
 class TestDiff:
     def test_constant_becomes_zero_function(self, capsys, tmp_path):
@@ -424,3 +433,104 @@ class TestDeterminism:
                        "--resolution", "10")[0] == EXIT_OK
         for pair in (coeff, deriv, lagr, csv):
             assert pair[0].read_bytes() == pair[1].read_bytes()
+
+
+class TestOptions:
+    """Every default lives in the parser, and a command checks only the
+    options it takes."""
+
+    def test_documented_defaults(self):
+        parse = _build_parser().parse_args
+        for argv in (["approx", "1"], ["integrate", "--expr", "1"]):
+            args = parse(argv)
+            assert (args.max_n, args.n0, args.tol) == (8192, 8, None)
+            assert args.domain == bc.UNIT_SQUARE
+        assert parse(["interp", "1", "-n", "2", "-m", "3"]).domain == bc.UNIT_SQUARE
+        for argv in (["eval", "c.json"], ["export", "c.json", "-o", "g.csv"]):
+            args = parse(argv)
+            assert args.resolution == 50
+            assert args.grid_domain is None
+
+    def test_default_tolerance(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("BICHEB_TOL", raising=False)
+        path = tmp_path / "one.json"
+        assert run(capsys, "approx", "1", "-o", str(path))[0] == EXIT_OK
+        assert bc.load(path).tol == 1e-15
+
+    @pytest.mark.parametrize("raw", ["-1", "nan", "abc"])
+    def test_environment_tolerance_only_for_commands_with_tol(
+            self, capsys, tmp_path, monkeypatch, raw):
+        monkeypatch.delenv("BICHEB_TOL", raising=False)
+        src = tmp_path / "c.json"
+        assert run(capsys, "approx", "cos(x*y)", "-o", str(src))[0] == EXIT_OK
+        deriv = tmp_path / "d.json"
+        grid = tmp_path / "g.csv"
+
+        def outputs():
+            results = []
+            for argv, written in (
+                    (["eval", str(src), "--point", "0.5,0.25",
+                      "--compare-expr", "cos(x*y)"], None),
+                    (["diff", str(src), "--axis", "x", "-o", str(deriv)], deriv),
+                    (["export", str(src), "-o", str(grid), "--resolution", "7"],
+                     grid)):
+                results.append(run(capsys, *argv))
+                results.append(written.read_bytes() if written else b"")
+            return results
+
+        expected = outputs()
+        assert [r[0] for r in expected[::2]] == [EXIT_OK] * 3
+        monkeypatch.setenv("BICHEB_TOL", raw)
+        assert outputs() == expected
+        code, _, err = run(capsys, "approx", "cos(x*y)", "-o", str(src))
+        assert code == EXIT_VALIDATION
+        assert "BICHEB_TOL" in err and repr(raw) in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_tolerance_rejected_before_sampling(
+            self, capsys, tmp_path, monkeypatch, value):
+        # log(x) fails wherever it is sampled and the file is missing, so
+        # exit 4 shows that the tolerance is checked first
+        out = str(tmp_path / "c.json")
+        commands = (["approx", "log(x)", "-o", out],
+                    ["integrate", "--expr", "log(x)"],
+                    ["integrate", str(tmp_path / "missing.json")],
+                    ["interp", "log(x)", "-n", "4", "-m", "4", "-o", out])
+        for source in ("option", "environment"):
+            if source == "environment":
+                monkeypatch.setenv("BICHEB_TOL", value)
+                extra = []
+            else:
+                monkeypatch.delenv("BICHEB_TOL", raising=False)
+                extra = [f"--tol={value}"]
+            errors = set()
+            for argv in commands:
+                code, stdout, err = run(capsys, *argv, *extra)
+                assert code == EXIT_VALIDATION
+                assert stdout == ""
+                errors.add(err)
+            assert len(errors) == 1
+            assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["approx", "x", "--domain", "1,-1,0,1"],
+        ["integrate", "--expr", "x", "--domain", "0,1,a,1"],
+        ["interp", "x", "-n", "2", "-m", "2", "--domain", "0,0,0,1"],
+        ["eval", "c.json", "--grid-domain", "0,1,0"],
+        ["export", "c.json", "-o", "g.csv", "--grid-domain", "0,1,1,0"],
+    ])
+    def test_bad_rectangle_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == "" and "error" in err
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_resolution_below_two(self, capsys, tmp_path, command):
+        src = tmp_path / "c.json"
+        run(capsys, "approx", "cos(x*y)", "-o", str(src))
+        dst = tmp_path / "g.csv"
+        code, out, err = run(capsys, command, str(src), "-o", str(dst),
+                             "--resolution", "1")
+        assert code == EXIT_VALIDATION
+        assert "resolution" in err
+        assert not dst.exists()
