@@ -10,8 +10,11 @@ Chebyshev-Lobatto nodes cos(i pi / N).  The paper's radix-2 2-D FFT over the
 periodicized grid cos(2 pi k / m), which repeats each node cos(i pi / (m/2))
 up to four times, gives the same numbers and is kept as the tests' oracle
 (``sample_grid``, ``coeffs_from_samples``).  The adaptive builder doubles the
-degree bound until the trailing block of coefficients is negligible, then
-trims and truncates.
+degree bound n until the trailing block of coefficients is negligible, then
+trims and truncates.  At bound n it needs the samples on the Lobatto grid of
+degree 2n, whose even-indexed nodes are the previous grid's nodes bit for bit,
+so each doubling samples only the new nodes; and it transforms only the kept
+(n + 1) x (n + 1) block of coefficients.
 
 Evaluation has one kernel, the basis matrices of the points on either side
 of the coefficient matrix: ``evaluate_matrix`` takes scalars or whole arrays
@@ -270,7 +273,8 @@ def _sample_on(f, xs, ys):
     A single broadcast call is attempted first.  If it raises TypeError or
     ValueError, the errors of scalar-only callables given arrays, f is
     sampled by a sequential per-node loop instead; any other error
-    propagates.  Non-finite samples raise SamplingError naming the node.
+    propagates.  A non-finite sample raises SamplingError naming the node's
+    (x, y).
     """
     shape = (len(xs), len(ys))
     try:
@@ -283,9 +287,8 @@ def _sample_on(f, xs, ys):
                 values[k, j] = f(xs[k], ys[j])
     if not np.all(np.isfinite(values)):
         k, j = np.argwhere(~np.isfinite(values))[0]
-        raise SamplingError(
-            f"non-finite sample at node ({int(k)}, {int(j)}), "
-            f"(x, y) = ({xs[int(k)]!r}, {ys[int(j)]!r})")
+        raise SamplingError("non-finite sample at node (x, y) = "
+                            f"({float(xs[k])!r}, {float(ys[j])!r})")
     return values
 
 
@@ -303,15 +306,24 @@ def sample_grid(f, m, domain=UNIT_SQUARE):
 # coefficients
 
 
-def _lobatto_coeffs(values):
+def _lobatto_coeffs(values, keep=None):
     """Chebyshev coefficients of the interpolant through samples on the
     (n + 1) x (m + 1) Lobatto grid, n, m >= 1: along each axis the real FFT of
-    the even extension, real part over n, first and last entries halved."""
+    the even extension, real part over n, first and last entries halved.
+
+    With keep, only the leading keep x keep block is computed: each axis
+    keeps the first keep outputs of its FFT, so the second axis transforms
+    keep rows instead of n + 1.  Every row's FFT is independent of the
+    others, so the block equals _lobatto_coeffs(values)[:keep, :keep] bit
+    for bit.
+    """
     for _ in range(2):
         n = values.shape[1] - 1
         ext = np.concatenate([values, values[:, -2:0:-1]], axis=1)
-        values = np.fft.rfft(ext).real / n
-        values[:, [0, n]] /= 2.0
+        values = np.fft.rfft(ext)[:, :keep].real / n
+        values[:, 0] /= 2.0
+        if values.shape[1] == n + 1:
+            values[:, n] /= 2.0
         values = values.T
     return values
 
@@ -385,10 +397,20 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
         raise InvalidInputError(f"max_n must be a power of two >= n0, got {max_n}")
 
     n = n0
+    values = None
     while True:
         u = lobatto_nodes(2 * n)
-        values = _sample_on(f, domain.x_from_unit(u), domain.y_from_unit(u))
-        coeffs = _lobatto_coeffs(values)[: n + 1, : n + 1]
+        xs, ys = domain.x_from_unit(u), domain.y_from_unit(u)
+        if values is None:
+            values = _sample_on(f, xs, ys)
+        else:
+            # lobatto_nodes(2n)[::2] is lobatto_nodes(n) bit for bit: keep the
+            # previous samples and sample only the odd rows and odd columns
+            previous, values = values, np.empty((2 * n + 1, 2 * n + 1))
+            values[::2, ::2] = previous
+            values[1::2, :] = _sample_on(f, xs[1::2], ys)
+            values[::2, 1::2] = _sample_on(f, xs[::2], ys[1::2])
+        coeffs = _lobatto_coeffs(values, n + 1)
         threshold = tol * np.abs(values).max() if relative else float(tol)
         tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
         if tail < threshold:
@@ -557,7 +579,7 @@ def parseval_indicator(c, f):
     mass += 0.25 * np.sum(a[1:, 1:] ** 2)
     u = lobatto_nodes(next_power_of_two(2 * (max(c.degree_x, c.degree_y) + 1)))
     values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u))
-    return float(_lobatto_coeffs(values ** 2)[0, 0] - mass)
+    return float(_lobatto_coeffs(values ** 2, 1)[0, 0] - mass)
 
 
 def coeffs_by_quadrature(f, k, j, nodes):

@@ -87,6 +87,14 @@ def _parse_domain(text):
         raise ValidationError(str(exc)) from None
 
 
+def _parse_int(text):
+    """An integer option value; argparse's own error would exit 2, not 4."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"option value must be an integer, got {text!r}") from None
+
+
 def _parse_point(text):
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
@@ -287,22 +295,23 @@ def _add_formula_options(sub, tol_help):
     sub.add_argument("--domain", type=_parse_domain, default=UNIT_SQUARE,
                      metavar="XLO,XHI,YLO,YHI",
                      help="approximation rectangle (default -1,1,-1,1)")
-    sub.add_argument("--tol", type=float, default=None,
+    # parsed and checked by _tolerance, which also reads the environment
+    sub.add_argument("--tol", default=None,
                      help=f"{tol_help} (default 1e-15 or ${_TOL_ENV})")
 
 
 def _add_grid_options(sub, grid_help):
     sub.add_argument("--grid-domain", type=_parse_domain, default=None,
                      metavar="XLO,XHI,YLO,YHI", help=grid_help)
-    sub.add_argument("--resolution", type=int, default=50,
+    sub.add_argument("--resolution", type=_parse_int, default=50,
                      help="grid points per axis (default 50)")
 
 
 def _add_build_options(sub):
     _add_formula_options(sub, "trim tolerance")
-    sub.add_argument("--max-n", type=int, default=8192,
+    sub.add_argument("--max-n", type=_parse_int, default=8192,
                      help="degree cap for the adaptive loop (default 8192)")
-    sub.add_argument("--n0", type=int, default=8,
+    sub.add_argument("--n0", type=_parse_int, default=8,
                      help="initial degree bound (default 8)")
     sub.add_argument("--relative-tol", action="store_true",
                      help="scale the tolerance by the largest sampled magnitude")
@@ -351,8 +360,8 @@ def _build_parser():
     p = subs.add_parser("interp", help="interpolate a formula on the Lobatto grid")
     p.set_defaults(run=cmd_interp)
     p.add_argument("expression", help="formula in x and y")
-    p.add_argument("-n", type=int, required=True, help="degree in x")
-    p.add_argument("-m", type=int, required=True, help="degree in y")
+    p.add_argument("-n", type=_parse_int, required=True, help="degree in x")
+    p.add_argument("-m", type=_parse_int, required=True, help="degree in y")
     p.add_argument("-o", "--output", default="interp.json",
                    help="coefficient file to write")
     _add_formula_options(p, "trim tolerance for the written file")

@@ -156,6 +156,26 @@ class TestCoeffsFromSamples:
             bc.coeffs_from_samples(grid, 0)
 
 
+class TestLobatto:
+    def test_nodes_nest_bit_for_bit(self):
+        for n in (1, 2, 3, 8, 100, 1024):
+            assert np.array_equal(chebcore.lobatto_nodes(2 * n)[::2],
+                                  chebcore.lobatto_nodes(n))
+
+    def test_leading_block_equals_full_transform(self):
+        rng = np.random.default_rng(3)
+        for shape in ((9, 17), (17, 9), (33, 33)):
+            values = rng.standard_normal(shape)
+            full = chebcore._lobatto_coeffs(values)
+            for keep in (1, 2, 5, 9):
+                assert np.array_equal(chebcore._lobatto_coeffs(values, keep),
+                                      full[:keep, :keep])
+            # keep = n + 1 on a square grid halves the last entry, as in full
+            n = shape[0] - 1
+            if shape[1] == shape[0]:
+                assert np.array_equal(chebcore._lobatto_coeffs(values, n + 1), full)
+
+
 class TestBuildAdaptive:
     def test_constant_collapses_to_single_coefficient(self):
         c = bc.build_adaptive(lambda x, y: 3.5, 1e-15)
@@ -198,32 +218,37 @@ class TestBuildAdaptive:
             return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
 
         transform = chebcore._lobatto_coeffs
+        bounds = []
         blocks = []
 
-        def recording(values):
-            blocks.append(transform(values))
+        def recording(values, keep=None):
+            bounds.append((len(values) - 1) // 2)
+            blocks.append(transform(values, keep))
             return blocks[-1].copy()  # the builder trims its block in place
 
         monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
         bc.build_adaptive(runge, 1e-14, relative=True)
-        bounds = [(len(block) - 1) // 2 for block in blocks]
         assert bounds == [8, 16, 32, 64, 128, 256]
         for n, block in zip(bounds, blocks):
+            assert block.shape == (n + 1, n + 1)
             paper = bc.coeffs_from_samples(bc.sample_grid(runge, 4 * n), n)
             assert np.abs(block[: n + 1, : n + 1] - paper).max() <= 1e-15
 
     def test_samples_each_node_once(self):
-        calls = []
+        # over all the calls of one build: every node of the final Lobatto
+        # grid of degree 2N exactly once, the previous grids' nodes reused
+        points = []
 
         def recorder(x, y):
             xb, yb = np.broadcast_arrays(x, y)
-            calls.append(list(zip(xb.ravel().tolist(), yb.ravel().tolist())))
+            points.extend(zip(xb.ravel().tolist(), yb.ravel().tolist()))
             return np.cos(x * y)
 
         bc.build_adaptive(recorder, 1e-15)
-        assert calls
-        for points in calls:
-            assert len(set(points)) == len(points)
+        assert len(set(points)) == len(points)
+        final = chebcore.lobatto_nodes(len({x for x, _ in points}) - 1)
+        assert len(points) == len(final) ** 2
+        assert set(points) == {(x, y) for x in final.tolist() for y in final.tolist()}
 
     def test_error_on_arrays_is_not_retried_per_node(self):
         calls = []
@@ -420,6 +445,13 @@ class TestParsevalIndicator:
     def test_full_example2(self, example2):
         value = bc.parseval_indicator(example2, f_example2)
         assert abs(value) <= 1e-12
+
+    def test_leading_coefficient_equals_full_transform(self, example2, monkeypatch):
+        value = bc.parseval_indicator(example2, f_example2)
+        transform = chebcore._lobatto_coeffs
+        monkeypatch.setattr(chebcore, "_lobatto_coeffs",
+                            lambda values, keep=None: transform(values))
+        assert bc.parseval_indicator(example2, f_example2) == value
 
 
 class TestCoeffsByQuadrature:

@@ -518,11 +518,24 @@ class TestOptions:
         ["interp", "x", "-n", "2", "-m", "2", "--domain", "0,0,0,1"],
         ["eval", "c.json", "--grid-domain", "0,1,0"],
         ["export", "c.json", "-o", "g.csv", "--grid-domain", "0,1,1,0"],
+        # non-numeric option values
+        ["eval", "c.json", "--resolution", "abc"],
+        ["export", "c.json", "-o", "g.csv", "--resolution", "2.5"],
+        ["approx", "x", "--max-n", "abc"],
+        ["approx", "x", "--n0", "8.0"],
+        ["approx", "x", "--tol", "abc"],
+        ["integrate", "--expr", "x", "--tol", "1e-15x"],
+        ["interp", "x", "-n", "abc", "-m", "2"],
+        ["interp", "x", "-n", "2", "-m", "abc"],
     ])
     def test_bad_rectangle_exit_code(self, capsys, argv):
+        """Bad rectangles and non-numeric option values exit 4 with one
+        error line and no usage text."""
         code, out, err = run(capsys, *argv)
         assert code == EXIT_VALIDATION
-        assert out == "" and "error" in err
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "usage" not in err
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_resolution_below_two(self, capsys, tmp_path, command):
