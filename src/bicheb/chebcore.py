@@ -10,11 +10,11 @@ Chebyshev-Lobatto nodes cos(i pi / N).  The paper's radix-2 2-D FFT over the
 periodicized grid cos(2 pi k / m), which repeats each node cos(i pi / (m/2))
 up to four times, gives the same numbers and is kept as the tests' oracle
 (``sample_grid``, ``coeffs_from_samples``).  The adaptive builder doubles the
-degree bound n until the trailing block of coefficients is negligible, then
-trims and truncates.  At bound n it needs the samples on the Lobatto grid of
-degree 2n, whose even-indexed nodes are the previous grid's nodes bit for bit,
-so each doubling samples only the new nodes; and it transforms only the kept
-(n + 1) x (n + 1) block of coefficients.
+degree n of its Lobatto grid, whose even-indexed nodes are the previous
+grid's nodes bit for bit, so each doubling samples only the new nodes.  It
+decides convergence on that grid's own interpolant: the trailing rows and
+columns of the (n + 1) x (n + 1) coefficients must be negligible, and the
+trimmed approximant must match f at a fixed set of off-grid check points.
 
 Evaluation has one kernel, the basis matrices of the points on either side
 of the coefficient matrix: ``evaluate_matrix`` takes scalars or whole arrays
@@ -44,6 +44,11 @@ _OVERSHOOT = 1e-12
 # Points per block of the batched evaluate_matrix: each block holds two basis
 # matrices of _EVAL_BLOCK x (degree + 1) doubles.
 _EVAL_BLOCK = 1024
+
+# Per-axis points of the builder's off-grid check: cos((i + 1/2) pi / 33),
+# i = 0..32, without the centre i = 16.  (2i + 1) / 66 = j / 2^k forces
+# 2i + 1 = 33, so no other point is a node of a power-of-two Lobatto grid.
+_CHECK_NODES = np.delete(np.cos((np.arange(33) + 0.5) * np.pi / 33), 16)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +366,16 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
                    relative=False):
     """Construct a Cheb2 for f, doubling the degree until the tail is negligible.
 
+    At degree bound n, f is sampled on the Lobatto grid of degree n (only the
+    nodes the previous grid lacks) and the interpolant's (n + 1) x (n + 1)
+    coefficients are computed.  The pass converges when every entry of the
+    last two rows and the last two columns is below the threshold and,
+    after the entries below the threshold are trimmed, the approximant
+    matches f within (n + 1)^2 times the threshold at 32 x 32 fixed check
+    points that are nodes of no power-of-two Lobatto grid.  Otherwise n
+    doubles.  The check catches a feature that every grid so far has
+    stepped over, but no test on finitely many samples can be complete.
+
     Parameters
     ----------
     f : callable
@@ -369,10 +384,12 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
         ValueError on arrays are sampled sequentially.
     tol : float
         Trim threshold, absolute by default.  With relative=True the
-        threshold is tol times the largest sampled magnitude, which keeps
-        machine-precision targets reachable for large-magnitude functions.
+        threshold is tol times the largest magnitude sampled on the current
+        grid, which keeps machine-precision targets reachable for
+        large-magnitude functions.
     n0, max_n : int
-        Initial and maximal degree bound, both powers of two.
+        Degree of the first and of the largest sampled grid, both powers of
+        two.
     domain : Domain2
         Rectangle on which f is approximated.
 
@@ -385,9 +402,10 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
     Raises
     ------
     ConvergenceError
-        If the degree bound would exceed max_n while the last two rows or
-        the last two columns of the coefficient block still hold entries at
-        or above the threshold.
+        If the pass on the grid of degree max_n (or the largest power of two
+        reached from n0) does not converge.  The message gives the tail and
+        the threshold, or the off-grid misfit and its bound when the tail
+        passed; ``tail_magnitude`` is that pass's largest tail entry.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be positive and finite")
@@ -396,38 +414,48 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
     if not is_power_of_two(max_n) or max_n < n0:
         raise InvalidInputError(f"max_n must be a power of two >= n0, got {max_n}")
 
+    check_x = domain.x_from_unit(_CHECK_NODES)
+    check_y = domain.y_from_unit(_CHECK_NODES)
+    reference = None  # f on the check grid, sampled at most once
     n = n0
     values = None
     while True:
-        u = lobatto_nodes(2 * n)
+        u = lobatto_nodes(n)
         xs, ys = domain.x_from_unit(u), domain.y_from_unit(u)
         if values is None:
             values = _sample_on(f, xs, ys)
         else:
-            # lobatto_nodes(2n)[::2] is lobatto_nodes(n) bit for bit: keep the
-            # previous samples and sample only the odd rows and odd columns
-            previous, values = values, np.empty((2 * n + 1, 2 * n + 1))
+            # lobatto_nodes(n)[::2] is lobatto_nodes(n / 2) bit for bit: keep
+            # the previous samples and sample only the odd rows and odd columns
+            previous, values = values, np.empty((n + 1, n + 1))
             values[::2, ::2] = previous
             values[1::2, :] = _sample_on(f, xs[1::2], ys)
             values[::2, 1::2] = _sample_on(f, xs[::2], ys[1::2])
-        coeffs = _lobatto_coeffs(values, n + 1)
+        coeffs = _lobatto_coeffs(values)
         threshold = tol * np.abs(values).max() if relative else float(tol)
         tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
         if tail < threshold:
-            break
+            coeffs[np.abs(coeffs) < threshold] = 0.0
+            rows, cols = np.nonzero(coeffs)
+            if rows.size == 0:
+                coeffs = np.zeros((1, 1))
+            else:
+                coeffs = coeffs[: rows.max() + 1, : cols.max() + 1]
+            c = Cheb2(coeffs, domain=domain, tol=float(threshold))
+            if reference is None:
+                reference = _sample_on(f, check_x, check_y)
+            misfit = np.abs(evaluate_grid(c, check_x, check_y) - reference).max()
+            # the trim drops at most (n + 1)^2 entries, each below threshold
+            bound = (n + 1) ** 2 * threshold
+            if misfit <= bound:
+                return c
+            why = (f"off-grid misfit {misfit:.3e} above {bound:.3e} although "
+                   f"the coefficient tail {tail:.3e} is below {threshold:.3e}")
+        else:
+            why = f"coefficient tail {tail:.3e} still at or above {threshold:.3e}"
         if 2 * n > max_n:
-            raise ConvergenceError(
-                f"coefficient tail {tail:.3e} still at or above {threshold:.3e} "
-                f"at degree bound {n}", float(tail))
+            raise ConvergenceError(f"{why} at degree bound {n}", float(tail))
         n *= 2
-
-    coeffs[np.abs(coeffs) < threshold] = 0.0
-    rows, cols = np.nonzero(coeffs)
-    if rows.size == 0:
-        coeffs = np.zeros((1, 1))
-    else:
-        coeffs = coeffs[: rows.max() + 1, : cols.max() + 1]
-    return Cheb2(coeffs, domain=domain, tol=float(threshold))
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):

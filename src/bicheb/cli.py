@@ -7,7 +7,8 @@ inputs, and failures map to documented exit codes:
     0  success
     2  expression or document syntax error
     3  adaptive construction did not converge
-    4  validation failure (inconsistent document, bad option values)
+    4  validation failure (inconsistent document, bad option values or
+       usage, a grid over its memory budget)
     5  I/O failure
     6  evaluation failure (outside domain, non-finite sample)
 
@@ -87,14 +88,6 @@ def _parse_domain(text):
         raise ValidationError(str(exc)) from None
 
 
-def _parse_int(text):
-    """An integer option value; argparse's own error would exit 2, not 4."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"option value must be an integer, got {text!r}") from None
-
-
 def _parse_point(text):
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
@@ -118,9 +111,28 @@ def _tolerance(args):
     return tol
 
 
+# Bytes the float64 grid arrays of one eval, export or interp run may take;
+# a larger grid is refused before any of them is allocated.
+_GRID_BUDGET = 2 ** 30
+
+
+def _check_grid_budget(what, points, arrays):
+    """ValidationError if `arrays` float64 arrays of `points` entries
+    would together take more than _GRID_BUDGET bytes."""
+    need = 8 * points * arrays
+    if need > _GRID_BUDGET:
+        raise ValidationError(
+            f"{what} needs {need / 2 ** 30:.3g} GiB of grid arrays, over the "
+            f"budget of {_GRID_BUDGET / 2 ** 30:.3g} GiB")
+
+
 def _check_resolution(args):
     if args.resolution < 2:
         raise ValidationError("resolution must be >= 2")
+    # two coordinate arrays and their meshgrid, the values and, with
+    # --compare-expr, the reference and the error
+    _check_grid_budget(f"--resolution {args.resolution}", args.resolution ** 2,
+                       5 if args.compare_expr is None else 7)
 
 
 def _ast_function(ast):
@@ -246,6 +258,8 @@ def cmd_diff(args):
 
 def cmd_interp(args):
     tol = _tolerance(args)
+    # the samples, the even extension and the complex transform of each axis
+    _check_grid_budget(f"-n {args.n} -m {args.m}", (args.n + 1) * (args.m + 1), 6)
     ast = parse_expression(args.expression)
     f = _ast_function(ast)
     coeffs = lagrange_cheb_coeffs(f, args.n, args.m, domain=args.domain)
@@ -290,6 +304,15 @@ def cmd_export(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error (a missing value, an unknown option, a
+    non-integer count) as ValidationError, exit 4, without the usage text;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _add_formula_options(sub, tol_help):
     """--domain and --tol, taken by every command that samples a formula."""
     sub.add_argument("--domain", type=_parse_domain, default=UNIT_SQUARE,
@@ -303,22 +326,22 @@ def _add_formula_options(sub, tol_help):
 def _add_grid_options(sub, grid_help):
     sub.add_argument("--grid-domain", type=_parse_domain, default=None,
                      metavar="XLO,XHI,YLO,YHI", help=grid_help)
-    sub.add_argument("--resolution", type=_parse_int, default=50,
+    sub.add_argument("--resolution", type=int, default=50,
                      help="grid points per axis (default 50)")
 
 
 def _add_build_options(sub):
     _add_formula_options(sub, "trim tolerance")
-    sub.add_argument("--max-n", type=_parse_int, default=8192,
-                     help="degree cap for the adaptive loop (default 8192)")
-    sub.add_argument("--n0", type=_parse_int, default=8,
-                     help="initial degree bound (default 8)")
+    sub.add_argument("--max-n", type=int, default=8192,
+                     help="degree of the largest sampled grid (default 8192)")
+    sub.add_argument("--n0", type=int, default=8,
+                     help="degree of the first sampled grid (default 8)")
     sub.add_argument("--relative-tol", action="store_true",
                      help="scale the tolerance by the largest sampled magnitude")
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bicheb",
         description="Bivariate Chebyshev approximation toolbox.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -360,8 +383,8 @@ def _build_parser():
     p = subs.add_parser("interp", help="interpolate a formula on the Lobatto grid")
     p.set_defaults(run=cmd_interp)
     p.add_argument("expression", help="formula in x and y")
-    p.add_argument("-n", type=_parse_int, required=True, help="degree in x")
-    p.add_argument("-m", type=_parse_int, required=True, help="degree in y")
+    p.add_argument("-n", type=int, required=True, help="degree in x")
+    p.add_argument("-m", type=int, required=True, help="degree in y")
     p.add_argument("-o", "--output", default="interp.json",
                    help="coefficient file to write")
     _add_formula_options(p, "trim tolerance for the written file")
@@ -381,7 +404,7 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        # inside the try: a bad --domain or --grid-domain raises
+        # inside the try: a usage error or a bad --domain raises
         # ValidationError from the parser
         args = _build_parser().parse_args(argv)
         return args.run(args)

@@ -22,9 +22,10 @@ class SamplingError(ChebError):
 
 
 class ConvergenceError(ChebError):
-    """The adaptive builder hit its degree cap before the coefficient tail
-    dropped below tolerance.  ``tail_magnitude`` holds the largest entry of
-    the last rejected tail block."""
+    """The adaptive builder reached its degree cap without converging: the
+    coefficient tail stayed at or above the threshold, or the trimmed
+    approximant missed f at the off-grid check points.  ``tail_magnitude``
+    holds the largest tail entry of the last pass."""
 
     def __init__(self, message, tail_magnitude):
         super().__init__(message)

@@ -36,6 +36,10 @@ COSXY_CORNER = {
 }
 
 
+def narrow_bump(x, y):
+    return np.exp(-5000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2))
+
+
 class TestChebT:
     def test_degree_zero_is_one(self):
         assert bc.cheb_t(0, 0.37) == 1.0
@@ -212,31 +216,33 @@ class TestBuildAdaptive:
         assert c.coeffs[0, 0] == pytest.approx(1e6 * 0.880725579, rel=1e-6)
 
     def test_coefficients_match_paper_transform(self, monkeypatch):
-        # at every degree bound n the builder's coefficients are those of
-        # the paper's radix-2 FFT over the periodicized grid of m = 4n points
+        # on every Lobatto grid of degree N the builder samples, the leading
+        # N x N block of its coefficients is that of the paper's radix-2 FFT
+        # over the periodicized grid of m = 2N points
         def runge(x, y):
             return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
 
         transform = chebcore._lobatto_coeffs
-        bounds = []
+        degrees = []
         blocks = []
 
         def recording(values, keep=None):
-            bounds.append((len(values) - 1) // 2)
+            degrees.append(len(values) - 1)
             blocks.append(transform(values, keep))
             return blocks[-1].copy()  # the builder trims its block in place
 
         monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
         bc.build_adaptive(runge, 1e-14, relative=True)
-        assert bounds == [8, 16, 32, 64, 128, 256]
-        for n, block in zip(bounds, blocks):
+        assert degrees == [8, 16, 32, 64, 128, 256]
+        for n, block in zip(degrees, blocks):
             assert block.shape == (n + 1, n + 1)
-            paper = bc.coeffs_from_samples(bc.sample_grid(runge, 4 * n), n)
-            assert np.abs(block[: n + 1, : n + 1] - paper).max() <= 1e-15
+            paper = bc.coeffs_from_samples(bc.sample_grid(runge, 2 * n), n - 1)
+            assert np.abs(block[:n, :n] - paper).max() <= 1e-15
 
     def test_samples_each_node_once(self):
         # over all the calls of one build: every node of the final Lobatto
-        # grid of degree 2N exactly once, the previous grids' nodes reused
+        # grid exactly once, the previous grids' nodes reused, plus the
+        # off-grid check points
         points = []
 
         def recorder(x, y):
@@ -246,9 +252,12 @@ class TestBuildAdaptive:
 
         bc.build_adaptive(recorder, 1e-15)
         assert len(set(points)) == len(points)
-        final = chebcore.lobatto_nodes(len({x for x, _ in points}) - 1)
-        assert len(points) == len(final) ** 2
-        assert set(points) == {(x, y) for x in final.tolist() for y in final.tolist()}
+        check = chebcore._CHECK_NODES.tolist()
+        on_grid = {x for x, _ in points} - set(check)
+        final = chebcore.lobatto_nodes(len(on_grid) - 1).tolist()
+        assert set(points) == ({(x, y) for x in final for y in final}
+                               | {(x, y) for x in check for y in check})
+        assert len(points) == len(final) ** 2 + len(check) ** 2
 
     def test_error_on_arrays_is_not_retried_per_node(self):
         calls = []
@@ -270,6 +279,33 @@ class TestBuildAdaptive:
         with pytest.raises(ConvergenceError) as info:
             bc.build_adaptive(lambda x, y: np.abs(x) + 0.0 * y, 1e-15, max_n=16)
         assert info.value.tail_magnitude > 0
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15])
+    def test_narrow_bump_between_nodes_is_resolved(self, tol):
+        # the coarse grids miss the bump, so their tails pass; the off-grid
+        # check must reject them rather than return a zero approximant
+        c = bc.build_adaptive(narrow_bump, tol)
+        assert c.degree_x + 1 > 400 and c.degree_y + 1 > 400
+        g = np.linspace(-1.0, 1.0, 101)
+        exact = narrow_bump(g[:, None], g[None, :])
+        assert np.abs(bc.evaluate_grid(c, g, g) - exact).max() <= 1e-6
+
+    def test_missed_feature_at_the_cap_names_the_misfit(self):
+        with pytest.raises(ConvergenceError, match="off-grid misfit"):
+            bc.build_adaptive(narrow_bump, 1e-10, max_n=16)
+
+    def test_check_points_are_off_every_power_of_two_grid(self):
+        check = chebcore._CHECK_NODES
+        assert check.size == 32
+        for k in range(1, 14):
+            nodes = chebcore.lobatto_nodes(2 ** k)
+            assert np.abs(check[:, None] - nodes[None, :]).min() > 0
+
+    @pytest.mark.parametrize("f", [lambda x, y: 0.0 * x * y,
+                                   lambda x, y: 1e-20 * x + 0.0 * y])
+    def test_negligible_function_is_one_zero_coefficient(self, f):
+        c = bc.build_adaptive(f, 1e-15)
+        assert c.coeffs.shape == (1, 1) and c.coeffs[0, 0] == 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):

@@ -537,6 +537,44 @@ class TestOptions:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "usage" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["approx", "x", "--max-n"],
+        ["approx", "x", "--bogus"],
+        ["eval"],
+        ["interp", "x", "-n", "2"],
+        [],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
+        """A missing value, an unknown option or a missing argument exits 4
+        with one error line and no usage text."""
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "usage" not in err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["approx", "-h"])
+        assert info.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "c.json", "--resolution", "100000"],
+        ["export", "c.json", "-o", "g.csv", "--resolution", "100000"],
+        ["interp", "x", "-n", "100000", "-m", "100000"],
+    ])
+    def test_grid_over_budget_refused_before_allocation(self, capsys, tmp_path,
+                                                         argv, monkeypatch):
+        # c.json does not exist: exit 4 shows the grid is refused before the
+        # document is read, let alone the grid allocated
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "budget" in err
+        assert not (tmp_path / "g.csv").exists()
+
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_resolution_below_two(self, capsys, tmp_path, command):
         src = tmp_path / "c.json"
