@@ -2,31 +2,27 @@
 
 Build approximants of functions on a rectangle, evaluate, differentiate and
 integrate them spectrally, interpolate on the Lobatto grid, and persist
-trimmed coefficients as JSON documents.
+trimmed coefficients as JSON documents.  The paper's own transform and the
+tests' other oracles are in ``bicheb.paper``, which is imported explicitly.
 """
 
 from .calculus import diff_x, diff_y, integrate
 from .chebcore import (
     Cheb2,
-    DecayBounds,
     Domain2,
-    SampleGrid,
     SparseCoeffs,
     UNIT_SQUARE,
     build_adaptive,
     cheb_basis,
     cheb_t,
     cheb_vector,
-    coeffs_by_quadrature,
-    coeffs_from_samples,
-    decay_bound_excess,
     document_text,
     evaluate_clenshaw,
     evaluate_grid,
     evaluate_matrix,
+    lagrange_cheb_coeffs,
     load,
     parseval_indicator,
-    sample_grid,
     save,
     to_cheb2,
     to_sparse,
@@ -42,7 +38,6 @@ from .errors import (
     LexError,
     ParseError,
     SamplingError,
-    UnsupportedSizeError,
     ValidationError,
 )
 from .exprparse import (
@@ -57,14 +52,6 @@ from .exprparse import (
     parse_expression,
     pretty_print,
     tokenize,
-)
-from .fft2d import dft2_naive, fft2
-from .interp import (
-    LobattoGrid,
-    aliasing_coeffs,
-    interp_error_bound_gap,
-    lagrange_cheb_coeffs,
-    lobatto_grid,
 )
 
 __version__ = "0.1.0"

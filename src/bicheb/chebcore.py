@@ -6,15 +6,15 @@ A function f on a rectangle is represented as
 
 where (u, v) is (x, y) mapped affinely onto the unit square [-1, 1]^2.
 Coefficients come from one transform, a DCT-I of samples on the distinct
-Chebyshev-Lobatto nodes cos(i pi / N).  The paper's radix-2 2-D FFT over the
-periodicized grid cos(2 pi k / m), which repeats each node cos(i pi / (m/2))
-up to four times, gives the same numbers and is kept as the tests' oracle
-(``sample_grid``, ``coeffs_from_samples``).  The adaptive builder doubles the
-degree n of its Lobatto grid, whose even-indexed nodes are the previous
-grid's nodes bit for bit, so each doubling samples only the new nodes.  It
-decides convergence on that grid's own interpolant: the trailing rows and
-columns of the (n + 1) x (n + 1) coefficients must be negligible, and the
-trimmed approximant must match f at a fixed set of off-grid check points.
+Chebyshev-Lobatto nodes cos(i pi / N), which ``lagrange_cheb_coeffs``
+applies on any (n, m) grid.  The paper's radix-2 2-D FFT over the
+periodicized grid gives the same numbers; it is the tests' oracle, in
+``bicheb.paper``.  The adaptive builder doubles the degree n of its Lobatto
+grid, whose even-indexed nodes are the previous grid's nodes bit for bit, so
+each doubling samples only the new nodes.  It decides convergence on that
+grid's own interpolant: the trailing rows and columns of the (n + 1) x
+(n + 1) coefficients must be negligible, and the trimmed approximant must
+match f at a fixed set of off-grid check points.
 
 Evaluation has one kernel, the basis matrices of the points on either side
 of the coefficient matrix: ``evaluate_matrix`` takes scalars or whole arrays
@@ -36,7 +36,6 @@ from .errors import (
     SamplingError,
     ValidationError,
 )
-from .fft2d import fft2, is_power_of_two, next_power_of_two
 
 # Tolerated relative overshoot of evaluation points beyond the unit square.
 _OVERSHOOT = 1e-12
@@ -90,49 +89,6 @@ class Domain2:
 
 
 UNIT_SQUARE = Domain2()
-
-
-@dataclass(frozen=True)
-class DecayBounds:
-    """Sup-norm bounds on the second partial derivatives of f over the domain.
-
-    dxx bounds |d2f/dx2|, dyy bounds |d2f/dy2| and dxy bounds the mixed
-    partial; all must be nonnegative and finite.  Supplied by the caller,
-    these drive the coefficient-decay property checks.
-    """
-
-    dxx: float
-    dyy: float
-    dxy: float
-
-    def __post_init__(self):
-        for name in ("dxx", "dyy", "dxy"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class SampleGrid:
-    """Function samples on the m-point periodicized Chebyshev grid.
-
-    values[k, j] = f(x(cos(2 pi k / m)), y(cos(2 pi j / m))) where x(), y()
-    map the unit interval onto the domain edges.  The node vector is built
-    by mirroring, so values inherit the grid's even symmetry bit-for-bit
-    whenever f is deterministic.
-    """
-
-    size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.size, self.size):
-            raise InvalidInputError(
-                f"values must have shape ({self.size}, {self.size})")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInputError("sample values must be finite")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -251,6 +207,10 @@ def cheb_basis(n, t):
 # sampling
 
 
+def _is_power_of_two(n):
+    return n >= 1 and (n & (n - 1)) == 0
+
+
 def lobatto_nodes(n):
     """cos(i pi / n) for i = 0..n, mirrored so node[n-i] equals -node[i]
     bit-for-bit (an exact 0 in the middle when n is even)."""
@@ -263,13 +223,6 @@ def lobatto_nodes(n):
     if n % 2 == 0:
         nodes[half] = 0.0
     return nodes
-
-
-def _periodic_nodes(m):
-    """cos(2 pi k / m), k = 0..m-1 (m even): the Lobatto nodes of degree m / 2
-    and their interior mirror, so node[m-k] equals node[k] bit-for-bit."""
-    u = lobatto_nodes(m // 2)
-    return np.concatenate([u, u[-2:0:-1]])
 
 
 def _sample_on(f, xs, ys):
@@ -295,16 +248,6 @@ def _sample_on(f, xs, ys):
         raise SamplingError("non-finite sample at node (x, y) = "
                             f"({float(xs[k])!r}, {float(ys[j])!r})")
     return values
-
-
-def sample_grid(f, m, domain=UNIT_SQUARE):
-    """Sample f on the m-point periodicized Chebyshev grid of the domain."""
-    if not is_power_of_two(m) or m < 2:
-        raise InvalidInputError(f"grid size must be a power of two >= 2, got {m}")
-    u = _periodic_nodes(m)
-    xs = domain.x_from_unit(u)
-    ys = domain.y_from_unit(u)
-    return SampleGrid(m, _sample_on(f, xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -333,33 +276,32 @@ def _lobatto_coeffs(values, keep=None):
     return values
 
 
-def coeffs_from_samples(grid, n):
-    """Trapezoid-rule Chebyshev coefficients up to degree n in each variable.
+def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
+    """Chebyshev-basis coefficients of the (n, m)-degree interpolant of f.
 
     Parameters
     ----------
-    grid : SampleGrid
-        Samples on an m-point grid with m >= 2 (n + 1), so the retained
-        degrees stay below the aliasing fold at m / 2.
-    n : int
-        Degree bound; the result has shape (n + 1, n + 1).
+    f : callable
+        Function of two real arguments, sampled at the (n + 1)(m + 1)
+        Lobatto node pairs (mapped onto the domain).
+    n, m : int
+        Degrees in the first and second variable, both >= 1.
 
-    The transform output g = fft2(values) / m^2 estimates the Fourier
-    coefficients of f(cos t, cos s); the Chebyshev coefficients are 4 Re g
-    with the first row and column halved and the corner quartered.
+    Returns
+    -------
+    (n + 1) x (m + 1) array c with
+
+        c[i, j] = 4 / (n m) * w_i w_j *
+                  sum_k sum_l w_k w_l f(x_k, y_l) T_i(x_k) T_j(y_l)
+
+    where w is the half-at-the-endpoints weight vector, computed as a DCT-I
+    along each axis.  The resulting polynomial matches f at every grid node.
     """
-    if n < 1:
-        raise InvalidInputError("degree bound must be >= 1")
-    m = grid.size
-    if m < 2 * (n + 1):
-        raise InvalidInputError(
-            f"grid size {m} too small for degree {n}; need at least {2 * (n + 1)}")
-    g = fft2(grid.values) / (m * m)
-    coeffs = 4.0 * g.real[: n + 1, : n + 1]
-    coeffs[0, 0] /= 4.0
-    coeffs[0, 1:] /= 2.0
-    coeffs[1:, 0] /= 2.0
-    return coeffs
+    if n < 1 or m < 1:
+        raise InvalidInputError("interpolation degrees must be >= 1")
+    xs = domain.x_from_unit(lobatto_nodes(n))
+    ys = domain.y_from_unit(lobatto_nodes(m))
+    return _lobatto_coeffs(_sample_on(f, xs, ys))
 
 
 def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
@@ -386,7 +328,8 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
         Trim threshold, absolute by default.  With relative=True the
         threshold is tol times the largest magnitude sampled on the current
         grid, which keeps machine-precision targets reachable for
-        large-magnitude functions.
+        large-magnitude functions.  If f is 0 at every node, that threshold
+        is 0 and a zero tail passes; the off-grid check then decides.
     n0, max_n : int
         Degree of the first and of the largest sampled grid, both powers of
         two.
@@ -409,9 +352,9 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be positive and finite")
-    if not is_power_of_two(n0) or n0 < 2:
+    if not _is_power_of_two(n0) or n0 < 2:
         raise InvalidInputError(f"n0 must be a power of two >= 2, got {n0}")
-    if not is_power_of_two(max_n) or max_n < n0:
+    if not _is_power_of_two(max_n) or max_n < n0:
         raise InvalidInputError(f"max_n must be a power of two >= n0, got {max_n}")
 
     check_x = domain.x_from_unit(_CHECK_NODES)
@@ -434,7 +377,8 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
         coeffs = _lobatto_coeffs(values)
         threshold = tol * np.abs(values).max() if relative else float(tol)
         tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
-        if tail < threshold:
+        # a zero tail passes even against a zero threshold (f zero on the grid)
+        if tail < threshold or tail == 0.0:
             coeffs[np.abs(coeffs) < threshold] = 0.0
             rows, cols = np.nonzero(coeffs)
             if rows.size == 0:
@@ -450,7 +394,8 @@ def build_adaptive(f, tol, n0=8, max_n=8192, domain=UNIT_SQUARE,
             if misfit <= bound:
                 return c
             why = (f"off-grid misfit {misfit:.3e} above {bound:.3e} although "
-                   f"the coefficient tail {tail:.3e} is below {threshold:.3e}")
+                   f"the coefficient tail {tail:.3e} passed against "
+                   f"{threshold:.3e}")
         else:
             why = f"coefficient tail {tail:.3e} still at or above {threshold:.3e}"
         if 2 * n > max_n:
@@ -605,57 +550,9 @@ def parseval_indicator(c, f):
     mass = a[0, 0] ** 2
     mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
     mass += 0.25 * np.sum(a[1:, 1:] ** 2)
-    u = lobatto_nodes(next_power_of_two(2 * (max(c.degree_x, c.degree_y) + 1)))
+    u = lobatto_nodes(1 << (2 * max(c.degree_x, c.degree_y) + 1).bit_length())
     values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u))
     return float(_lobatto_coeffs(values ** 2, 1)[0, 0] - mass)
-
-
-def coeffs_by_quadrature(f, k, j, nodes):
-    """Single coefficient by midpoint quadrature of the weighted inner product.
-
-    Integrates f(cos t, cos s) cos(k t) cos(j s) over [0, pi]^2 on an
-    N-by-N midpoint grid and applies the 4/pi^2 scaling with the usual
-    halvings for k = 0 or j = 0.  Entirely independent of the transform
-    path, which it cross-checks.
-    """
-    if k < 0 or j < 0:
-        raise InvalidInputError("coefficient indices must be >= 0")
-    if nodes < 4 * max(k, j) + 16:
-        raise InvalidInputError(
-            f"need at least {4 * max(k, j) + 16} quadrature nodes for index "
-            f"({k}, {j}), got {nodes}")
-    t = (np.arange(nodes) + 0.5) * (np.pi / nodes)
-    xs = np.cos(t)
-    values = _sample_on(f, xs, xs)
-    weights = np.cos(k * t)[:, None] * np.cos(j * t)[None, :]
-    estimate = 4.0 / nodes ** 2 * float(np.sum(values * weights))
-    if k == 0:
-        estimate /= 2.0
-    if j == 0:
-        estimate /= 2.0
-    return estimate
-
-
-def decay_bound_excess(c, bounds):
-    """Largest violation of the second-derivative decay bounds; <= 0 if all hold.
-
-    Checks |coeffs[k, 0]| <= 2 dxx / (k - 1)^2 and
-    |coeffs[k, 1]| <= 8 dxx / (pi (k - 1)^2) for every stored k > 1, plus
-    the mirrored column bounds with dyy.
-    """
-    a = c.coeffs
-    excesses = []
-    for k in range(2, c.degree_x + 1):
-        denom = float(k - 1) ** 2
-        excesses.append(abs(a[k, 0]) - 2.0 * bounds.dxx / denom)
-        if c.degree_y >= 1:
-            excesses.append(abs(a[k, 1]) - 8.0 * bounds.dxx / (math.pi * denom))
-    for j in range(2, c.degree_y + 1):
-        denom = float(j - 1) ** 2
-        excesses.append(abs(a[0, j]) - 2.0 * bounds.dyy / denom)
-        if c.degree_x >= 1:
-            excesses.append(abs(a[1, j]) - 8.0 * bounds.dyy / (math.pi * denom))
-    return max(excesses, default=float("-inf"))
 
 
 # ---------------------------------------------------------------------------

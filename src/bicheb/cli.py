@@ -39,7 +39,9 @@ from .chebcore import (
     build_adaptive,
     evaluate_grid,
     evaluate_matrix,
+    lagrange_cheb_coeffs,
     load,
+    lobatto_nodes,
     parseval_indicator,
     save,
     to_cheb2,
@@ -57,7 +59,6 @@ from .errors import (
     ValidationError,
 )
 from .exprparse import eval_ast, parse_expression
-from .interp import lagrange_cheb_coeffs, lobatto_grid
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -270,8 +271,8 @@ def cmd_interp(args):
     print(f"nonzero coefficients: {len(sparse.entries)}")
     if args.verify:
         c = Cheb2(coeffs, args.domain, tol)
-        xs = args.domain.x_from_unit(lobatto_grid(args.n).nodes)
-        ys = args.domain.y_from_unit(lobatto_grid(args.m).nodes)
+        xs = args.domain.x_from_unit(lobatto_nodes(args.n))
+        ys = args.domain.y_from_unit(lobatto_nodes(args.m))
         approx = evaluate_grid(c, xs, ys)
         exact = eval_ast(ast, xs[:, None], ys[None, :])
         residual = float(np.abs(approx - exact).max())

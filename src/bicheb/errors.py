@@ -10,7 +10,7 @@ class InvalidInputError(ChebError):
 
 
 class UnsupportedSizeError(ChebError):
-    """A transform dimension is not a power of two."""
+    """A dimension of ``bicheb.paper.fft2`` is not a power of two."""
 
 
 class DomainError(ChebError):

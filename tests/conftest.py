@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import bicheb as bc
+import bicheb.paper as bp
 
 
 def f_cosxy(x, y):
@@ -27,5 +28,5 @@ def example2():
 @pytest.fixture(scope="session")
 def cosxy_alpha32():
     """High-accuracy 32x32 coefficient matrix of cos(x y) from a 64-point grid."""
-    grid = bc.sample_grid(f_cosxy, 64)
-    return bc.coeffs_from_samples(grid, 31)
+    grid = bp.sample_grid(f_cosxy, 64)
+    return bp.coeffs_from_samples(grid, 31)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bicheb as bc
+import bicheb.paper as bp
 
 from conftest import f_cosxy, f_example2
 
@@ -108,18 +109,18 @@ def test_criterion_6_property_suite(cosxy, cosxy_alpha32):
     for p in sizes:
         for q in sizes:
             x = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-            gap = np.abs(bc.fft2(x) - bc.dft2_naive(x)).max()
+            gap = np.abs(bp.fft2(x) - bp.dft2_naive(x)).max()
             worst = max(worst, gap / (np.abs(x).max() * p * q))
     checks.append(("fft oracle", worst <= 1e-10, f"{worst:.2e} <= 1e-10"))
 
     # transform-path coefficients against the quadrature oracle
     worst = max(abs(cosxy_alpha32[k, j]
-                    - bc.coeffs_by_quadrature(f_cosxy, k, j, 512))
+                    - bp.coeffs_by_quadrature(f_cosxy, k, j, 512))
                 for k in range(9) for j in range(9))
     checks.append(("coeff quadrature", worst <= 1e-8, f"{worst:.2e} <= 1e-8"))
 
     # second-derivative decay bounds with unit analytic bounds
-    excess = bc.decay_bound_excess(cosxy, bc.DecayBounds(1.0, 1.0, 1.0))
+    excess = bp.decay_bound_excess(cosxy, bp.DecayBounds(1.0, 1.0, 1.0))
     checks.append(("decay bounds", excess <= 0.0, f"excess {excess:.2e} <= 0"))
 
     # derivative recurrence residuals
@@ -141,14 +142,14 @@ def test_criterion_6_property_suite(cosxy, cosxy_alpha32):
 
     # interpolation matches the function at the grid nodes
     coeffs = bc.lagrange_cheb_coeffs(f_cosxy, 8, 8)
-    nodes = bc.lobatto_grid(8).nodes
+    nodes = bp.lobatto_grid(8).nodes
     residual = np.abs(bc.evaluate_grid(bc.Cheb2(coeffs), nodes, nodes)
                       - np.cos(np.outer(nodes, nodes))).max()
     checks.append(("node residuals", residual <= 1e-11,
                    f"{residual:.2e} <= 1e-11"))
 
     # aliasing folds reproduce the interpolation coefficients
-    gap = np.abs(bc.aliasing_coeffs(cosxy_alpha32, 4, 4)
+    gap = np.abs(bp.aliasing_coeffs(cosxy_alpha32, 4, 4)
                  - bc.lagrange_cheb_coeffs(f_cosxy, 4, 4)).max()
     checks.append(("aliasing equivalence", gap <= 1e-9, f"{gap:.2e} <= 1e-9"))
 
@@ -181,7 +182,7 @@ def test_criterion_7_convergence_as_inequalities(cosxy, cosxy_alpha32):
                 and errors[2] <= errors[1] + 1e-14)
 
     # interpolant-vs-truncation gap bounded by the tail mass
-    gap = bc.interp_error_bound_gap(cosxy_alpha32, 4, 4)
+    gap = bp.interp_error_bound_gap(cosxy_alpha32, 4, 4)
     interpolant = bc.Cheb2(bc.lagrange_cheb_coeffs(f_cosxy, 4, 4))
     series = bc.Cheb2(cosxy_alpha32[:5, :5])
     observed = np.abs(bc.evaluate_grid(interpolant, xs, xs)

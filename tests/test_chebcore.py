@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bicheb as bc
+import bicheb.paper as bp
 from bicheb.errors import (
     ConvergenceError,
     DomainError,
@@ -80,57 +81,57 @@ class TestChebVector:
 
 class TestSampleGrid:
     def test_constant(self):
-        grid = bc.sample_grid(lambda x, y: 5.0, 4)
-        assert grid.values.shape == (4, 4)
-        assert np.all(grid.values == 5.0)
+        grid = bp.sample_grid(lambda x, y: 5.0, 4)
+        assert grid.shape == (4, 4)
+        assert np.all(grid == 5.0)
 
     def test_coordinate_function_column_pattern(self):
-        grid = bc.sample_grid(lambda x, y: x + 0.0 * y, 4)
+        grid = bp.sample_grid(lambda x, y: x + 0.0 * y, 4)
         expected = np.repeat(np.array([1.0, 0.0, -1.0, 0.0])[:, None], 4, axis=1)
-        assert np.allclose(grid.values, expected, atol=1e-12)
+        assert np.allclose(grid, expected, atol=1e-12)
 
     def test_matches_direct_evaluation(self):
-        grid = bc.sample_grid(f_cosxy, 16)
+        grid = bp.sample_grid(f_cosxy, 16)
         u = np.cos(2 * np.pi * np.arange(16) / 16)
         direct = np.cos(np.outer(u, u))
-        assert np.abs(grid.values - direct).max() < 1e-14
+        assert np.abs(grid - direct).max() < 1e-14
 
     def test_symmetry_is_exact(self):
         m = 16
-        grid = bc.sample_grid(f_cosxy, m)
+        grid = bp.sample_grid(f_cosxy, m)
         mirror = (m - np.arange(m)) % m
-        assert np.array_equal(grid.values, grid.values[mirror, :])
-        assert np.array_equal(grid.values, grid.values[:, mirror])
+        assert np.array_equal(grid, grid[mirror, :])
+        assert np.array_equal(grid, grid[:, mirror])
 
     def test_scalar_fallback_matches_vectorized(self):
-        vec = bc.sample_grid(f_cosxy, 8)
-        loop = bc.sample_grid(lambda x, y: float(np.cos(x * y)), 8)
-        assert np.array_equal(vec.values, loop.values)
+        vec = bp.sample_grid(f_cosxy, 8)
+        loop = bp.sample_grid(lambda x, y: float(np.cos(x * y)), 8)
+        assert np.array_equal(vec, loop)
 
     def test_non_finite_sample_names_node(self):
         def bad(x, y):
             return np.where(x > 0.9, np.nan, 1.0) + 0.0 * y
 
         with pytest.raises(SamplingError, match="node"):
-            bc.sample_grid(bad, 8)
+            bp.sample_grid(bad, 8)
 
     def test_rejects_bad_size(self):
         with pytest.raises(InvalidInputError):
-            bc.sample_grid(f_cosxy, 12)
+            bp.sample_grid(f_cosxy, 12)
         with pytest.raises(InvalidInputError):
-            bc.sample_grid(f_cosxy, 1)
+            bp.sample_grid(f_cosxy, 1)
 
     def test_domain_mapping(self):
         domain = bc.Domain2(0.0, 2.0, -1.0, 3.0)
-        grid = bc.sample_grid(lambda x, y: x + 10.0 * y, 4, domain)
+        grid = bp.sample_grid(lambda x, y: x + 10.0 * y, 4, domain)
         # node 0 maps to (xhi, yhi)
-        assert grid.values[0, 0] == pytest.approx(2.0 + 30.0, abs=1e-12)
+        assert grid[0, 0] == pytest.approx(2.0 + 30.0, abs=1e-12)
 
 
 class TestCoeffsFromSamples:
     def test_constant_is_pure_dc(self):
-        grid = bc.sample_grid(lambda x, y: 1.0, 16)
-        a = bc.coeffs_from_samples(grid, 7)
+        grid = bp.sample_grid(lambda x, y: 1.0, 16)
+        a = bp.coeffs_from_samples(grid, 7)
         assert a[0, 0] == pytest.approx(1.0, abs=1e-14)
         a[0, 0] = 0.0
         assert np.abs(a).max() <= 1e-14
@@ -139,13 +140,13 @@ class TestCoeffsFromSamples:
         def f(x, y):
             return (2 * x ** 2 - 1) * (4 * y ** 3 - 3 * y)
 
-        a = bc.coeffs_from_samples(bc.sample_grid(f, 16), 7)
+        a = bp.coeffs_from_samples(bp.sample_grid(f, 16), 7)
         assert a[2, 3] == pytest.approx(1.0, abs=1e-12)
         a[2, 3] = 0.0
         assert np.abs(a).max() <= 1e-12
 
     def test_cosxy_reference_corner(self):
-        a = bc.coeffs_from_samples(bc.sample_grid(f_cosxy, 32), 15)
+        a = bp.coeffs_from_samples(bp.sample_grid(f_cosxy, 32), 15)
         for (i, j), v in COSXY_CORNER.items():
             assert a[i, j] == pytest.approx(v, abs=1e-6)
         odd = np.abs(a[1::2, :]).max()
@@ -153,11 +154,11 @@ class TestCoeffsFromSamples:
         assert odd <= 1e-12
 
     def test_rejects_undersized_grid(self):
-        grid = bc.sample_grid(f_cosxy, 16)
+        grid = bp.sample_grid(f_cosxy, 16)
         with pytest.raises(InvalidInputError):
-            bc.coeffs_from_samples(grid, 8)  # needs m >= 18
+            bp.coeffs_from_samples(grid, 8)  # needs m >= 18
         with pytest.raises(InvalidInputError):
-            bc.coeffs_from_samples(grid, 0)
+            bp.coeffs_from_samples(grid, 0)
 
 
 class TestLobatto:
@@ -236,7 +237,7 @@ class TestBuildAdaptive:
         assert degrees == [8, 16, 32, 64, 128, 256]
         for n, block in zip(degrees, blocks):
             assert block.shape == (n + 1, n + 1)
-            paper = bc.coeffs_from_samples(bc.sample_grid(runge, 2 * n), n - 1)
+            paper = bp.coeffs_from_samples(bp.sample_grid(runge, 2 * n), n - 1)
             assert np.abs(block[:n, :n] - paper).max() <= 1e-15
 
     def test_samples_each_node_once(self):
@@ -306,6 +307,18 @@ class TestBuildAdaptive:
     def test_negligible_function_is_one_zero_coefficient(self, f):
         c = bc.build_adaptive(f, 1e-15)
         assert c.coeffs.shape == (1, 1) and c.coeffs[0, 0] == 0.0
+
+    def test_zero_function_converges_with_relative_tolerance(self):
+        # the threshold is tol * 0 = 0; the zero tail must still pass
+        c = bc.build_adaptive(lambda x, y: 0.0 * x * y, 1e-15, relative=True)
+        assert np.array_equal(c.coeffs, [[0.0]])
+
+    def test_zero_on_the_grid_only_names_the_misfit(self):
+        def f(x, y):
+            return np.where(np.isin(x, chebcore.lobatto_nodes(8)), 0.0, 1.0) + 0.0 * y
+
+        with pytest.raises(ConvergenceError, match="off-grid misfit"):
+            bc.build_adaptive(f, 1e-15, n0=8, max_n=8, relative=True)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
@@ -492,22 +505,22 @@ class TestParsevalIndicator:
 
 class TestCoeffsByQuadrature:
     def test_constant(self):
-        assert bc.coeffs_by_quadrature(lambda x, y: 1.0, 0, 0, 64) == \
+        assert bp.coeffs_by_quadrature(lambda x, y: 1.0, 0, 0, 64) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_cubic_basis_function(self):
         def f(x, y):
             return 4 * x ** 3 - 3 * x + 0.0 * y
 
-        assert bc.coeffs_by_quadrature(f, 3, 0, 64) == pytest.approx(1.0, abs=1e-10)
+        assert bp.coeffs_by_quadrature(f, 3, 0, 64) == pytest.approx(1.0, abs=1e-10)
 
     def test_cosxy_leading_coefficient(self):
-        value = bc.coeffs_by_quadrature(f_cosxy, 0, 0, 256)
+        value = bp.coeffs_by_quadrature(f_cosxy, 0, 0, 256)
         assert value == pytest.approx(0.880725579, abs=1e-8)
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(InvalidInputError):
-            bc.coeffs_by_quadrature(f_cosxy, 10, 0, 32)
+            bp.coeffs_by_quadrature(f_cosxy, 10, 0, 32)
 
 
 class TestCrossChecks:
@@ -517,16 +530,16 @@ class TestCrossChecks:
         lambda x, y: x ** 3 * y ** 2,
     ])
     def test_transform_path_matches_quadrature(self, f):
-        alpha = bc.coeffs_from_samples(bc.sample_grid(f, 64), 8)
+        alpha = bp.coeffs_from_samples(bp.sample_grid(f, 64), 8)
         for k in range(9):
             for j in range(9):
-                oracle = bc.coeffs_by_quadrature(f, k, j, 512)
+                oracle = bp.coeffs_by_quadrature(f, k, j, 512)
                 assert alpha[k, j] == pytest.approx(oracle, abs=1e-8)
 
     def test_decay_bounds_for_cosxy(self, cosxy):
         # |d2/dx2 cos(xy)| = |y^2 cos(xy)| <= 1 on the square, same in y
-        bounds = bc.DecayBounds(1.0, 1.0, 1.0)
-        assert bc.decay_bound_excess(cosxy, bounds) <= 0.0
+        bounds = bp.DecayBounds(1.0, 1.0, 1.0)
+        assert bp.decay_bound_excess(cosxy, bounds) <= 0.0
 
     def test_grid_error_is_monotone_in_degree(self, cosxy):
         xs = np.linspace(-1.0, 1.0, 50)
@@ -547,7 +560,7 @@ class TestCrossChecks:
             return bc.evaluate_matrix(reference, x, y)
 
         c = bc.build_adaptive(f, 1e-15)
-        samples = bc.sample_grid(f, 64).values
+        samples = bp.sample_grid(f, 64)
         u = np.cos(2 * np.pi * np.arange(64) / 64)
 
         def residual(coeffs):

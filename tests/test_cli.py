@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import bicheb as bc
+import bicheb.paper as bp
 from bicheb.cli import (
     EXIT_CONVERGENCE,
     EXIT_EVAL,
@@ -89,6 +95,14 @@ class TestApprox:
         code, _, err = run(capsys, "approx", "abs(x)", "--max-n", "16",
                            "-o", str(tmp_path / "x.json"))
         assert code == EXIT_CONVERGENCE
+
+    def test_zero_function_with_relative_tolerance(self, capsys, tmp_path):
+        path = tmp_path / "z.json"
+        code, _, err = run(capsys, "approx", "0*x", "--relative-tol",
+                           "--max-n", "64", "-o", str(path))
+        assert code == EXIT_OK, err
+        sparse = bc.load(path)
+        assert (sparse.degree_x, sparse.degree_y, sparse.entries) == (0, 0, ())
 
     def test_tolerance_environment_override(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("BICHEB_TOL", "1e-6")
@@ -345,7 +359,7 @@ class TestInterp:
         interp = bc.to_cheb2(bc.load(path)).coeffs
         padded = np.zeros((5, 5))
         padded[: interp.shape[0], : interp.shape[1]] = interp
-        folded = bc.aliasing_coeffs(cosxy_alpha32, 4, 4)
+        folded = bp.aliasing_coeffs(cosxy_alpha32, 4, 4)
         assert np.abs(padded - folded).max() <= 1e-10
 
 
@@ -585,3 +599,30 @@ class TestOptions:
         assert code == EXIT_VALIDATION
         assert "resolution" in err
         assert not dst.exists()
+
+
+class TestImports:
+    ORACLES = ("fft2", "dft2_naive", "sample_grid", "coeffs_from_samples",
+               "coeffs_by_quadrature", "DecayBounds", "decay_bound_excess",
+               "LobattoGrid", "lobatto_grid", "aliasing_coeffs",
+               "interp_error_bound_gap")
+
+    def test_cli_loads_no_oracle_module(self):
+        # a fresh interpreter: this test session has imported bicheb.paper
+        script = ("import sys, bicheb.cli; print(sorted("
+                  "{'bicheb.paper', 'bicheb.fft2d', 'bicheb.interp'}"
+                  " & set(sys.modules)))")
+        src = str(Path(bc.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, check=True,
+                                timeout=60)
+        assert result.stdout.strip() == "[]"
+
+    def test_oracles_live_only_in_paper(self):
+        for name in self.ORACLES + ("SampleGrid", "UnsupportedSizeError"):
+            assert not hasattr(bc, name), name
+        for name in self.ORACLES:
+            assert callable(getattr(bp, name)), name
+        assert not hasattr(bp, "SampleGrid")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bicheb import dft2_naive, fft2
+from bicheb.paper import dft2_naive, fft2
 from bicheb.errors import InvalidInputError, UnsupportedSizeError
 
 

@@ -5,12 +5,9 @@ import pytest
 from numpy.polynomial import chebyshev
 
 import bicheb as bc
-from bicheb import (
-    aliasing_coeffs,
-    interp_error_bound_gap,
-    lagrange_cheb_coeffs,
-    lobatto_grid,
-)
+import bicheb.paper as bp
+from bicheb import lagrange_cheb_coeffs
+from bicheb.paper import aliasing_coeffs, interp_error_bound_gap, lobatto_grid
 from bicheb.errors import InvalidInputError
 
 from conftest import f_cosxy
@@ -146,7 +143,7 @@ class TestAliasing:
         def f(x, y):
             return np.exp(x * y)
 
-        alpha = bc.coeffs_from_samples(bc.sample_grid(f, 64), 31)
+        alpha = bp.coeffs_from_samples(bp.sample_grid(f, 64), 31)
         for n, m in ((4, 4), (5, 7), (12, 3)):
             folded = aliasing_coeffs(alpha, n, m)
             direct = lagrange_cheb_coeffs(f, n, m)
