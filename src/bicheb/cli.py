@@ -6,9 +6,11 @@ inputs, and failures map to documented exit codes:
 
     0  success
     2  expression or document syntax error
-    3  adaptive construction did not converge
+    3  adaptive construction did not converge, or its next pass would
+       exceed the memory budget
     4  validation failure (inconsistent document, bad option values or
-       usage, a grid over its memory budget)
+       usage, a grid or a document's declared degrees over the memory
+       budget)
     5  I/O failure
     6  evaluation failure (outside domain, non-finite sample)
 
@@ -35,7 +37,9 @@ from .chebcore import (
     Cheb2,
     Domain2,
     UNIT_SQUARE,
+    _check_grid_budget,
     _read_ascii,
+    _transform_entries,
     build_adaptive,
     evaluate_grid,
     evaluate_matrix,
@@ -112,28 +116,13 @@ def _tolerance(args):
     return tol
 
 
-# Bytes the float64 grid arrays of one eval, export or interp run may take;
-# a larger grid is refused before any of them is allocated.
-_GRID_BUDGET = 2 ** 30
-
-
-def _check_grid_budget(what, points, arrays):
-    """ValidationError if `arrays` float64 arrays of `points` entries
-    would together take more than _GRID_BUDGET bytes."""
-    need = 8 * points * arrays
-    if need > _GRID_BUDGET:
-        raise ValidationError(
-            f"{what} needs {need / 2 ** 30:.3g} GiB of grid arrays, over the "
-            f"budget of {_GRID_BUDGET / 2 ** 30:.3g} GiB")
-
-
 def _check_resolution(args):
     if args.resolution < 2:
         raise ValidationError("resolution must be >= 2")
     # two coordinate arrays and their meshgrid, the values and, with
     # --compare-expr, the reference and the error
-    _check_grid_budget(f"--resolution {args.resolution}", args.resolution ** 2,
-                       5 if args.compare_expr is None else 7)
+    _check_grid_budget(f"--resolution {args.resolution}",
+                       args.resolution ** 2 * (5 if args.compare_expr is None else 7))
 
 
 def _ast_function(ast):
@@ -259,8 +248,9 @@ def cmd_diff(args):
 
 def cmd_interp(args):
     tol = _tolerance(args)
-    # the samples, the even extension and the complex transform of each axis
-    _check_grid_budget(f"-n {args.n} -m {args.m}", (args.n + 1) * (args.m + 1), 6)
+    # the samples and the transform's arrays
+    _check_grid_budget(f"-n {args.n} -m {args.m}", (args.n + 1) * (args.m + 1)
+                       + _transform_entries(args.n + 1, args.m + 1))
     ast = parse_expression(args.expression)
     f = _ast_function(ast)
     coeffs = lagrange_cheb_coeffs(f, args.n, args.m, domain=args.domain)
@@ -333,8 +323,8 @@ def _add_grid_options(sub, grid_help):
 
 def _add_build_options(sub):
     _add_formula_options(sub, "trim tolerance")
-    sub.add_argument("--max-n", type=int, default=8192,
-                     help="degree of the largest sampled grid (default 8192)")
+    sub.add_argument("--max-n", type=int, default=4096,
+                     help="degree of the largest sampled grid (default 4096)")
     sub.add_argument("--n0", type=int, default=8,
                      help="degree of the first sampled grid (default 8)")
     sub.add_argument("--relative-tol", action="store_true",

@@ -3,6 +3,8 @@
 import io
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -180,6 +182,64 @@ class TestLobatto:
             if shape[1] == shape[0]:
                 assert np.array_equal(chebcore._lobatto_coeffs(values, n + 1), full)
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("chunk", [1, 40, chebcore._CHUNK_ENTRIES])
+    def test_split_matches_serial(self, monkeypatch, cpus, chunk):
+        # every pass split, in chunks of one row up to the default size,
+        # with uneven shares of rows between threads, more threads than
+        # cores and frequent thread switches: a chunk lost or taken twice
+        # would leave garbage or break the bit-for-bit match
+        rng = np.random.default_rng(11)
+        cases = [(rng.standard_normal(shape), keep)
+                 for shape in ((9, 17), (17, 9), (33, 33), (257, 257))
+                 for keep in (None, 1, 5)]
+        monkeypatch.setattr(chebcore, "_CPUS", 1)
+        monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", 2 ** 30)
+        serial = [chebcore._lobatto_coeffs(values, keep) for values, keep in cases]
+        monkeypatch.setattr(chebcore, "_SPLIT_WORK", 1)
+        monkeypatch.setattr(chebcore, "_CPUS", cpus)
+        monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for (values, keep), expected in zip(cases, serial):
+                got = chebcore._lobatto_coeffs(values, keep)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads  # every helper joined
+
+    def test_split_raises_a_chunks_error(self, monkeypatch):
+        # 65 one-row chunks on two threads: each stops at its first failure
+        monkeypatch.setattr(chebcore, "_SPLIT_WORK", 1)
+        monkeypatch.setattr(chebcore, "_CPUS", 2)
+        monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", 1)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(threading.current_thread())
+            raise MemoryError("chunk failed")
+
+        monkeypatch.setattr(np.fft, "rfft", failing)
+        with pytest.raises(MemoryError, match="chunk failed"):
+            chebcore._lobatto_coeffs(np.ones((65, 65)))
+        assert 1 <= len(calls) <= 2
+
+    def test_f_runs_only_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(chebcore, "_SPLIT_WORK", 1)
+        monkeypatch.setattr(chebcore, "_CPUS", 3)
+        callers = set()
+
+        def runge(x, y):
+            callers.add(threading.current_thread())
+            return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+        c = bc.build_adaptive(runge, 1e-14, relative=True)
+        bc.parseval_indicator(c, runge)
+        assert callers == {threading.current_thread()}
+
 
 class TestBuildAdaptive:
     def test_constant_collapses_to_single_coefficient(self):
@@ -319,6 +379,31 @@ class TestBuildAdaptive:
 
         with pytest.raises(ConvergenceError, match="off-grid misfit"):
             bc.build_adaptive(f, 1e-15, n0=8, max_n=8, relative=True)
+
+    def test_pass_over_budget_refused_before_allocation(self, monkeypatch):
+        # a budget that holds the pass at degree bound 512 but not at 1024
+        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
+        degrees = []
+        transform = chebcore._lobatto_coeffs
+
+        def recording(values, keep=None):
+            degrees.append(len(values) - 1)
+            return transform(values, keep)
+
+        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        with pytest.raises(ConvergenceError,
+                           match=r"degree bound 1024 needs .* over the budget.*"
+                                 r"coefficient tail .* at degree bound 512") as info:
+            bc.build_adaptive(lambda x, y: np.abs(x) + 0.0 * y, 1e-15)
+        assert degrees[-1] == 512
+        assert info.value.tail_magnitude > 1e-15
+
+    def test_first_pass_over_budget(self, monkeypatch):
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
+        with pytest.raises(ConvergenceError, match="degree bound 8 needs") as info:
+            bc.build_adaptive(f_cosxy, 1e-15)
+        assert math.isnan(info.value.tail_magnitude)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):

@@ -10,6 +10,7 @@ import pytest
 
 import bicheb as bc
 import bicheb.paper as bp
+from bicheb import chebcore
 from bicheb.cli import (
     EXIT_CONVERGENCE,
     EXIT_EVAL,
@@ -457,7 +458,7 @@ class TestOptions:
         parse = _build_parser().parse_args
         for argv in (["approx", "1"], ["integrate", "--expr", "1"]):
             args = parse(argv)
-            assert (args.max_n, args.n0, args.tol) == (8192, 8, None)
+            assert (args.max_n, args.n0, args.tol) == (4096, 8, None)
             assert args.domain == bc.UNIT_SQUARE
         assert parse(["interp", "1", "-n", "2", "-m", "3"]).domain == bc.UNIT_SQUARE
         for argv in (["eval", "c.json"], ["export", "c.json", "-o", "g.csv"]):
@@ -588,6 +589,33 @@ class TestOptions:
         assert out == ""
         assert "budget" in err
         assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "big.json", "--point", "0,0"],
+        ["integrate", "big.json"],
+        ["diff", "big.json", "--axis", "x", "-o", "d.json"],
+    ])
+    def test_declared_degree_over_budget(self, capsys, tmp_path, argv,
+                                         monkeypatch):
+        # one entry, but a declared degree whose dense matrix is 15 GiB
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "big.json").write_text(
+            '{"degree_x": 1000000000, "degree_y": 0, '
+            '"domain": [-1, 1, -1, 1], "tol": 0, "entries": [[0, 0, 1.0]]}\n')
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "1000000001 x 1" in err and "budget" in err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_builder_over_budget_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
+        code, out, err = run(capsys, "approx", "cos(x*y)",
+                             "-o", str(tmp_path / "c.json"))
+        assert code == EXIT_CONVERGENCE
+        assert out == ""
+        assert "degree bound 8 needs" in err and "budget" in err
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("command", ["eval", "export"])
     def test_resolution_below_two(self, capsys, tmp_path, command):
