@@ -9,13 +9,14 @@ Coefficients come from one transform, a DCT-I of samples on the distinct
 Chebyshev-Lobatto nodes cos(i pi / N), which ``lagrange_cheb_coeffs``
 applies on any (n, m) grid.  The paper's radix-2 2-D FFT over the
 periodicized grid gives the same numbers; it is the tests' oracle, in
-``bicheb.paper``.  The adaptive builder doubles the degree n of its Lobatto
-grid, whose even-indexed nodes are the previous grid's nodes bit for bit, so
-each doubling samples only the new nodes.  It decides convergence on that
-grid's own interpolant: the trailing rows and columns of the (n + 1) x
-(n + 1) coefficients must be negligible, and the trimmed approximant must
-match f at a fixed set of off-grid check points.  Before each pass it checks
-the bytes that pass will hold against the grid budget.
+``bicheb.paper``.  The adaptive builder keeps a degree bound per axis and
+doubles each while its own tail is not negligible: x while the trailing
+rows of the (nx + 1) x (ny + 1) interpolation coefficients are not, y while
+the trailing columns are not.  A doubled axis' even-indexed nodes are the
+previous grid's nodes bit for bit, so each pass samples only the new rows
+and columns.  Once both tails pass, the trimmed approximant must also match
+f at a fixed set of off-grid check points.  Before each pass the builder
+checks the bytes that pass will hold against the grid budget.
 
 The transform makes one pass per axis over chunks of rows (of columns in
 the second pass): each chunk's even extension, real FFT and scaling, in a
@@ -27,9 +28,10 @@ or thread it falls in, so the coefficients are bit-for-bit the same for
 any number of CPUs and any chunk size.
 
 Evaluation has one kernel, the basis matrices of the points on either side
-of the coefficient matrix: ``evaluate_matrix`` takes scalars or whole arrays
-of scattered points (in bounded blocks), ``evaluate_grid`` a tensor grid.
-Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
+of the coefficient matrix, both from one run of the Chebyshev recurrence
+over the points of the two axes: ``evaluate_matrix`` takes scalars or whole
+arrays of scattered points (in bounded blocks), ``evaluate_grid`` a tensor
+grid.  Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
 """
 
 import json
@@ -223,14 +225,32 @@ def cheb_vector(n, x):
 
 
 def cheb_basis(n, t):
-    """Matrix with entry [i, k] = T_k(t[i]) for k = 0..n (no clamping)."""
+    """C-ordered matrix with entry [i, k] = T_k(t[i]) for k = 0..n (no
+    clamping).
+
+    The recurrence fills one contiguous row of points per degree, in place,
+    with the operations of cheb_vector in the same order, so each entry is
+    bit for bit cheb_vector's; the result is the transpose of those rows.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    basis = np.ones((t.size, n + 1))
+    by_degree = np.empty((n + 1, t.size))
+    rows = list(by_degree)  # views, indexed faster than by_degree[k]
+    rows[0][:] = 1.0
     if n >= 1:
-        basis[:, 1] = t
+        rows[1][:] = t
+    twice = 2.0 * t
     for k in range(2, n + 1):
-        basis[:, k] = 2.0 * t * basis[:, k - 1] - basis[:, k - 2]
-    return basis
+        np.multiply(twice, rows[k - 1], rows[k])
+        np.subtract(rows[k], rows[k - 2], rows[k])
+    return np.ascontiguousarray(by_degree.T)
+
+
+def _basis_pair(c, u, v):
+    """C-ordered cheb_basis(c.degree_x, u) and cheb_basis(c.degree_y, v),
+    from one recurrence over the points of both."""
+    basis = cheb_basis(max(c.degree_x, c.degree_y), np.concatenate((u, v)))
+    return (np.ascontiguousarray(basis[: u.size, : c.degree_x + 1]),
+            np.ascontiguousarray(basis[u.size:, : c.degree_y + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +442,27 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
     return _lobatto_coeffs(_sample_on(f, xs, ys))
 
 
+def _bounds(nx, ny):
+    """'degree bound N' for a square grid, 'degree bounds NX x NY' otherwise."""
+    return f"degree bound {nx}" if nx == ny else f"degree bounds {nx} x {ny}"
+
+
 def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
                    relative=False):
-    """Construct a Cheb2 for f, doubling the degree until the tail is negligible.
+    """Construct a Cheb2 for f, doubling each degree until its tail is negligible.
 
-    At degree bound n, f is sampled on the Lobatto grid of degree n (only the
-    nodes the previous grid lacks) and the interpolant's (n + 1) x (n + 1)
-    coefficients are computed.  The pass converges when every entry of the
-    last two rows and the last two columns is below the threshold and,
-    after the entries below the threshold are trimmed, the approximant
-    matches f within (n + 1)^2 times the threshold at 32 x 32 fixed check
-    points that are nodes of no power-of-two Lobatto grid.  Otherwise n
-    doubles.  The check catches a feature that every grid so far has
-    stepped over, but no test on finitely many samples can be complete.
+    At degree bounds (nx, ny), f is sampled on the (nx + 1) x (ny + 1)
+    Lobatto grid (only the nodes the previous grid lacks) and the
+    interpolant's coefficients on it are computed.  The x tail is the
+    largest entry of the last two rows, the y tail that of the last two
+    columns; each axis whose tail is at or above the threshold doubles its
+    bound, and the other keeps it.  When both tails are below the threshold
+    the entries below it are trimmed, and the pass converges if the
+    approximant matches f within (nx + 1)(ny + 1) times the threshold at
+    32 x 32 fixed check points that are nodes of no power-of-two Lobatto
+    grid; otherwise both bounds double.  The check catches a feature that
+    every grid so far has stepped over, but no test on finitely many
+    samples can be complete.
 
     Parameters
     ----------
@@ -449,10 +477,10 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         large-magnitude functions.  If f is 0 at every node, that threshold
         is 0 and a zero tail passes; the off-grid check then decides.
     n0, max_n : int
-        Degree of the first and of the largest sampled grid, both powers of
-        two.  The default max_n, 4096, is the largest pass the 1 GiB grid
-        budget allows; with a larger one the build stops before the pass
-        at 8192 (see Raises).
+        Degree bound of the first grid on each axis, and the largest either
+        axis may reach, both powers of two.  The default max_n, 4096, is
+        the largest square pass the 1 GiB grid budget allows; with a larger
+        one the build stops before the pass at 8192 x 8192 (see Raises).
     domain : Domain2
         Rectangle on which f is approximated.
 
@@ -465,13 +493,16 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     Raises
     ------
     ConvergenceError
-        If the pass on the grid of degree max_n (or the largest power of two
-        reached from n0) does not converge.  The message gives the tail and
-        the threshold, or the off-grid misfit and its bound when the tail
-        passed; ``tail_magnitude`` is that pass's largest tail entry.  Also
-        before a pass whose arrays would exceed the 1 GiB grid budget: the
-        message names its degree bound and bytes, then why the pass before
-        it failed; ``tail_magnitude`` is that pass's tail, NaN if none ran.
+        If a pass does not converge and an axis it would double is at max_n
+        (or the largest power of two reached from n0).  The message gives
+        the tail, and the axis when the bounds differ, against the
+        threshold, or the off-grid misfit and its bound when both tails
+        passed; ``tail_magnitude`` is the larger of that pass's two tails.
+        Also before a pass whose arrays would exceed the 1 GiB grid budget:
+        the message names its degree bounds and bytes, then why the pass
+        before it failed; ``tail_magnitude`` is that pass's tail, NaN if
+        none ran.  Bounds are written ``degree bound N`` when both axes
+        have N, ``degree bounds NX x NY`` otherwise.
     """
     if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
         raise InvalidInputError("tol must be positive and finite")
@@ -483,34 +514,43 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     check_x = domain.x_from_unit(_CHECK_NODES)
     check_y = domain.y_from_unit(_CHECK_NODES)
     reference = None  # f on the check grid, sampled at most once
-    n = n0
+    nx = ny = n0
     values = None
     tail = math.nan
     while True:
         # the samples, the previous samples and the transform's arrays,
         # checked before any of them is allocated
-        held = (n + 1) ** 2 + (n // 2 + 1) ** 2 + _transform_entries(n + 1, n + 1)
+        held = ((nx + 1) * (ny + 1) + (0 if values is None else values.size)
+                + _transform_entries(nx + 1, ny + 1))
         _check_grid_budget(
-            f"the pass at degree bound {n}", held,
+            f"the pass at {_bounds(nx, ny)}", held,
             lambda message: ConvergenceError(
-                message if values is None else f"{message}; {why} at degree bound {n // 2}",
+                message if values is None else
+                f"{message}; {why} at {_bounds(*(s - 1 for s in values.shape))}",
                 float(tail)))
-        u = lobatto_nodes(n)
-        xs, ys = domain.x_from_unit(u), domain.y_from_unit(u)
+        xs = domain.x_from_unit(lobatto_nodes(nx))
+        ys = domain.y_from_unit(lobatto_nodes(ny))
         if values is None:
             values = _sample_on(f, xs, ys)
         else:
-            # lobatto_nodes(n)[::2] is lobatto_nodes(n / 2) bit for bit: keep
-            # the previous samples and sample only the odd rows and odd columns
-            previous, values = values, np.empty((n + 1, n + 1))
-            values[::2, ::2] = previous
-            values[1::2, :] = _sample_on(f, xs[1::2], ys)
-            values[::2, 1::2] = _sample_on(f, xs[::2], ys[1::2])
+            # lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit: keep
+            # the previous samples and sample only the new rows and columns
+            previous, values = values, np.empty((nx + 1, ny + 1))
+            sx, sy = nx // (previous.shape[0] - 1), ny // (previous.shape[1] - 1)
+            values[::sx, ::sy] = previous
+            if sx == 2:
+                values[1::2, :] = _sample_on(f, xs[1::2], ys)
+            if sy == 2:
+                values[::sx, 1::2] = _sample_on(f, xs[::sx], ys[1::2])
         coeffs = _lobatto_coeffs(values)
         threshold = tol * np.abs(values).max() if relative else float(tol)
-        tail = max(np.abs(coeffs[-2:, :]).max(), np.abs(coeffs[:, -2:]).max())
+        tail_x = np.abs(coeffs[-2:, :]).max()
+        tail_y = np.abs(coeffs[:, -2:]).max()
+        tail = max(tail_x, tail_y)
         # a zero tail passes even against a zero threshold (f zero on the grid)
-        if tail < threshold or tail == 0.0:
+        grow_x = not (tail_x < threshold or tail_x == 0.0)
+        grow_y = not (tail_y < threshold or tail_y == 0.0)
+        if not (grow_x or grow_y):
             coeffs[np.abs(coeffs) < threshold] = 0.0
             rows = np.flatnonzero(coeffs.any(axis=1))
             if rows.size == 0:
@@ -522,18 +562,24 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
             if reference is None:
                 reference = _sample_on(f, check_x, check_y)
             misfit = np.abs(evaluate_grid(c, check_x, check_y) - reference).max()
-            # the trim drops at most (n + 1)^2 entries, each below threshold
-            bound = (n + 1) ** 2 * threshold
+            # the trim drops at most (nx + 1)(ny + 1) entries, each below threshold
+            bound = (nx + 1) * (ny + 1) * threshold
             if misfit <= bound:
                 return c
             why = (f"off-grid misfit {misfit:.3e} above {bound:.3e} although "
                    f"the coefficient tail {tail:.3e} passed against "
                    f"{threshold:.3e}")
-        else:
+            grow_x = grow_y = True
+        elif nx == ny:
             why = f"coefficient tail {tail:.3e} still at or above {threshold:.3e}"
-        if 2 * n > max_n:
-            raise ConvergenceError(f"{why} at degree bound {n}", float(tail))
-        n *= 2
+        else:
+            failed = [f"{t:.3e} in {axis}" for axis, t, grow in
+                      (("x", tail_x, grow_x), ("y", tail_y, grow_y)) if grow]
+            why = (f"coefficient tail {' and '.join(failed)} still at or "
+                   f"above {threshold:.3e}")
+        if (grow_x and 2 * nx > max_n) or (grow_y and 2 * ny > max_n):
+            raise ConvergenceError(f"{why} at {_bounds(nx, ny)}", float(tail))
+        nx, ny = nx * (1 + grow_x), ny * (1 + grow_y)
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):
@@ -632,9 +678,8 @@ def evaluate_matrix(c, x, y):
     values = np.empty(u.size)
     for start in range(0, u.size, _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
-        values[block] = np.einsum(
-            "ij,ij->i", cheb_basis(c.degree_x, u[block]) @ c.coeffs,
-            cheb_basis(c.degree_y, v[block]))
+        basis_x, basis_y = _basis_pair(c, u[block], v[block])
+        values[block] = np.einsum("ij,ij->i", basis_x @ c.coeffs, basis_y)
     return values.reshape(x.shape)
 
 
@@ -667,8 +712,8 @@ def evaluate_grid(c, xs, ys):
         raise InvalidInputError(
             f"grid axes must be 1-D, got shapes {xs.shape} and {ys.shape}")
     u, v = _unit_points(c, xs[:, None], ys[None, :])
-    basis_x = cheb_basis(c.degree_x, u.ravel())
-    return basis_x @ c.coeffs @ cheb_basis(c.degree_y, v.ravel()).T
+    basis_x, basis_y = _basis_pair(c, u.ravel(), v.ravel())
+    return basis_x @ c.coeffs @ basis_y.T
 
 
 # ---------------------------------------------------------------------------
@@ -679,16 +724,23 @@ def parseval_indicator(c, f):
     """Weighted L2 mass of f minus the mass captured by the stored coefficients.
 
     The weighted integral of f^2 is estimated as the constant coefficient of
-    f^2 on a Lobatto grid twice as fine as the stored degrees require (the
-    mean of f^2 over the periodicized grid of the same nodes).  Rounding
-    can make the result slightly negative; it is returned unmodified.
+    f^2 on the Lobatto grid whose degree on each axis is the smallest power
+    of two at least twice that axis' stored degree plus one, which
+    integrates f^2 exactly when f is the stored polynomial.  Rounding can
+    make the result slightly negative; it is returned unmodified.
+    ValidationError, before f is sampled, if that grid, its squares and the
+    transform's arrays would exceed the grid budget.
     """
     a = c.coeffs
     mass = a[0, 0] ** 2
     mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
     mass += 0.25 * np.sum(a[1:, 1:] ** 2)
-    u = lobatto_nodes(1 << (2 * max(c.degree_x, c.degree_y) + 1).bit_length())
-    values = _sample_on(f, c.domain.x_from_unit(u), c.domain.y_from_unit(u))
+    n = 1 << (2 * c.degree_x + 1).bit_length()
+    m = 1 << (2 * c.degree_y + 1).bit_length()
+    _check_grid_budget(f"the Parseval indicator's {n + 1} x {m + 1} grid",
+                       2 * (n + 1) * (m + 1) + _transform_entries(n + 1, m + 1))
+    values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),
+                        c.domain.y_from_unit(lobatto_nodes(m)))
     return float(_lobatto_coeffs(values ** 2, 1)[0, 0] - mass)
 
 

@@ -140,14 +140,17 @@ def cmd_approx(args):
     tol = _tolerance(args)
     started = time.perf_counter()
     c, f = _build_from_expression(args, args.expression, tol)
-    indicator = parseval_indicator(c, f)
+    try:
+        indicator = _fmt(parseval_indicator(c, f))
+    except ValidationError as exc:  # its grid is over the budget; c is not
+        indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
     sparse = to_sparse(c)
     save(sparse, args.output)
     print(f"wrote {args.output}")
     print(f"degrees: {c.degree_x} {c.degree_y}")
     print(f"nonzero coefficients: {len(sparse.entries)}")
-    print(f"parseval indicator: {_fmt(indicator)}")
+    print(f"parseval indicator: {indicator}")
     print(f"wall time: {elapsed:.3f} s")
     return EXIT_OK
 
@@ -324,7 +327,8 @@ def _add_grid_options(sub, grid_help):
 def _add_build_options(sub):
     _add_formula_options(sub, "trim tolerance")
     sub.add_argument("--max-n", type=int, default=4096,
-                     help="degree of the largest sampled grid (default 4096)")
+                     help="largest degree bound of either axis of a sampled "
+                          "grid; the axes double separately (default 4096)")
     sub.add_argument("--n0", type=int, default=8,
                      help="degree of the first sampled grid (default 8)")
     sub.add_argument("--relative-tol", action="store_true",

@@ -81,6 +81,33 @@ class TestChebVector:
             assert v[k] == pytest.approx(bc.cheb_t(k, 0.3), abs=1e-14)
 
 
+class TestChebBasis:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 142, 700])
+    def test_rows_are_cheb_vector_bit_for_bit(self, n):
+        t = np.concatenate(([-1.0, 0.0, 1.0],
+                            np.random.default_rng(n).uniform(-1.0, 1.0, 61)))
+        basis = bc.cheb_basis(n, t)
+        assert basis.shape == (t.size, n + 1) and basis.flags.c_contiguous
+        assert np.array_equal(basis, [bc.cheb_vector(n, x) for x in t])
+
+    @pytest.mark.parametrize("shape", [(6, 10), (10, 6), (1, 4), (7, 7)])
+    def test_evaluators_equal_a_basis_per_axis(self, shape):
+        # one recurrence for both axes gives the values of one per axis,
+        # over two blocks of evaluate_matrix
+        rng = np.random.default_rng(shape[0])
+        c = bc.Cheb2(rng.standard_normal(shape))
+        block = chebcore._EVAL_BLOCK
+        xs, ys = rng.uniform(-1.0, 1.0, 2 * block), rng.uniform(-1.0, 1.0, 37)
+        grid = bc.cheb_basis(c.degree_x, xs) @ c.coeffs @ bc.cheb_basis(c.degree_y, ys).T
+        assert np.array_equal(bc.evaluate_grid(c, xs, ys), grid)
+        ys = rng.uniform(-1.0, 1.0, xs.size)
+        values = np.concatenate([
+            np.einsum("ij,ij->i", bc.cheb_basis(c.degree_x, xs[k:k + block]) @ c.coeffs,
+                      bc.cheb_basis(c.degree_y, ys[k:k + block]))
+            for k in (0, block)])
+        assert np.array_equal(bc.evaluate_matrix(c, xs, ys), values)
+
+
 class TestSampleGrid:
     def test_constant(self):
         grid = bp.sample_grid(lambda x, y: 5.0, 4)
@@ -395,8 +422,42 @@ class TestBuildAdaptive:
         with pytest.raises(ConvergenceError,
                            match=r"degree bound 1024 needs .* over the budget.*"
                                  r"coefficient tail .* at degree bound 512") as info:
-            bc.build_adaptive(lambda x, y: np.abs(x) + 0.0 * y, 1e-15)
+            bc.build_adaptive(lambda x, y: np.abs(x) + np.abs(y), 1e-15)
         assert degrees[-1] == 512
+        assert info.value.tail_magnitude > 1e-15
+
+    def test_each_axis_doubles_on_its_own(self):
+        # x needs degree 123, y only 10: the final grid is 129 x 17
+        points = []
+
+        def f(x, y):
+            points.append(np.broadcast(x, y).size)
+            return np.sin(80.0 * x) * np.cos(y / 2.0)
+
+        c = bc.build_adaptive(f, 1e-14, relative=True)
+        assert (c.degree_x, c.degree_y) == (123, 10)
+        assert sum(points) == 129 * 17 + 1024
+
+    def test_same_as_one_pass_on_the_final_grid(self):
+        def runge(x, y):
+            return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+        c = bc.build_adaptive(runge, 1e-14, relative=True)
+        once = bc.build_adaptive(runge, 1e-14, n0=256, max_n=256, relative=True)
+        assert np.array_equal(c.coeffs, once.coeffs) and c.tol == once.tol
+
+    def test_resolved_axis_stays_at_its_bound(self):
+        ys = set()
+
+        def f(x, y):
+            ys.update(np.ravel(y).tolist())
+            return np.abs(x) + 0.0 * y
+
+        with pytest.raises(ConvergenceError,
+                           match=r"tail .* in x still at or above .* "
+                                 r"at degree bounds 4096 x 8$") as info:
+            bc.build_adaptive(f, 1e-15)
+        assert ys == set(chebcore.lobatto_nodes(8).tolist())
         assert info.value.tail_magnitude > 1e-15
 
     def test_first_pass_over_budget(self, monkeypatch):
@@ -579,6 +640,26 @@ class TestParsevalIndicator:
     def test_full_example2(self, example2):
         value = bc.parseval_indicator(example2, f_example2)
         assert abs(value) <= 1e-12
+
+    def test_grid_per_axis(self):
+        # degrees 5 and 0 need 16 and 2: the smallest powers of two >= 2 (d + 1)
+        shapes = []
+
+        def f(x, y):  # T_5(x)
+            shapes.append(np.broadcast(x, y).shape)
+            return 16.0 * x ** 5 - 20.0 * x ** 3 + 5.0 * x + 0.0 * y
+
+        c = bc.Cheb2([[0.0]] * 5 + [[1.0]])
+        assert abs(bc.parseval_indicator(c, f)) <= 1e-14
+        assert shapes == [(17, 3)]
+
+    def test_over_budget_refused_before_sampling(self, monkeypatch):
+        c = bc.Cheb2(np.ones((3000, 2)))
+        calls = []
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 20)
+        with pytest.raises(ValidationError, match="8193 x 5 grid needs .* budget"):
+            bc.parseval_indicator(c, lambda x, y: calls.append(1) or x * y)
+        assert calls == []
 
     def test_leading_coefficient_equals_full_transform(self, example2, monkeypatch):
         value = bc.parseval_indicator(example2, f_example2)

@@ -10,7 +10,7 @@ import pytest
 
 import bicheb as bc
 import bicheb.paper as bp
-from bicheb import chebcore
+from bicheb import chebcore, cli
 from bicheb.cli import (
     EXIT_CONVERGENCE,
     EXIT_EVAL,
@@ -96,6 +96,24 @@ class TestApprox:
         code, _, err = run(capsys, "approx", "abs(x)", "--max-n", "16",
                            "-o", str(tmp_path / "x.json"))
         assert code == EXIT_CONVERGENCE
+
+    def test_indicator_over_budget_is_skipped(self, capsys, tmp_path, monkeypatch):
+        # the budget cut after the build, so that only the indicator is over it
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, "approx", "cos(x*y)", "-o", str(first))[0] == EXIT_OK
+        build = cli.build_adaptive
+
+        def build_then_shrink_budget(*args, **kwargs):
+            c = build(*args, **kwargs)
+            monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
+            return c
+
+        monkeypatch.setattr(cli, "build_adaptive", build_then_shrink_budget)
+        code, out, err = run(capsys, "approx", "cos(x*y)", "-o", str(second))
+        assert code == EXIT_OK and err == ""
+        assert second.read_bytes() == first.read_bytes()
+        assert ("parseval indicator: skipped (the Parseval indicator's 33 x 33 "
+                "grid needs") in out and "over the budget" in out
 
     def test_zero_function_with_relative_tolerance(self, capsys, tmp_path):
         path = tmp_path / "z.json"
