@@ -18,6 +18,16 @@ and columns.  Once both tails pass, the trimmed approximant must also match
 f at a fixed set of off-grid check points.  Before each pass the builder
 checks the bytes that pass will hold against the grid budget.
 
+A pass holds about two grid-sized arrays: the samples, which f's values
+are written into directly (the previous samples are let go once copied
+in), and one transform array, whose second axis is transformed in place.
+The relative threshold and the trim read and zero the arrays in place,
+with no grid of magnitudes.  f's own result for the new nodes and a
+trimmed copy of the coefficients are the only other large arrays.  The
+budget charges the samples, the previous samples and the transform's two
+grids plus its chunk buffers (_transform_entries), so it covers what a
+pass holds with a grid to spare.
+
 The transform makes one pass per axis over chunks of rows (of columns in
 the second pass): each chunk's even extension, real FFT and scaling, in a
 buffer laid out like its input and small enough to stay in cache.  From a
@@ -284,21 +294,24 @@ def lobatto_nodes(n):
     return nodes
 
 
-def _sample_on(f, xs, ys):
-    """Evaluate f on the tensor grid xs x ys as a (len(xs), len(ys)) array.
+def _sample_on(f, xs, ys, out=None):
+    """Evaluate f on the tensor grid xs x ys into out, a (len(xs), len(ys))
+    array or view (a new array if None), and return out.
 
-    A single broadcast call is attempted first.  If it raises TypeError or
-    ValueError, the errors of scalar-only callables given arrays, f is
-    sampled by a sequential per-node loop instead; any other error
-    propagates.  A non-finite sample raises SamplingError naming the node's
-    (x, y).
+    A single broadcast call is attempted first and its result is written
+    straight into out, with no copy of its own, so the builder's pass holds
+    its grid and f's result, not a third array.  If the call raises
+    TypeError or ValueError, the errors of scalar-only callables given
+    arrays, f is sampled by a sequential per-node loop instead; any other
+    error propagates.  A non-finite sample raises SamplingError naming the
+    node's (x, y).
     """
     shape = (len(xs), len(ys))
+    values = np.empty(shape) if out is None else out
     try:
         raw = np.asarray(f(xs[:, None], ys[None, :]), dtype=float)
-        values = np.array(np.broadcast_to(raw, shape))
+        values[...] = np.broadcast_to(raw, shape)
     except (TypeError, ValueError):
-        values = np.empty(shape)
         for k in range(shape[0]):
             for j in range(shape[1]):
                 values[k, j] = f(xs[k], ys[j])
@@ -321,7 +334,9 @@ def _dct_rows(values, out):
     The rows go through in chunks of about _CHUNK_ENTRIES extension entries,
     so that reading a transposed input and writing a transposed output stay
     in cache.  From _SPLIT_WORK rows times n up, threads share the chunks
-    out (_share); numpy's FFT releases the GIL.
+    out (_share); numpy's FFT releases the GIL.  out may be values itself:
+    a chunk copies its rows into its extension before it writes them, and
+    no other chunk reads them.
     """
     rows, n = values.shape[0], values.shape[1] - 1
     k = out.shape[1]
@@ -383,11 +398,14 @@ def _share(task, items, threads):
 
 
 def _transform_entries(rows, cols):
-    """Float64 entries _lobatto_coeffs holds besides a rows x cols input: the
-    first axis' output, the coefficients, and on each thread one chunk's
-    even extension and complex FFT output.  Those take at most
+    """Float64 entries charged for what _lobatto_coeffs holds besides a
+    rows x cols input: two grids, and on each thread one chunk's even
+    extension and complex FFT output.  Those take at most
     4 (_CHUNK_ENTRIES + n + 1) for rows of n + 1, and all chunks together
-    at most 4 rows cols."""
+    at most 4 rows cols.  Without keep the second axis runs in place in
+    the first axis' output, so the transform holds one grid and the charge
+    leaves a grid to spare, which covers the trimmed copy a builder pass
+    makes of the coefficients."""
     chunks = 4 * min(rows * cols, _CPUS * (_CHUNK_ENTRIES + max(rows, cols)))
     return 2 * rows * cols + chunks
 
@@ -396,6 +414,11 @@ def _lobatto_coeffs(values, keep=None):
     """Chebyshev coefficients of the interpolant through samples on the
     (n + 1) x (m + 1) Lobatto grid, n, m >= 1: the DCT-I of each row, then
     of each column of the result (_dct_rows).
+
+    Without keep the second axis runs in place, in the first axis' output,
+    so the transform holds one grid-sized array besides values.  That is
+    safe because each chunk of columns is copied into its extension before
+    its coefficients are written back, and chunks own disjoint columns.
 
     With keep, only the leading keep x keep block is computed: each axis
     keeps the first keep outputs of its FFT, so the second axis transforms
@@ -409,7 +432,7 @@ def _lobatto_coeffs(values, keep=None):
         rows, cols = min(keep, rows), min(keep, cols)
     first = np.empty((values.shape[0], cols))
     _dct_rows(values, first)
-    coeffs = np.empty((rows, cols))
+    coeffs = first if keep is None else np.empty((rows, cols))
     _dct_rows(first.T, coeffs.T)
     return coeffs
 
@@ -534,16 +557,21 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
             values = _sample_on(f, xs, ys)
         else:
             # lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit: keep
-            # the previous samples and sample only the new rows and columns
+            # the previous samples and sample only the new rows and columns,
+            # straight into the grid, once the previous samples are let go
             previous, values = values, np.empty((nx + 1, ny + 1))
             sx, sy = nx // (previous.shape[0] - 1), ny // (previous.shape[1] - 1)
             values[::sx, ::sy] = previous
+            del previous
             if sx == 2:
-                values[1::2, :] = _sample_on(f, xs[1::2], ys)
+                _sample_on(f, xs[1::2], ys, values[1::2, :])
             if sy == 2:
-                values[::sx, 1::2] = _sample_on(f, xs[::sx], ys[1::2])
+                _sample_on(f, xs[::sx], ys[1::2], values[::sx, 1::2])
         coeffs = _lobatto_coeffs(values)
-        threshold = tol * np.abs(values).max() if relative else float(tol)
+        # tol times max |values|, with no grid of magnitudes; the 0.0 first
+        # makes the threshold of an all -0.0 grid 0.0, as max |values| is
+        threshold = (tol * max(0.0, values.max(), -values.min()) if relative
+                     else float(tol))
         tail_x = np.abs(coeffs[-2:, :]).max()
         tail_y = np.abs(coeffs[:, -2:]).max()
         tail = max(tail_x, tail_y)
@@ -551,7 +579,9 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         grow_x = not (tail_x < threshold or tail_x == 0.0)
         grow_y = not (tail_y < threshold or tail_y == 0.0)
         if not (grow_x or grow_y):
-            coeffs[np.abs(coeffs) < threshold] = 0.0
+            # zero |coeffs| < threshold in place, with no grid of magnitudes
+            np.copyto(coeffs, 0.0,
+                      where=(coeffs < threshold) & (coeffs > -threshold))
             rows = np.flatnonzero(coeffs.any(axis=1))
             if rows.size == 0:
                 coeffs = np.zeros((1, 1))
@@ -729,7 +759,8 @@ def parseval_indicator(c, f):
     integrates f^2 exactly when f is the stored polynomial.  Rounding can
     make the result slightly negative; it is returned unmodified.
     ValidationError, before f is sampled, if that grid, its squares and the
-    transform's arrays would exceed the grid budget.
+    transform's arrays would exceed the grid budget.  The squares overwrite
+    the samples, so the charge counts a grid more than is held.
     """
     a = c.coeffs
     mass = a[0, 0] ** 2
@@ -741,7 +772,7 @@ def parseval_indicator(c, f):
                        2 * (n + 1) * (m + 1) + _transform_entries(n + 1, m + 1))
     values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),
                         c.domain.y_from_unit(lobatto_nodes(m)))
-    return float(_lobatto_coeffs(values ** 2, 1)[0, 0] - mass)
+    return float(_lobatto_coeffs(np.square(values, out=values), 1)[0, 0] - mass)
 
 
 # ---------------------------------------------------------------------------
@@ -796,13 +827,18 @@ def _require_int(doc, key):
     v = doc.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ValidationError(f'"{key}" must be an integer')
+    if v >= 2 ** 63:  # keeps the budget's arithmetic and messages in range
+        raise ValidationError(f'"{key}" must be below 2^63')
     return v
 
 
 def _require_real(v, what):
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ValidationError(f"{what} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the largest double
+        raise ValidationError(f"{what} is too large for a double") from None
 
 
 def _read_ascii(path, what):
@@ -818,8 +854,11 @@ def load(source):
     """Read a SparseCoeffs document from a path or text file object.
 
     Malformed JSON or a non-ASCII byte in the file raises ParseError with
-    the offending location; a well-formed document that violates the
-    coefficient invariants raises ValidationError.
+    the offending location; nesting too deep for the parser and an integer
+    literal longer than Python converts raise it at offset 0.  A well-formed
+    document that violates the coefficient invariants, holds a number
+    beyond the largest double or declares a degree of 2^63 or more raises
+    ValidationError.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -831,6 +870,11 @@ def load(source):
         raise ParseError(
             f"malformed coefficient document: {exc.msg} "
             f"at line {exc.lineno} column {exc.colno}", exc.pos) from None
+    except RecursionError:
+        raise ParseError("coefficient document nests too deeply to parse", 0) from None
+    except ValueError:  # an integer literal over Python's int-string limit
+        raise ParseError("coefficient document holds an integer literal "
+                         "too long to convert", 0) from None
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
     missing = [k for k in _DOC_KEYS if k not in doc]

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ class TestLobatto:
             if shape[1] == shape[0]:
                 assert np.array_equal(chebcore._lobatto_coeffs(values, n + 1), full)
 
+    def test_second_axis_runs_in_place(self, monkeypatch):
+        # one grid besides the input, and one chunk's buffers of 256 KiB each
+        monkeypatch.setattr(chebcore, "_CPUS", 1)
+        values = np.random.default_rng(4).standard_normal((513, 1025))
+        tracemalloc.start()
+        try:
+            coeffs = chebcore._lobatto_coeffs(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * coeffs.nbytes
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("chunk", [1, 40, chebcore._CHUNK_ENTRIES])
     def test_split_matches_serial(self, monkeypatch, cpus, chunk):
@@ -399,6 +412,39 @@ class TestBuildAdaptive:
         # the threshold is tol * 0 = 0; the zero tail must still pass
         c = bc.build_adaptive(lambda x, y: 0.0 * x * y, 1e-15, relative=True)
         assert np.array_equal(c.coeffs, [[0.0]])
+
+    def test_negative_zero_function_writes_zero_tol(self):
+        # max |values| of an all -0.0 grid is 0.0, so the threshold is too
+        c = bc.build_adaptive(lambda x, y: np.full(np.broadcast(x, y).shape, -0.0),
+                              1e-15, relative=True)
+        assert math.copysign(1.0, c.tol) == 1.0
+        assert '"tol": 0,' in bc.document_text(bc.to_sparse(c))
+
+    def test_relative_threshold_of_a_negative_function(self):
+        # largest magnitude 3, at x = 1, where f is most negative
+        c = bc.build_adaptive(lambda x, y: -(2.0 + x) + 0.0 * y, 1e-14,
+                              relative=True)
+        assert c.tol == 1e-14 * 3.0
+
+    def test_budget_covers_what_a_pass_allocates(self, monkeypatch):
+        # the bump's last pass is 1025 x 1025; everything the build
+        # allocates, f's own arrays included, fits in the largest charge
+        charged = []
+        check = chebcore._check_grid_budget
+
+        def recording(what, entries, error=ValidationError):
+            charged.append(entries)
+            check(what, entries, error)
+
+        monkeypatch.setattr(chebcore, "_check_grid_budget", recording)
+        tracemalloc.start()
+        try:
+            c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert min(c.coeffs.shape) > 513
+        assert peak <= 8 * max(charged)
 
     def test_zero_on_the_grid_only_names_the_misfit(self):
         def f(x, y):

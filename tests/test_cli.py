@@ -261,6 +261,23 @@ class TestEval:
         assert code == EXIT_PARSE
         assert "non-ASCII" in err
 
+    @pytest.mark.parametrize("text, expected", [
+        ("[" * 200_000, EXIT_PARSE),  # deeper than json's recursion limit
+        ('{"degree_x": 0, "degree_y": 0, "domain": [-1, 1, -1, 1], "tol": 0, '
+         '"entries": [[0, 0, ' + "7" * 4301 + ']]}', EXIT_PARSE),  # int-string limit
+        ('{"degree_x": 0, "degree_y": 0, "domain": [-1, 1, -1, 1], "tol": 0, '
+         '"entries": [[0, 0, 1' + "0" * 400 + ']]}', EXIT_VALIDATION),  # > max double
+        ('{"degree_x": 1' + "0" * 400 + ', "degree_y": 0, "domain": [-1, 1, -1, 1], '
+         '"tol": 0, "entries": []}', EXIT_VALIDATION),  # bytes > max double
+    ], ids=["deep", "long-int", "huge-int", "huge-degree"])
+    def test_document_past_the_json_parser(self, capsys, tmp_path, text, expected):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", str(path), "--point", "0,0")
+        assert code == expected
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_inconsistent_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"degree_x": 1, "degree_y": 1, '

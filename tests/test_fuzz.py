@@ -1,0 +1,125 @@
+"""Fuzz tests: whatever coefficient document ``bicheb eval`` reads, it ends
+with a documented exit code, never a traceback.
+
+Skipped when Hypothesis is not installed.  Examples are derandomized, so
+every run tries the same documents.
+"""
+
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bicheb import cli
+
+# 0 success, 2 syntax, 4 validation, 5 I/O, 6 evaluation
+DOCUMENTED = {0, 2, 4, 5, 6}
+
+FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+# integers stay small enough that a declared degree under the grid budget
+# allocates little; the large ones are over it
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 5, 10 ** 5)
+    | st.sampled_from([10 ** 9, 2 ** 63, 10 ** 400]) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+# number literals as text: json.dumps cannot write an integer past the
+# int-string limit, and JSON has no inf or nan of its own
+number_literals = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "0.0", "1e400", "-1e400", "1e-400", "NaN", "Infinity",
+                     "1" + "0" * 400, "7" * 4301, "1e308", "true", "null", '"1"']),
+)
+index_literals = st.one_of(
+    st.integers(0, 6).map(str),
+    st.sampled_from(["-1", "1000000000", "1" + "0" * 400, "7" * 4301, "1.0",
+                     "true", "null"]),
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """Documents with the five keys (some dropped or duplicated) whose
+    values are mostly well formed: numbers at the edges of what JSON and a
+    double can hold, small degrees, a few entries."""
+    entries = draw(st.lists(
+        st.tuples(index_literals, index_literals, number_literals)
+        .map(lambda e: "[" + ", ".join(e) + "]"), max_size=5))
+    fields = {
+        "degree_x": draw(index_literals),
+        "degree_y": draw(index_literals),
+        "domain": "[" + ", ".join(draw(st.lists(number_literals, min_size=3,
+                                                max_size=5))) + "]",
+        "tol": draw(number_literals),
+        "entries": "[" + ", ".join(entries) + "]",
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(fields)), min_size=4, max_size=6))
+    body = ", ".join(f'"{k}": {fields[k]}' for k in keys)
+    return "{" + body + "}" + draw(st.sampled_from(["", "\n", "]", " x", "\xe9"]))
+
+
+def _valid_document():
+    return {"degree_x": 2, "degree_y": 1, "domain": [-1, 1, -1, 1], "tol": 0,
+            "entries": [[0, 0, 0.5], [2, 1, -0.25]]}
+
+
+deep_documents = st.integers(1, 200_000).map(lambda n: "[" * n)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "c.json"
+
+
+def _eval_exit_code(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    return cli.main(["eval", str(path), "--point", "0,0"])
+
+
+@FUZZ
+@given(value=json_values)
+def test_any_json_value(doc_path, value):
+    text = json.dumps(value)
+    assert _eval_exit_code(doc_path, text) in DOCUMENTED
+
+
+@FUZZ
+@given(text=near_valid_documents())
+def test_near_valid_documents(doc_path, text):
+    assert _eval_exit_code(doc_path, text) in DOCUMENTED
+
+
+# numbers at the edges of a double, as JSON values
+edge_numbers = st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024, 2 ** 1023, 1e308,
+                                -0.0, 5e-324, float("inf"), float("nan")])
+
+
+@FUZZ
+@given(key=st.sampled_from(sorted(_valid_document())),
+       value=edge_numbers | json_values)
+def test_one_field_replaced(doc_path, key, value):
+    doc = _valid_document()
+    doc[key] = value
+    assert _eval_exit_code(doc_path, json.dumps(doc)) in DOCUMENTED
+
+
+@FUZZ
+@given(text=deep_documents | st.text(max_size=40))
+def test_deep_or_arbitrary_text(doc_path, text):
+    assert _eval_exit_code(doc_path, text) in DOCUMENTED
+
+
+def test_valid_document_evaluates(doc_path, capsys):
+    # the fuzzed documents start from this one, which is well formed
+    assert _eval_exit_code(doc_path, json.dumps(_valid_document())) == 0
+    # 0.5 T_0(0) T_0(0) - 0.25 T_2(0) T_1(0), and T_1(0) = 0
+    assert float(capsys.readouterr().out) == 0.5
