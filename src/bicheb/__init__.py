@@ -14,7 +14,6 @@ from .chebcore import (
     UNIT_SQUARE,
     build_adaptive,
     cheb_basis,
-    cheb_t,
     cheb_vector,
     document_text,
     evaluate_clenshaw,
@@ -40,18 +39,6 @@ from .errors import (
     SamplingError,
     ValidationError,
 )
-from .exprparse import (
-    BinOp,
-    Call,
-    Neg,
-    Num,
-    Token,
-    Var,
-    eval_ast,
-    parse,
-    parse_expression,
-    pretty_print,
-    tokenize,
-)
+from .exprparse import eval_ast, parse_expression
 
 __version__ = "0.1.0"

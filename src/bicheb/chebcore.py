@@ -210,17 +210,12 @@ class SparseCoeffs:
 # Chebyshev polynomial evaluation
 
 
-def cheb_t(k, x):
-    """T_k(x), the last entry of ``cheb_vector(k, x)``.
+def cheb_vector(n, x):
+    """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}.
 
     x may overshoot [-1, 1] by up to 1e-12 and is clamped; anything further
     out raises DomainError.
     """
-    return float(cheb_vector(k, x)[k])
-
-
-def cheb_vector(n, x):
-    """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}."""
     if n < 0:
         raise InvalidInputError("degree must be >= 0")
     if abs(x) > 1.0 + _OVERSHOOT:
@@ -327,9 +322,9 @@ def _sample_on(f, xs, ys, out=None):
 
 
 def _dct_rows(values, out):
-    """out[i] = the first out.shape[1] entries of the DCT-I of values[i]:
-    the real FFT of the row's even extension, real part over n, first and
-    last entries halved.  values (any strides) has n + 1 >= 2 columns.
+    """out[i] = the DCT-I of values[i]: the real FFT of the row's even
+    extension, real part over n, first and last entries halved.  values and
+    out (any strides) have n + 1 >= 2 columns.
 
     The rows go through in chunks of about _CHUNK_ENTRIES extension entries,
     so that reading a transposed input and writing a transposed output stay
@@ -339,7 +334,6 @@ def _dct_rows(values, out):
     no other chunk reads them.
     """
     rows, n = values.shape[0], values.shape[1] - 1
-    k = out.shape[1]
     chunks = min(rows, -(-rows * 2 * n // _CHUNK_ENTRIES))
     threads = max(1, min(_CPUS, 2 * rows * n // _SPLIT_WORK))
     step = -(-rows // chunks)
@@ -354,12 +348,11 @@ def _dct_rows(values, out):
         ext = np.empty((hi - lo, 2 * n), order=order)
         ext[:, : n + 1] = values[lo:hi]
         ext[:, n + 1:] = values[lo:hi, -2:0:-1]
-        np.divide(np.fft.rfft(ext)[:, :k].real, n, out=out[lo:hi])
+        np.divide(np.fft.rfft(ext).real, n, out=out[lo:hi])
 
     _share(transform, range(0, rows, step), threads)
     out[:, 0] /= 2.0
-    if k == n + 1:
-        out[:, n] /= 2.0
+    out[:, n] /= 2.0
 
 
 def _share(task, items, threads):
@@ -402,38 +395,31 @@ def _transform_entries(rows, cols):
     rows x cols input: two grids, and on each thread one chunk's even
     extension and complex FFT output.  Those take at most
     4 (_CHUNK_ENTRIES + n + 1) for rows of n + 1, and all chunks together
-    at most 4 rows cols.  Without keep the second axis runs in place in
-    the first axis' output, so the transform holds one grid and the charge
-    leaves a grid to spare, which covers the trimmed copy a builder pass
-    makes of the coefficients."""
+    at most 4 rows cols.  The second axis runs in place in the first
+    axis' output, so the transform holds one grid and the charge leaves a
+    grid to spare, which covers the trimmed copy a builder pass makes of
+    the coefficients."""
     chunks = 4 * min(rows * cols, _CPUS * (_CHUNK_ENTRIES + max(rows, cols)))
     return 2 * rows * cols + chunks
 
 
-def _lobatto_coeffs(values, keep=None):
+def _lobatto_coeffs(values):
     """Chebyshev coefficients of the interpolant through samples on the
     (n + 1) x (m + 1) Lobatto grid, n, m >= 1: the DCT-I of each row, then
-    of each column of the result (_dct_rows).
+    of each column of the result (_dct_rows).  The builder and
+    lagrange_cheb_coeffs are its callers.
 
-    Without keep the second axis runs in place, in the first axis' output,
-    so the transform holds one grid-sized array besides values.  That is
-    safe because each chunk of columns is copied into its extension before
-    its coefficients are written back, and chunks own disjoint columns.
-
-    With keep, only the leading keep x keep block is computed: each axis
-    keeps the first keep outputs of its FFT, so the second axis transforms
-    keep rows instead of n + 1.  Every row's FFT is independent of the
-    others and runs the same operations whichever chunk or thread it falls
-    in, so the block equals _lobatto_coeffs(values)[:keep, :keep], and the
-    result is the same whatever the number of CPUs, bit for bit.
+    The second axis runs in place, in the first axis' output, so the
+    transform holds one grid-sized array besides values.  That is safe
+    because each chunk of columns is copied into its extension before its
+    coefficients are written back, and chunks own disjoint columns.  Every
+    row's FFT is independent of the others and runs the same operations
+    whichever chunk or thread it falls in, so the result is the same
+    whatever the number of CPUs, bit for bit.
     """
-    rows, cols = values.shape
-    if keep is not None:
-        rows, cols = min(keep, rows), min(keep, cols)
-    first = np.empty((values.shape[0], cols))
-    _dct_rows(values, first)
-    coeffs = first if keep is None else np.empty((rows, cols))
-    _dct_rows(first.T, coeffs.T)
+    coeffs = np.empty(values.shape)
+    _dct_rows(values, coeffs)
+    _dct_rows(coeffs.T, coeffs.T)
     return coeffs
 
 
@@ -457,9 +443,14 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
 
     where w is the half-at-the-endpoints weight vector, computed as a DCT-I
     along each axis.  The resulting polynomial matches f at every grid node.
+
+    Raises ValidationError, before f is sampled, if the samples and the
+    transform's arrays would exceed the grid budget.
     """
     if n < 1 or m < 1:
         raise InvalidInputError("interpolation degrees must be >= 1")
+    _check_grid_budget(f"the {n + 1} x {m + 1} interpolation grid",
+                       (n + 1) * (m + 1) + _transform_entries(n + 1, m + 1))
     xs = domain.x_from_unit(lobatto_nodes(n))
     ys = domain.y_from_unit(lobatto_nodes(m))
     return _lobatto_coeffs(_sample_on(f, xs, ys))
@@ -753,14 +744,18 @@ def evaluate_grid(c, xs, ys):
 def parseval_indicator(c, f):
     """Weighted L2 mass of f minus the mass captured by the stored coefficients.
 
-    The weighted integral of f^2 is estimated as the constant coefficient of
-    f^2 on the Lobatto grid whose degree on each axis is the smallest power
-    of two at least twice that axis' stored degree plus one, which
-    integrates f^2 exactly when f is the stored polynomial.  Rounding can
-    make the result slightly negative; it is returned unmodified.
-    ValidationError, before f is sampled, if that grid, its squares and the
-    transform's arrays would exceed the grid budget.  The squares overwrite
-    the samples, so the charge counts a grid more than is held.
+    The weighted integral of f^2 is estimated by the Gauss-Chebyshev-Lobatto
+    rule, weights 1/2, 1, ..., 1, 1/2 over n on each axis (Mason and
+    Handscomb, Chebyshev Polynomials, 2003, sec. 4.6), on the Lobatto grid
+    whose degree n on each axis is the smallest power of two at least twice
+    that axis' stored degree plus one.  The rule is the constant coefficient
+    of the interpolant of f^2 on that grid, so it integrates f^2 exactly
+    when f is the stored polynomial.  It is summed with numpy reductions and
+    no BLAS product, so the result does not depend on the number of CPUs.
+    Rounding can make the result slightly negative; it is returned
+    unmodified.  ValidationError, before f is sampled, if the samples and
+    f's own result would exceed the grid budget; the squares overwrite the
+    samples.
     """
     a = c.coeffs
     mass = a[0, 0] ** 2
@@ -769,10 +764,13 @@ def parseval_indicator(c, f):
     n = 1 << (2 * c.degree_x + 1).bit_length()
     m = 1 << (2 * c.degree_y + 1).bit_length()
     _check_grid_budget(f"the Parseval indicator's {n + 1} x {m + 1} grid",
-                       2 * (n + 1) * (m + 1) + _transform_entries(n + 1, m + 1))
+                       2 * (n + 1) * (m + 1))
     values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),
                         c.domain.y_from_unit(lobatto_nodes(m)))
-    return float(_lobatto_coeffs(np.square(values, out=values), 1)[0, 0] - mass)
+    squares = np.square(values, out=values)
+    rows = 0.5 * (squares[:, 0] + squares[:, -1]) + squares[:, 1:-1].sum(axis=1)
+    total = 0.5 * (rows[0] + rows[-1]) + rows[1:-1].sum()
+    return float(total / (n * m) - mass)
 
 
 # ---------------------------------------------------------------------------

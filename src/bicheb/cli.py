@@ -39,7 +39,6 @@ from .chebcore import (
     UNIT_SQUARE,
     _check_grid_budget,
     _read_ascii,
-    _transform_entries,
     build_adaptive,
     evaluate_grid,
     evaluate_matrix,
@@ -251,9 +250,6 @@ def cmd_diff(args):
 
 def cmd_interp(args):
     tol = _tolerance(args)
-    # the samples and the transform's arrays
-    _check_grid_budget(f"-n {args.n} -m {args.m}", (args.n + 1) * (args.m + 1)
-                       + _transform_entries(args.n + 1, args.m + 1))
     ast = parse_expression(args.expression)
     f = _ast_function(ast)
     coeffs = lagrange_cheb_coeffs(f, args.n, args.m, domain=args.domain)

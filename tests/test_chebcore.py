@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -44,26 +45,43 @@ def narrow_bump(x, y):
     return np.exp(-5000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2))
 
 
+class TestPackage:
+    def test_public_names(self):
+        # the parser's tokens and AST nodes stay in bicheb.exprparse
+        names = sorted(name for name in dir(bc) if not name.startswith("_")
+                       and not isinstance(getattr(bc, name), types.ModuleType))
+        assert names == [
+            "Cheb2", "ChebError", "ConvergenceError", "Domain2", "DomainError",
+            "EvalError", "InvalidInputError", "LexError", "ParseError",
+            "SamplingError", "SparseCoeffs", "UNIT_SQUARE", "ValidationError",
+            "build_adaptive", "cheb_basis", "cheb_vector", "diff_x", "diff_y",
+            "document_text", "eval_ast", "evaluate_clenshaw", "evaluate_grid",
+            "evaluate_matrix", "integrate", "lagrange_cheb_coeffs", "load",
+            "parse_expression", "parseval_indicator", "save", "to_cheb2",
+            "to_sparse", "trim", "truncate"]
+
+
 class TestChebT:
+    # T_k(x) is the last entry of cheb_vector(k, x)
     def test_degree_zero_is_one(self):
-        assert bc.cheb_t(0, 0.37) == 1.0
+        assert bc.cheb_vector(0, 0.37)[0] == 1.0
 
     def test_degree_two(self):
-        assert bc.cheb_t(2, 0.5) == pytest.approx(-0.5, abs=1e-15)
+        assert bc.cheb_vector(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)
 
     def test_degree_three(self):
-        assert bc.cheb_t(3, 0.8) == pytest.approx(-0.352, abs=1e-12)
+        assert bc.cheb_vector(3, 0.8)[3] == pytest.approx(-0.352, abs=1e-12)
 
     def test_clamps_tiny_overshoot(self):
-        assert bc.cheb_t(5, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-12)
+        assert bc.cheb_vector(5, 1.0 + 1e-13)[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_material_overshoot(self):
         with pytest.raises(DomainError):
-            bc.cheb_t(2, 1.1)
+            bc.cheb_vector(2, 1.1)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(InvalidInputError):
-            bc.cheb_t(-1, 0.0)
+            bc.cheb_vector(-1, 0.0)
 
 
 class TestChebVector:
@@ -79,7 +97,7 @@ class TestChebVector:
     def test_matches_cheb_t(self):
         v = bc.cheb_vector(7, 0.3)
         for k in range(8):
-            assert v[k] == pytest.approx(bc.cheb_t(k, 0.3), abs=1e-14)
+            assert v[k] == pytest.approx(bc.cheb_vector(k, 0.3)[k], abs=1e-14)
 
 
 class TestChebBasis:
@@ -197,19 +215,6 @@ class TestLobatto:
             assert np.array_equal(chebcore.lobatto_nodes(2 * n)[::2],
                                   chebcore.lobatto_nodes(n))
 
-    def test_leading_block_equals_full_transform(self):
-        rng = np.random.default_rng(3)
-        for shape in ((9, 17), (17, 9), (33, 33)):
-            values = rng.standard_normal(shape)
-            full = chebcore._lobatto_coeffs(values)
-            for keep in (1, 2, 5, 9):
-                assert np.array_equal(chebcore._lobatto_coeffs(values, keep),
-                                      full[:keep, :keep])
-            # keep = n + 1 on a square grid halves the last entry, as in full
-            n = shape[0] - 1
-            if shape[1] == shape[0]:
-                assert np.array_equal(chebcore._lobatto_coeffs(values, n + 1), full)
-
     def test_second_axis_runs_in_place(self, monkeypatch):
         # one grid besides the input, and one chunk's buffers of 256 KiB each
         monkeypatch.setattr(chebcore, "_CPUS", 1)
@@ -230,12 +235,11 @@ class TestLobatto:
         # cores and frequent thread switches: a chunk lost or taken twice
         # would leave garbage or break the bit-for-bit match
         rng = np.random.default_rng(11)
-        cases = [(rng.standard_normal(shape), keep)
-                 for shape in ((9, 17), (17, 9), (33, 33), (257, 257))
-                 for keep in (None, 1, 5)]
+        cases = [rng.standard_normal(shape)
+                 for shape in ((9, 17), (17, 9), (33, 33), (257, 257))]
         monkeypatch.setattr(chebcore, "_CPUS", 1)
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", 2 ** 30)
-        serial = [chebcore._lobatto_coeffs(values, keep) for values, keep in cases]
+        serial = [chebcore._lobatto_coeffs(values) for values in cases]
         monkeypatch.setattr(chebcore, "_SPLIT_WORK", 1)
         monkeypatch.setattr(chebcore, "_CPUS", cpus)
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
@@ -243,8 +247,8 @@ class TestLobatto:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for (values, keep), expected in zip(cases, serial):
-                got = chebcore._lobatto_coeffs(values, keep)
+            for values, expected in zip(cases, serial):
+                got = chebcore._lobatto_coeffs(values)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, expected)
         finally:
@@ -327,9 +331,9 @@ class TestBuildAdaptive:
         degrees = []
         blocks = []
 
-        def recording(values, keep=None):
+        def recording(values):
             degrees.append(len(values) - 1)
-            blocks.append(transform(values, keep))
+            blocks.append(transform(values))
             return blocks[-1].copy()  # the builder trims its block in place
 
         monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
@@ -460,9 +464,9 @@ class TestBuildAdaptive:
         degrees = []
         transform = chebcore._lobatto_coeffs
 
-        def recording(values, keep=None):
+        def recording(values):
             degrees.append(len(values) - 1)
-            return transform(values, keep)
+            return transform(values)
 
         monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
         with pytest.raises(ConvergenceError,
@@ -700,19 +704,49 @@ class TestParsevalIndicator:
         assert shapes == [(17, 3)]
 
     def test_over_budget_refused_before_sampling(self, monkeypatch):
+        # the samples and f's result: 2 x 8193 x 5 doubles, 0.66 MB
         c = bc.Cheb2(np.ones((3000, 2)))
         calls = []
-        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 20)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 19)
         with pytest.raises(ValidationError, match="8193 x 5 grid needs .* budget"):
             bc.parseval_indicator(c, lambda x, y: calls.append(1) or x * y)
         assert calls == []
 
-    def test_leading_coefficient_equals_full_transform(self, example2, monkeypatch):
-        value = bc.parseval_indicator(example2, f_example2)
-        transform = chebcore._lobatto_coeffs
-        monkeypatch.setattr(chebcore, "_lobatto_coeffs",
-                            lambda values, keep=None: transform(values))
-        assert bc.parseval_indicator(example2, f_example2) == value
+    @pytest.mark.parametrize("case", ["example2", "runge", "random"])
+    def test_quadrature_equals_constant_coefficient(self, case, example2):
+        # the Lobatto rule is the (0, 0) DCT-I coefficient of f^2 on its grid
+        if case == "example2":
+            c, f = example2, f_example2
+        elif case == "runge":
+            def f(x, y):
+                return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+            c = bc.build_adaptive(f, 1e-14, relative=True)
+        else:
+            # degrees 8 and 4 give the 33 x 17 grid of random samples
+            rng = np.random.default_rng(17)
+            c = bc.Cheb2(0.2 * rng.standard_normal((9, 5)))
+            table = rng.standard_normal((33, 17))
+            nodes_x, nodes_y = chebcore.lobatto_nodes(32), chebcore.lobatto_nodes(16)
+
+            def f(x, y):
+                assert np.array_equal(x[:, 0], nodes_x)
+                assert np.array_equal(y[0], nodes_y)
+                return table
+
+        grids = []
+
+        def recording(x, y):
+            values = f(x, y)
+            grids.append(np.square(values))
+            return values
+
+        value = bc.parseval_indicator(c, recording)
+        a = c.coeffs
+        mass = (a[0, 0] ** 2 + 0.5 * np.sum(a[1:, 0] ** 2)
+                + 0.5 * np.sum(a[0, 1:] ** 2) + 0.25 * np.sum(a[1:, 1:] ** 2))
+        expected = chebcore._lobatto_coeffs(grids[0])[0, 0] - mass
+        assert abs(value - expected) <= 4 * math.ulp(mass)
 
 
 class TestCoeffsByQuadrature:

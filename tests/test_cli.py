@@ -625,6 +625,13 @@ class TestOptions:
         assert "budget" in err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_interp_parses_before_the_budget(self, capsys, tmp_path, monkeypatch):
+        # lagrange_cheb_coeffs charges the grid after the formula is parsed
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "interp", "x+", "-n", "100000", "-m", "100000")
+        assert code == EXIT_PARSE
+        assert out == "" and "budget" not in err
+
     @pytest.mark.parametrize("argv", [
         ["eval", "big.json", "--point", "0,0"],
         ["integrate", "big.json"],

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bicheb import (
+from bicheb.exprparse import (
     BinOp,
     Call,
     Neg,

@@ -8,7 +8,7 @@ import bicheb as bc
 import bicheb.paper as bp
 from bicheb import lagrange_cheb_coeffs
 from bicheb.paper import aliasing_coeffs, interp_error_bound_gap, lobatto_grid
-from bicheb.errors import InvalidInputError
+from bicheb.errors import InvalidInputError, ValidationError
 
 from conftest import f_cosxy
 
@@ -102,6 +102,14 @@ class TestLagrangeCoeffs:
     def test_rejects_degenerate_degrees(self):
         with pytest.raises(InvalidInputError):
             lagrange_cheb_coeffs(f_cosxy, 0, 3)
+
+    def test_over_budget_refused_before_sampling(self):
+        calls = []
+        with pytest.raises(ValidationError, match="100001 x 100001 interpolation "
+                                                  "grid needs .* over the budget"):
+            lagrange_cheb_coeffs(lambda x, y: calls.append(1) or x * y,
+                                 100000, 100000)
+        assert calls == []
 
     def test_domain_mapping(self):
         domain = bc.Domain2(0.0, 2.0, 0.0, 4.0)
