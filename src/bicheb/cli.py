@@ -251,8 +251,16 @@ def cmd_diff(args):
 def cmd_interp(args):
     tol = _tolerance(args)
     ast = parse_expression(args.expression)
+    n, m = args.n, args.m
+    if args.verify and n >= 1 and m >= 1:
+        # the coefficients and Cheb2's copy of them, the values at the nodes
+        # and f's, and the two arrays of evaluate_grid's one Chebyshev
+        # recurrence over the nodes of both axes
+        _check_grid_budget(
+            f"--verify on the {n + 1} x {m + 1} grid",
+            4 * (n + 1) * (m + 1) + 2 * (max(n, m) + 1) * (n + m + 2))
     f = _ast_function(ast)
-    coeffs = lagrange_cheb_coeffs(f, args.n, args.m, domain=args.domain)
+    coeffs = lagrange_cheb_coeffs(f, n, m, domain=args.domain)
     sparse = trim(coeffs, tol, args.domain)
     save(sparse, args.output)
     print(f"wrote {args.output}")
@@ -260,12 +268,12 @@ def cmd_interp(args):
     print(f"nonzero coefficients: {len(sparse.entries)}")
     if args.verify:
         c = Cheb2(coeffs, args.domain, tol)
-        xs = args.domain.x_from_unit(lobatto_nodes(args.n))
-        ys = args.domain.y_from_unit(lobatto_nodes(args.m))
-        approx = evaluate_grid(c, xs, ys)
-        exact = eval_ast(ast, xs[:, None], ys[None, :])
-        residual = float(np.abs(approx - exact).max())
-        print(f"max node residual: {_fmt(residual)}")
+        del coeffs
+        xs = args.domain.x_from_unit(lobatto_nodes(n))
+        ys = args.domain.y_from_unit(lobatto_nodes(m))
+        residual = evaluate_grid(c, xs, ys)
+        residual -= eval_ast(ast, xs[:, None], ys[None, :])
+        print(f"max node residual: {_fmt(np.abs(residual, out=residual).max())}")
     return EXIT_OK
 
 

@@ -525,6 +525,129 @@ class TestBuildAdaptive:
             bc.build_adaptive(f_cosxy, 1e-15, n0=8, max_n=4)
 
 
+def two_bumps(x, y):
+    return (np.exp(-5000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2))
+            + np.exp(-3000.0 * ((x + 0.4) ** 2 + (y - 0.5) ** 2)))
+
+
+def recording_rank_tests(monkeypatch):
+    """The results of build_adaptive's rank tests, one per call."""
+    results = []
+    rank_test = chebcore._rank_test
+
+    def recording(values, threshold):
+        results.append(rank_test(values, threshold))
+        return results[-1]
+
+    monkeypatch.setattr(chebcore, "_rank_test", recording)
+    return results
+
+
+class TestLowRankPhase:
+    def test_bump_matches_one_tensor_pass(self, monkeypatch):
+        ranks = recording_rank_tests(monkeypatch)
+        c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        assert [len(p) for p in ranks] == [1]
+        once = bc.build_adaptive(narrow_bump, 1e-14, n0=1024, max_n=1024,
+                                 relative=True)
+        assert c.coeffs.shape == once.coeffs.shape == (659, 683)
+        assert np.abs(c.coeffs - once.coeffs).max() <= 1e-17
+
+    def test_bump_samples_few_nodes_once(self):
+        # the 257 x 257 grid, the new nodes of one row and one column
+        # slice, and the check points
+        points = []
+
+        def recorder(x, y):
+            xb, yb = np.broadcast_arrays(x, y)
+            points.extend(zip(xb.ravel().tolist(), yb.ravel().tolist()))
+            return narrow_bump(x, y)
+
+        bc.build_adaptive(recorder, 1e-14, relative=True)
+        assert len(set(points)) == len(points) <= 100_000
+        assert len(points) == 257 ** 2 + 2 * 768 + 1024
+
+    def test_two_separated_bumps_have_rank_two(self, monkeypatch):
+        ranks = recording_rank_tests(monkeypatch)
+        c = bc.build_adaptive(two_bumps, 1e-14, relative=True)
+        assert [len(p) for p in ranks] == [2]
+        g = np.linspace(-1.0, 1.0, 301)
+        exact = two_bumps(g[:, None], g[None, :])
+        assert np.abs(bc.evaluate_grid(c, g, g) - exact).max() <= 1e-10
+
+    def test_rank_test_runs_once(self, monkeypatch):
+        # tol is below the rounding of f's samples: the tails fail at every
+        # pass from 256 on, and the grids are not low-rank at that threshold
+        ranks = recording_rank_tests(monkeypatch)
+        with pytest.raises(ConvergenceError, match="at degree bound 1024$"):
+            bc.build_adaptive(lambda x, y: 1000.0 * np.exp(x + y), 1e-15,
+                              max_n=1024)
+        assert len(ranks) == 1
+
+    def test_slices_at_max_n_resume_phase_1(self, monkeypatch):
+        # |x| + |y| has rank 2, but no slice resolves; phase 1 resumes from
+        # its 257 x 257 grid and stops at max_n itself
+        ranks = recording_rank_tests(monkeypatch)
+        degrees = []
+        transform = chebcore._lobatto_coeffs
+
+        def recording(values):
+            degrees.append(len(values) - 1)
+            return transform(values)
+
+        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        with pytest.raises(ConvergenceError,
+                           match=r"coefficient tail .* at degree bound 1024$"):
+            bc.build_adaptive(lambda x, y: np.abs(x) + np.abs(y), 1e-15,
+                              max_n=1024)
+        assert [len(p) for p in ranks] == [2]
+        assert degrees[-3:] == [256, 512, 1024]
+
+    def test_full_rank_stays_on_the_tensor_grids(self, monkeypatch):
+        def f(x, y):
+            return 1.0 / (1.0 + 100.0 * (x ** 2 + y ** 2))
+
+        ranks = recording_rank_tests(monkeypatch)
+        c = bc.build_adaptive(f, 1e-14, relative=True)
+        assert ranks == [None]
+        once = bc.build_adaptive(f, 1e-14, n0=512, max_n=512, relative=True)
+        assert np.array_equal(c.coeffs, once.coeffs) and c.tol == once.tol
+
+    def test_phase_two_over_budget_ends_in_convergence_error(self, monkeypatch):
+        # the budget holds the tensor pass at degree bound 512 but not the
+        # bump's 1025 x 1025 dense matrix: phase 2 stops before it, and
+        # phase 1 refuses its own pass at 1024
+        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
+        refused = []
+        check = chebcore._check_grid_budget
+
+        def recording(what, entries, error=ValidationError):
+            if 8 * entries > chebcore._GRID_BUDGET:
+                refused.append(what)
+            check(what, entries, error)
+
+        monkeypatch.setattr(chebcore, "_check_grid_budget", recording)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError,
+                               match=r"degree bound 1024 needs .* over the "
+                                     r"budget.* at degree bound 512$"):
+                bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refused == ["the rank-1 pass at degree bound 1024",
+                           "the pass at degree bound 1024"]
+        assert peak <= 8 * held
+
+    def test_slices_do_not_depend_on_the_cpus(self, monkeypatch):
+        c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        monkeypatch.setattr(chebcore, "_CPUS", 1)
+        serial = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        assert np.array_equal(c.coeffs, serial.coeffs) and c.tol == serial.tol
+
+
 class TestTrim:
     def test_small_matrix(self):
         sparse = bc.trim(np.array([[1.0, 1e-20], [0.0, 2.0]]), 1e-15)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import bicheb as bc
 import bicheb.paper as bp
 from bicheb import chebcore, cli
+from bicheb.errors import ValidationError
 from bicheb.cli import (
     EXIT_CONVERGENCE,
     EXIT_EVAL,
@@ -385,6 +387,53 @@ class TestInterp:
                            "-o", str(path), "--verify")
         assert code == EXIT_OK
         assert _summary_value(out, "max node residual") <= 1e-12
+
+    def test_verify_over_budget_refused_before_sampling(self, capsys, tmp_path,
+                                                        monkeypatch):
+        # a budget that holds the interpolation's arrays but not --verify's,
+        # whose recurrence runs to degree 512 over 513 + 9 nodes
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET",
+                            8 * (513 * 9 + chebcore._transform_entries(513, 9)))
+        calls = []
+        evaluate = cli.eval_ast
+
+        def counting(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "eval_ast", counting)
+        path = tmp_path / "i.json"
+        argv = ("interp", "cos(x*y)", "-n", "512", "-m", "8", "-o", str(path))
+        code, out, err = run(capsys, *argv, "--verify")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "--verify on the 513 x 9 grid needs" in err and "budget" in err
+        assert not calls and not path.exists()
+        assert run(capsys, *argv)[0] == EXIT_OK
+
+    def test_verify_budget_covers_what_it_allocates(self, capsys, tmp_path,
+                                                    monkeypatch):
+        charged = []
+
+        def recording(check):
+            def record(what, entries, error=ValidationError):
+                charged.append(entries)
+                check(what, entries, error)
+            return record
+
+        monkeypatch.setattr(cli, "_check_grid_budget",
+                            recording(cli._check_grid_budget))
+        monkeypatch.setattr(chebcore, "_check_grid_budget",
+                            recording(chebcore._check_grid_budget))
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "interp", "cos(x*y)", "-n", "512",
+                               "-m", "512", "-o", str(tmp_path / "i.json"),
+                               "--verify")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and "max node residual" in out
+        assert peak <= 8 * max(charged)
 
     def test_coefficient_gap_is_fold_of_series_tail(self, capsys, tmp_path,
                                                     cosxy_alpha32):
