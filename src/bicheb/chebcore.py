@@ -44,13 +44,11 @@ grids plus its chunk buffers (_transform_entries), so it covers what a
 pass holds with a grid to spare.
 
 The transform makes one pass per axis over chunks of rows (of columns in
-the second pass): each chunk's even extension, real FFT and scaling, in a
-buffer laid out like its input and small enough to stay in cache.  From a
-513 x 513 grid up a pool of threads, at most one per available CPU, takes
-the chunks; f is still sampled on the caller's thread only.  Each row's FFT is
-independent of the others and runs the same operations whichever chunk
-or thread it falls in, so the coefficients are bit-for-bit the same for
-any number of CPUs and any chunk size.
+the second pass) on the caller's thread: each chunk's even extension, real
+FFT and scaling, in a buffer laid out like its input and small enough to
+stay in cache.  Each row's FFT is independent of the others and runs the
+same operations whichever chunk it falls in, so the coefficients are
+bit-for-bit the same for any chunk size and any number of CPUs.
 
 Evaluation has one kernel, the basis matrices of the points on either side
 of the coefficient matrix, both from one run of the Chebyshev recurrence
@@ -61,8 +59,6 @@ grid.  Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
 
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,18 +84,9 @@ _EVAL_BLOCK = 1024
 # 2i + 1 = 33, so no other point is a node of a power-of-two Lobatto grid.
 _CHECK_NODES = np.delete(np.cos((np.arange(33) + 0.5) * np.pi / 33), 16)
 
-# A transform pass over rows x (n + 1) samples with rows * n at least
-# _SPLIT_WORK (a 513 x 513 grid) shares its rows out to one thread per half
-# _SPLIT_WORK of rows * n, at most _CPUS; below that, starting threads cost
-# about what they saved, and builds measured in a loop ran slower after
-# them.  Each thread extends and transforms its rows in chunks of about
+# The transform extends and transforms its rows in chunks of about
 # _CHUNK_ENTRIES entries (256 KiB).
-_SPLIT_WORK = 512 * 512
 _CHUNK_ENTRIES = 2 ** 15
-try:
-    _CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity on this platform
-    _CPUS = os.cpu_count() or 1
 
 # Bytes the float64 arrays of one grid may take: an evaluation, export or
 # interpolation grid, a document's dense coefficient matrix, or one pass of
@@ -240,11 +227,11 @@ def cheb_vector(n, x):
     """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}.
 
     x may overshoot [-1, 1] by up to 1e-12 and is clamped; anything further
-    out raises DomainError.
+    out, or NaN, raises DomainError.
     """
     if n < 0:
         raise InvalidInputError("degree must be >= 0")
-    if abs(x) > 1.0 + _OVERSHOOT:
+    if not abs(x) <= 1.0 + _OVERSHOOT:  # NaN too
         raise DomainError(f"argument {x!r} lies outside [-1, 1]")
     x = min(1.0, max(-1.0, float(x)))
     out = np.ones(n + 1)
@@ -354,79 +341,39 @@ def _dct_rows(values, out):
 
     The rows go through in chunks of about _CHUNK_ENTRIES extension entries,
     so that reading a transposed input and writing a transposed output stay
-    in cache.  From _SPLIT_WORK rows times n up, threads share the chunks
-    out (_share); numpy's FFT releases the GIL.  out may be values itself:
-    a chunk copies its rows into its extension before it writes them, and
-    no other chunk reads them.
+    in cache, and so that the buffers take about 1 MiB, not four grids: a
+    257 x 257 transform took 1.5-1.7 ms against 3.2-3.5 ms in one chunk
+    (2 vCPUs).  out may be values itself: a chunk copies its rows into its
+    extension before it writes them, and no other chunk reads them.
     """
     rows, n = values.shape[0], values.shape[1] - 1
     chunks = min(rows, -(-rows * 2 * n // _CHUNK_ENTRIES))
-    threads = max(1, min(_CPUS, 2 * rows * n // _SPLIT_WORK))
     step = -(-rows // chunks)
 
     # the extension is laid out like values, row- or column-major, so that
     # filling it and writing out (a transposed view in the second pass of
     # _lobatto_coeffs) walk memory in order
     order = "C" if values.strides[1] <= values.strides[0] else "F"
-
-    def transform(lo):
+    for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         ext = np.empty((hi - lo, 2 * n), order=order)
         ext[:, : n + 1] = values[lo:hi]
         ext[:, n + 1:] = values[lo:hi, -2:0:-1]
         np.divide(np.fft.rfft(ext).real, n, out=out[lo:hi])
-
-    _share(transform, range(0, rows, step), threads)
     out[:, 0] /= 2.0
     out[:, n] /= 2.0
 
 
-def _share(task, items, threads):
-    """task(item) for every item, on `threads` threads, the caller's among
-    them, each taking the next item as it finishes one, so a thread slowed
-    by other work takes fewer.  After an exception no thread takes another
-    item, and the first exception is raised again once all are done.
-
-    On two CPUs a ThreadPoolExecutor's map of 64 no-op items took 2.2 ms,
-    against 0.2 ms here, and a 1025 x 1025 transform through it 44 ms,
-    against 34 ms here.
-    """
-    items = iter(items)
-    lock = threading.Lock()
-    failures = []
-
-    def work():
-        while not failures:
-            with lock:
-                item = next(items, None)
-            if item is None:
-                return
-            try:
-                task(item)
-            except BaseException as exc:  # raised again on the caller's thread
-                failures.append(exc)
-
-    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if failures:
-        raise failures[0]
-
-
 def _transform_entries(rows, cols):
     """Float64 entries charged for what _lobatto_coeffs holds besides a
-    rows x cols input: two grids, and on each thread one chunk's even
-    extension and complex FFT output.  Those take at most
-    4 (_CHUNK_ENTRIES + n + 1) for rows of n + 1, and all chunks together
-    at most 4 rows cols.  The second axis runs in place in the first
-    axis' output, so the transform holds one grid and the charge leaves a
-    grid to spare, which covers the trimmed copy a builder pass makes of
-    the coefficients."""
-    chunks = 4 * min(rows * cols, _CPUS * (_CHUNK_ENTRIES + max(rows, cols)))
-    return 2 * rows * cols + chunks
+    rows x cols input: two grids, and one chunk's even extension and
+    complex FFT output.  Those take at most 4 (_CHUNK_ENTRIES + n + 1) for
+    rows of n + 1, and never more than 4 rows cols.  The second axis runs
+    in place in the first axis' output, so the transform holds one grid
+    and the charge leaves a grid to spare, which covers the trimmed copy a
+    builder pass makes of the coefficients."""
+    chunk = 4 * min(rows * cols, _CHUNK_ENTRIES + max(rows, cols))
+    return 2 * rows * cols + chunk
 
 
 def _lobatto_coeffs(values):
@@ -440,8 +387,8 @@ def _lobatto_coeffs(values):
     because each chunk of columns is copied into its extension before its
     coefficients are written back, and chunks own disjoint columns.  Every
     row's FFT is independent of the others and runs the same operations
-    whichever chunk or thread it falls in, so the result is the same
-    whatever the number of CPUs, bit for bit.
+    whichever chunk it falls in, so the result is the same for any chunk
+    size, bit for bit, and it runs on the caller's thread only.
     """
     coeffs = np.empty(values.shape)
     _dct_rows(values, coeffs)
