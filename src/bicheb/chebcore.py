@@ -22,11 +22,11 @@ Most functions worth a large grid have low numerical rank, so the builder
 has a second phase, the construction of Chebfun2 (Townsend and Trefethen,
 SIAM J. Sci. Comput. 35(6), 2013).  Once per build, on the first pass whose
 tails fail and whose next grid would hold 513 x 513 entries or more, a
-rank test runs Gaussian elimination with complete pivoting on the samples.
-For a rank r of 1 to 8 the builder then samples only the r pivot columns
-f(x, y_J) and rows f(x_I, y), doubling each axis on its own and
-transforming the slices with the same DCT-I, until the tails of the rank-r
-coefficients pass.  Those are expanded into the dense matrix, which is
+rank test runs Gaussian elimination with complete pivoting on all of that
+pass's samples.  For a rank r of 1 to 8 the builder then samples only the r
+pivot columns f(x, y_J) and rows f(x_I, y), doubling each axis on its own
+and transforming the slices with the same DCT-I, until the tails of the
+rank-r coefficients pass.  Those are expanded into the dense matrix, which is
 trimmed and checked off the grid as a tensor pass is; if an axis would pass
 max_n or the check fails, the tensor passes resume.  Each step is charged
 against the budget before it samples: the tested grid, the slices and three
@@ -59,7 +59,7 @@ grid.  Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,14 +95,12 @@ _GRID_BUDGET = 2 ** 30
 
 # The builder's rank test runs once, on the first pass that fails its tail
 # test and whose next grid would hold at least _RANK_ENTRIES entries (a
-# 513 x 513 grid).  It accepts a rank of 1 to _MAX_RANK, found first on a
-# sub-grid of at most _RANK_NODES + 1 nodes per axis.  Higher ranks can
-# cost more in slices than they save: 1/(1 + 100 (x^2 + y^2)), rank 23,
-# built in 27-29 ms through them against 18 ms on its tensor grids
-# (medians of 15 builds, 2 vCPUs).
+# 513 x 513 grid), on that pass's whole grid, and accepts a rank of 1 to
+# _MAX_RANK.  Higher ranks can cost more in slices than they save:
+# 1/(1 + 100 (x^2 + y^2)), rank 23, built in 27-29 ms through them against
+# 18 ms on its tensor grids (medians of 15 builds, 2 vCPUs).
 _RANK_ENTRIES = 513 * 513
 _MAX_RANK = 8
-_RANK_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +136,6 @@ class Domain2:
 
     def unit_from_y(self, y):
         return (2.0 * y - self.ylo - self.yhi) / (self.yhi - self.ylo)
-
-    def as_list(self):
-        return [self.xlo, self.xhi, self.ylo, self.yhi]
 
 
 UNIT_SQUARE = Domain2()
@@ -184,8 +179,8 @@ class Cheb2:
 class SparseCoeffs:
     """Trimmed coefficients as sorted (row, col, value) triplets.
 
-    This is the persistence form: no zero values, indices within the degree
-    bounds, strictly increasing lexicographic order.
+    This is the persistence form: no zero values, integer indices within the
+    degree bounds, strictly increasing lexicographic order.
     """
 
     degree_x: int
@@ -195,19 +190,23 @@ class SparseCoeffs:
     entries: tuple
 
     def __post_init__(self):
-        if self.degree_x < 0 or self.degree_y < 0:
+        degree_x = _index(self.degree_x, "degree_x")
+        degree_y = _index(self.degree_y, "degree_y")
+        if degree_x < 0 or degree_y < 0:
             raise ValidationError("degrees must be nonnegative")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
         normalized = []
         previous = None
-        for entry in self.entries:
-            i, j, v = entry
-            i, j, v = int(i), int(j), float(v)
-            if not (0 <= i <= self.degree_x and 0 <= j <= self.degree_y):
+        for i, j, v in self.entries:
+            # plain ints, as trim and load give, skip the two calls
+            if not (type(i) is int and type(j) is int):
+                i, j = _index(i, "entry row"), _index(j, "entry column")
+            v = float(v)
+            if not (0 <= i <= degree_x and 0 <= j <= degree_y):
                 raise ValidationError(
                     f"entry index ({i}, {j}) outside degree bounds "
-                    f"({self.degree_x}, {self.degree_y})")
+                    f"({degree_x}, {degree_y})")
             if v == 0.0 or not math.isfinite(v):
                 raise ValidationError(
                     f"entry ({i}, {j}) has invalid value {v!r}")
@@ -216,7 +215,17 @@ class SparseCoeffs:
                     f"entries not strictly increasing at ({i}, {j})")
             previous = (i, j)
             normalized.append((i, j, v))
+        object.__setattr__(self, "degree_x", degree_x)
+        object.__setattr__(self, "degree_y", degree_y)
         object.__setattr__(self, "entries", tuple(normalized))
+
+
+def _index(v, what):
+    """v as an int if it is a Python or numpy integer other than a bool; else
+    ValidationError, where int() would truncate a float or convert a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {v!r}")
+    return int(v)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +457,11 @@ def _trimmed(coeffs, threshold, domain):
     return Cheb2(coeffs, domain=domain, tol=float(threshold))
 
 
-def _pivots(values, threshold, max_rank):
+def _rank_test(values, threshold):
     """The (row, column) pivots, in order, of Gaussian elimination with
     complete pivoting on values, which stops once no residual entry is at or
-    above threshold, or all are 0; None if that takes more than max_rank
-    steps.  Holds two arrays the size of values."""
+    above threshold, or all are 0: if that takes 1 to _MAX_RANK steps, else
+    None.  Holds two arrays the size of values."""
     residual = np.array(values)
     scratch = np.empty_like(residual)
     pivots = []
@@ -461,23 +470,11 @@ def _pivots(values, threshold, max_rank):
         i, j = divmod(k, residual.shape[1])
         pivot = residual[i, j]
         if pivot == 0.0 or abs(pivot) < threshold:
-            return pivots
-        if len(pivots) == max_rank:
+            return pivots or None
+        if len(pivots) == _MAX_RANK:
             return None
         pivots.append((i, j))
         residual -= np.multiply(residual[:, j:j + 1], residual[i] / pivot, out=scratch)
-
-
-def _rank_test(values, threshold):
-    """The pivots of values' Gaussian elimination (_pivots) if it has rank 1
-    to _MAX_RANK, else None.  The rank is found first on the sub-grid of at
-    most _RANK_NODES + 1 nodes per axis, so that a full-rank grid costs
-    little."""
-    sx = max(1, (values.shape[0] - 1) // _RANK_NODES)
-    sy = max(1, (values.shape[1] - 1) // _RANK_NODES)
-    if not _pivots(values[::sx, ::sy], threshold, _MAX_RANK):
-        return None
-    return _pivots(values, threshold, _MAX_RANK) or None
 
 
 def _expand(left, right):
@@ -590,14 +587,14 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     grid; otherwise both bounds double.
 
     Phase 2: the first pass whose tails fail and whose next grid would hold
-    at least 513 x 513 entries runs the rank test, once per build.  Gaussian
-    elimination with complete pivoting, stopped at the threshold, runs on a
-    sub-grid of at most 65 x 65 of the samples, then, if that gives rank 1
-    to 8, on the whole grid, which yields the pivot nodes (x_I, y_J).  The
-    builder then samples only the new nodes of the r slices f(x, y_J) and
-    f(x_I, y), each axis doubling on its own while its two-row tail of the
-    rank-r coefficients C_x M^-1 C_y^T, M = f(x_I, y_J), is not below the
-    threshold (relative: tol times the largest magnitude sampled so far).
+    at least 513 x 513 entries runs the rank test, once per build: Gaussian
+    elimination with complete pivoting on all of that pass's samples,
+    stopped at the threshold.  If it stops after 1 to 8 steps, their pivots
+    are the nodes (x_I, y_J).  The builder then samples only the new nodes
+    of the r slices f(x, y_J) and f(x_I, y), each axis doubling on its own
+    while its two-row tail of the rank-r coefficients C_x M^-1 C_y^T,
+    M = f(x_I, y_J), is not below the threshold (relative: tol times the
+    largest magnitude sampled so far).
     The dense matrix of those coefficients is then trimmed and checked off
     the grid as above.  If an axis would pass max_n, a step would exceed
     the grid budget or the check fails, the tensor passes resume from the
@@ -758,19 +755,22 @@ def trim(coeffs, tol, domain=UNIT_SQUARE):
         raise InvalidInputError("coefficients must form a 2-D matrix")
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("coefficients must be finite")
-    keep = (np.abs(a) >= tol) & (a != 0.0)
-    rows, cols = np.nonzero(keep)
-    if rows.size == 0:
-        return SparseCoeffs(0, 0, domain, float(tol), ())
-    entries = tuple(
-        (int(i), int(j), float(a[i, j])) for i, j in zip(rows, cols))
-    return SparseCoeffs(int(rows.max()), int(cols.max()), domain,
-                        float(tol), entries)
+    return _sparse(a, (np.abs(a) >= tol) & (a != 0.0), float(tol), domain)
 
 
 def to_sparse(c):
     """SparseCoeffs carrying every stored nonzero of a Cheb2."""
-    return replace(trim(c.coeffs, 0.0, c.domain), tol=float(c.tol))
+    return _sparse(c.coeffs, c.coeffs != 0.0, float(c.tol), c.domain)
+
+
+def _sparse(a, keep, tol, domain):
+    """SparseCoeffs of the entries of a where keep is true, with degrees
+    shrunk to the largest kept row and column index."""
+    rows, cols = np.nonzero(keep)
+    if rows.size == 0:
+        return SparseCoeffs(0, 0, domain, tol, ())
+    entries = tuple(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()))
+    return SparseCoeffs(int(rows.max()), int(cols.max()), domain, tol, entries)
 
 
 def to_cheb2(sparse):
@@ -1042,7 +1042,5 @@ def load(source):
             raise ValidationError(
                 f"each entry must be [row, col, value], got {entry!r}")
         i, j, v = entry
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
-            raise ValidationError(f"entry indices must be integers, got {entry!r}")
         entries.append((i, j, _require_real(v, "entry value")))
     return SparseCoeffs(degree_x, degree_y, domain, tol, tuple(entries))

@@ -38,6 +38,7 @@ from .chebcore import (
     Domain2,
     UNIT_SQUARE,
     _check_grid_budget,
+    _format_real,
     _read_ascii,
     build_adaptive,
     evaluate_grid,
@@ -71,10 +72,6 @@ EXIT_IO = 5
 EXIT_EVAL = 6
 
 _TOL_ENV = "BICHEB_TOL"
-
-
-def _fmt(v):
-    return format(float(v), ".17g")
 
 
 def _parse_domain(text):
@@ -140,7 +137,7 @@ def cmd_approx(args):
     started = time.perf_counter()
     c, f = _build_from_expression(args, args.expression, tol)
     try:
-        indicator = _fmt(parseval_indicator(c, f))
+        indicator = _format_real(parseval_indicator(c, f))
     except ValidationError as exc:  # its grid is over the budget; c is not
         indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
@@ -196,7 +193,7 @@ def _value_columns(values, compare_ast, x, y):
     return [values, reference, np.abs(values - reference)]
 
 
-# Rows formatted per write by eval; "%.17g" gives the text of _fmt.
+# Rows formatted per write by eval; "%.17g" gives the text of _format_real.
 _ROWS_PER_WRITE = 4096
 
 
@@ -216,7 +213,7 @@ def cmd_eval(args):
                      for column in columns]
             sink.write("".join(row % cells for cells in zip(*block)))
         if compare_ast is not None:
-            sink.write(f"max_abs_error {_fmt(columns[2].max())}\n")
+            sink.write(f"max_abs_error {_format_real(columns[2].max())}\n")
     finally:
         if owned:
             sink.close()
@@ -233,7 +230,7 @@ def cmd_integrate(args):
         c = to_cheb2(load(args.input))
     else:
         c, _ = _build_from_expression(args, args.expr, tol)
-    print(_fmt(integrate(c)))
+    print(_format_real(integrate(c)))
     return EXIT_OK
 
 
@@ -273,7 +270,8 @@ def cmd_interp(args):
         ys = args.domain.y_from_unit(lobatto_nodes(m))
         residual = evaluate_grid(c, xs, ys)
         residual -= eval_ast(ast, xs[:, None], ys[None, :])
-        print(f"max node residual: {_fmt(np.abs(residual, out=residual).max())}")
+        worst = np.abs(residual, out=residual).max()
+        print(f"max node residual: {_format_real(worst)}")
     return EXIT_OK
 
 
@@ -289,15 +287,15 @@ def cmd_export(args):
     header = ",".join(["x", "y", "value", "reference", "abs_error"][: 2 + len(columns)])
     # x and y text once per grid line, one %-format per row
     row = "%s,%s" + ",%.17g" * len(columns) + "\n"
-    fys = [_fmt(y) for y in ys]
+    fys = [_format_real(y) for y in ys]
     with open(args.output, "w", encoding="ascii") as sink:
         sink.write(header + "\n")
         for i, x in enumerate(xs):
-            fx = _fmt(x)
+            fx = _format_real(x)
             cells = zip(fys, *(column[i].tolist() for column in columns))
             sink.write("".join(row % (fx, *cell) for cell in cells))
     if compare_ast is not None:
-        print(f"max_abs_error {_fmt(columns[2].max())}")
+        print(f"max_abs_error {_format_real(columns[2].max())}")
     print(f"wrote {args.resolution * args.resolution} rows to {args.output}")
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Tests for approximant construction, evaluation, quality and persistence."""
 
+import dataclasses
 import io
 import math
 import re
@@ -601,6 +602,29 @@ class TestLowRankPhase:
         assert [len(p) for p in ranks] == [2]
         assert degrees[-3:] == [256, 512, 1024]
 
+    def test_narrower_bump_is_found_on_the_whole_grid(self, monkeypatch):
+        # ten times narrower than narrow_bump: below the threshold at every
+        # node of a 65 x 65 sub-grid of the 257 x 257 grid, but rank 1 on it
+        def f(x, y):
+            return np.exp(-50000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2))
+
+        points = 0
+
+        def counting(x, y):
+            nonlocal points
+            points += np.broadcast(x, y).size
+            return f(x, y)
+
+        ranks = recording_rank_tests(monkeypatch)
+        c = bc.build_adaptive(counting, 1e-14, relative=True)
+        assert [len(p) for p in ranks if p] == [1] and len(ranks) == 1
+        # the 257 x 257 grid, the new nodes of one row and one column slice
+        # (to degrees 2048 and 1024) and the check points
+        assert points == 257 ** 2 + 2 * 1792 + 1024
+        g = np.linspace(-1.0, 1.0, 301)
+        exact = f(g[:, None], g[None, :])
+        assert np.abs(bc.evaluate_grid(c, g, g) - exact).max() <= 1e-9
+
     def test_full_rank_stays_on_the_tensor_grids(self, monkeypatch):
         def f(x, y):
             return 1.0 / (1.0 + 100.0 * (x ** 2 + y ** 2))
@@ -1003,6 +1027,42 @@ class TestPersistence:
     def test_missing_key_is_invalid(self):
         with pytest.raises(ValidationError, match="missing"):
             bc.load(io.StringIO('{"degree_x": 0}'))
+
+    def test_to_sparse_keeps_every_stored_nonzero(self, cosxy):
+        c = bc.Cheb2(cosxy.coeffs, bc.Domain2(0.0, 2.0, -1.0, 3.0), 1e-15)
+        sparse = bc.to_sparse(c)
+        assert sparse == dataclasses.replace(
+            bc.trim(c.coeffs, 0.0, c.domain), tol=1e-15)
+        assert np.array_equal(bc.to_cheb2(sparse).coeffs, c.coeffs)
+
+    @pytest.mark.parametrize("degrees, entry", [
+        ((1, 1), (0.7, 1, 1.0)),
+        ((1, 1), (0, 1.0, 1.0)),
+        ((1, 1), (True, 1, 2.0)),
+        ((1, 1), (0, np.bool_(True), 2.0)),
+        ((1, 1), ("1", 0, 2.0)),
+        ((1.0, 1), (0, 0, 1.0)),
+        ((1, False), (0, 0, 1.0)),
+    ], ids=["float-row", "float-column", "bool-row", "numpy-bool-column",
+            "str-row", "float-degree", "bool-degree"])
+    def test_non_integer_indices_are_invalid(self, degrees, entry):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            bc.SparseCoeffs(*degrees, bc.UNIT_SQUARE, 0.0, (entry,))
+
+    def test_numpy_integer_indices_are_stored_as_int(self):
+        sparse = bc.SparseCoeffs(np.int64(1), np.int32(2), bc.UNIT_SQUARE, 0.0,
+                                 ((np.int64(0), np.uint8(2), 1.0), (1, 1, 2.0)))
+        assert sparse.entries == ((0, 2, 1.0), (1, 1, 2.0))
+        assert all(type(i) is int and type(j) is int
+                   for i, j, _ in sparse.entries)
+        assert (type(sparse.degree_x), type(sparse.degree_y)) == (int, int)
+
+    @pytest.mark.parametrize("index", ["1.0", "true", '"1"', "null"])
+    def test_loaded_non_integer_index_is_invalid(self, index):
+        text = ('{"degree_x": 2, "degree_y": 2, "domain": [-1, 1, -1, 1], '
+                f'"tol": 0, "entries": [[{index}, 0, 1.0]]}}')
+        with pytest.raises(ValidationError, match="must be an integer"):
+            bc.load(io.StringIO(text))
 
     def test_bad_domain_is_invalid(self):
         text = ('{"degree_x": 0, "degree_y": 0, "domain": [1, -1, -1, 1], '
