@@ -26,12 +26,16 @@ rank test runs Gaussian elimination with complete pivoting on all of that
 pass's samples.  For a rank r of 1 to 8 the builder then samples only the r
 pivot columns f(x, y_J) and rows f(x_I, y), doubling each axis on its own
 and transforming the slices with the same DCT-I, until the tails of the
-rank-r coefficients pass.  Those are expanded into the dense matrix, which is
-trimmed and checked off the grid as a tensor pass is; if an axis would pass
+rank-r coefficients pass.  Their factors bound the entries of each row and
+column of the dense matrix, so only the leading block that holds every
+entry the trim can keep is expanded.  Its entries are computed as the whole
+product's are, so the trimmed block is the trimmed dense matrix bit for bit;
+it is checked off the grid as a tensor pass is, and if an axis would pass
 max_n or the check fails, the tensor passes resume.  Each step is charged
 against the budget before it samples: the tested grid, the slices and three
-dense grids.  The expansion is elementwise numpy, not a BLAS product, so it
-too gives the same bytes on any number of CPUs.
+dense grids, since the block can be the whole matrix.  The bounds and the
+expansion are elementwise numpy, not a BLAS product, so they too give the
+same bytes on any number of CPUs.
 
 A pass holds about two grid-sized arrays: the samples, which f's values
 are written into directly (the previous samples are let go once copied
@@ -159,7 +163,8 @@ class Cheb2:
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise InvalidInputError(
                 f"coefficients must form a 2-D matrix, got shape {a.shape!r}")
-        if not np.all(np.isfinite(a)):
+        # min and max propagate NaN: no grid-sized mask beside the copy
+        if not (math.isfinite(a.min()) and math.isfinite(a.max())):
             raise InvalidInputError("coefficients must be finite")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise InvalidInputError("tol must be finite and >= 0")
@@ -194,15 +199,17 @@ class SparseCoeffs:
         degree_y = _index(self.degree_y, "degree_y")
         if degree_x < 0 or degree_y < 0:
             raise ValidationError("degrees must be nonnegative")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
+        tol = _require_real(self.tol, "tol")
+        if not (math.isfinite(tol) and tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
         normalized = []
         previous = None
         for i, j, v in self.entries:
-            # plain ints, as trim and load give, skip the two calls
+            # plain ints and floats, as trim and load give, skip the calls
             if not (type(i) is int and type(j) is int):
                 i, j = _index(i, "entry row"), _index(j, "entry column")
-            v = float(v)
+            if type(v) is not float:
+                v = _require_real(v, f"entry ({i}, {j}) value")
             if not (0 <= i <= degree_x and 0 <= j <= degree_y):
                 raise ValidationError(
                     f"entry index ({i}, {j}) outside degree bounds "
@@ -217,6 +224,7 @@ class SparseCoeffs:
             normalized.append((i, j, v))
         object.__setattr__(self, "degree_x", degree_x)
         object.__setattr__(self, "degree_y", degree_y)
+        object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "entries", tuple(normalized))
 
 
@@ -226,6 +234,17 @@ def _index(v, what):
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {v!r}")
     return int(v)
+
+
+def _require_real(v, what):
+    """v as a float if it is a Python int or float other than a bool; else
+    ValidationError, where float() would convert a bool or a string."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ValidationError(f"{what} must be a number")
+    try:
+        return float(v)
+    except OverflowError:  # an integer literal beyond the largest double
+        raise ValidationError(f"{what} is too large for a double") from None
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +505,40 @@ def _expand(left, right):
     return out
 
 
+def _trimmed_product(left, right, threshold, domain):
+    """_trimmed(_expand(left, right), threshold, domain) bit for bit, with
+    only the leading block of the product that the trim can keep expanded.
+
+    Row i of the product is at most sum_k |left[k, i]| max |right[k]| in
+    magnitude, column j sum_k |right[k, j]| max |left[k]|.  The bounds are
+    summed as _expand sums, in order of k with elementwise numpy.  Rounding
+    to nearest is monotone, so each product and partial sum _expand
+    computes is, in magnitude, at most the bound's: an entry of a row or
+    column whose bound is below the threshold is below it too, and the trim
+    zeroes it.  The cut is at half the threshold all the same, which also
+    covers a sum in another order: an entry then exceeds its bound by at
+    most 2 r 2^-53 relative, to first order, and r <= _MAX_RANK.  A NaN
+    bound keeps its row.  The block's entries are computed as _expand
+    computes them, and the trim drops only trailing all-zero rows and
+    columns, so it keeps the same matrix from the block as from the whole
+    product.
+    """
+    cut = 0.5 * threshold
+    row_peaks = np.abs(right).max(axis=1)
+    col_peaks = np.abs(left).max(axis=1)
+    row_bound = np.abs(left[0]) * row_peaks[0]
+    col_bound = np.abs(right[0]) * col_peaks[0]
+    for k in range(1, len(left)):
+        row_bound += np.abs(left[k]) * row_peaks[k]
+        col_bound += np.abs(right[k]) * col_peaks[k]
+    rows = np.flatnonzero(~(row_bound < cut))
+    cols = np.flatnonzero(~(col_bound < cut))
+    # no row or column kept: a 1 x 1 block, trimmed to the zero coefficient
+    nr = rows[-1] + 1 if rows.size else 1
+    nc = cols[-1] + 1 if cols.size else 1
+    return _trimmed(_expand(left[:, :nr], right[:, :nc]), threshold, domain)
+
+
 def _skeleton(along_x, along_y, core):
     """Rank-r Chebyshev coefficients sum_k outer(left[k], right[k]) of
     f(x, y_J) f(x_I, y_J)^-1 f(x_I, y): along_x holds the coefficients of
@@ -509,7 +562,9 @@ class _Refused(Exception):
 def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     """Phase 2 of build_adaptive on the phase-1 grid `values` with the pivots
     (I, J) of _rank_test: the trimmed Cheb2 and its degree bounds (nx, ny),
-    or None if an axis would pass max_n or a step the grid budget.
+    or None if an axis would pass max_n or a step the grid budget.  The
+    Cheb2 is expanded from the block of the rank-r coefficients that the
+    trim can keep (_trimmed_product), and equals the trimmed dense matrix.
 
     Each axis doubles on its own, and f is sampled only at the new nodes of
     its r slices: f(x, y_J) for x, f(x_I, y) for y.  The axes' tails are
@@ -517,7 +572,8 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     against the threshold of every sample in hand.  Each step is charged
     against the budget first: the phase-1 grid, which stays held for phase
     1 to resume from, the slices with their transforms, and three grids for
-    the dense matrix, a product of _expand and the trimmed copy.
+    the dense matrix: the expanded block, which at worst is the whole
+    product of _expand, and the trimmed copy.
     """
     rows_i, cols_j = np.array(pivots).T
     r = rows_i.size
@@ -568,7 +624,7 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
                 _sample_on(f, x_pivots, ys, along_y[:, 1::2])
     except _Refused:
         return None
-    return _trimmed(_expand(left, right), threshold, domain), nx, ny
+    return _trimmed_product(left, right, threshold, domain), nx, ny
 
 
 def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
@@ -595,13 +651,16 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     while its two-row tail of the rank-r coefficients C_x M^-1 C_y^T,
     M = f(x_I, y_J), is not below the threshold (relative: tol times the
     largest magnitude sampled so far).
-    The dense matrix of those coefficients is then trimmed and checked off
-    the grid as above.  If an axis would pass max_n, a step would exceed
-    the grid budget or the check fails, the tensor passes resume from the
-    grid of the tested pass, and the rank test does not run again.  The
-    narrow bump builds from its 257 x 257 grid, 2 x 768 slice nodes and the
-    check points: 68,609 samples, where the 1025 x 1025 grid takes
-    1,051,649.
+    The factors bound each row and column of the dense matrix of those
+    coefficients, and only its leading block that can hold an entry at or
+    above the threshold is expanded; trimmed, it is the trimmed dense
+    matrix bit for bit, and it is checked off the grid as above.  If an
+    axis would pass max_n, a step would exceed the grid budget or the check
+    fails, the tensor passes resume from the grid of the tested pass, and
+    the rank test does not run again.  The narrow bump builds from its
+    257 x 257 grid, 2 x 768 slice nodes and the check points: 68,609
+    samples, where the 1025 x 1025 grid takes 1,051,649.  Its rank-1
+    coefficients are 1025 x 1025, of which the 659 x 683 block is expanded.
 
     The check catches a feature that every grid so far has stepped over,
     but no test on finitely many samples can be complete.  Phase 2 sees
@@ -975,15 +1034,6 @@ def _require_int(doc, key):
     return v
 
 
-def _require_real(v, what):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ValidationError(f"{what} must be a number")
-    try:
-        return float(v)
-    except OverflowError:  # an integer literal beyond the largest double
-        raise ValidationError(f"{what} is too large for a double") from None
-
-
 def _read_ascii(path, what):
     """Text of an ASCII file; another byte raises ParseError at its offset."""
     with open(path, "r", encoding="ascii") as handle:
@@ -1032,15 +1082,11 @@ def load(source):
         domain = Domain2(*(_require_real(b, "domain bound") for b in raw_domain))
     except InvalidInputError as exc:
         raise ValidationError(str(exc)) from None
-    tol = _require_real(doc["tol"], '"tol"')
     raw_entries = doc["entries"]
     if not isinstance(raw_entries, list):
         raise ValidationError('"entries" must be a list')
-    entries = []
     for entry in raw_entries:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError(
                 f"each entry must be [row, col, value], got {entry!r}")
-        i, j, v = entry
-        entries.append((i, j, _require_real(v, "entry value")))
-    return SparseCoeffs(degree_x, degree_y, domain, tol, tuple(entries))
+    return SparseCoeffs(degree_x, degree_y, domain, doc["tol"], raw_entries)

@@ -542,6 +542,39 @@ def recording_rank_tests(monkeypatch):
     return results
 
 
+def decaying_factors(rng, r, rows, cols):
+    """Rank-r factors whose entries fall by 0.9 per row and per column;
+    term k is scaled by 10^-k on the left and 10^k on the right, so that a
+    bound that mixed up the terms would be off."""
+    scale = 10.0 ** np.arange(r)[:, None]
+    left = rng.standard_normal((r, rows)) * 0.9 ** np.arange(rows) / scale
+    right = rng.standard_normal((r, cols)) * 0.9 ** np.arange(cols) * scale
+    return left, right
+
+
+def recording_expansions(monkeypatch):
+    """The (rows, columns) of every product _expand computes."""
+    shapes = []
+    expand = chebcore._expand
+
+    def recording(left, right):
+        shapes.append((left.shape[1], right.shape[1]))
+        return expand(left, right)
+
+    monkeypatch.setattr(chebcore, "_expand", recording)
+    return shapes
+
+
+def assert_same_trim(left, right, threshold):
+    """_trimmed_product equals the trim of the whole product, bit for bit."""
+    block = chebcore._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
+    full = chebcore._trimmed(chebcore._expand(left, right), threshold,
+                             bc.UNIT_SQUARE)
+    assert block.coeffs.shape == full.coeffs.shape
+    assert np.array_equal(block.coeffs, full.coeffs) and block.tol == full.tol
+    return block
+
+
 class TestLowRankPhase:
     def test_bump_matches_one_tensor_pass(self, monkeypatch):
         ranks = recording_rank_tests(monkeypatch)
@@ -662,6 +695,60 @@ class TestLowRankPhase:
         assert refused == ["the rank-1 pass at degree bound 1024",
                            "the pass at degree bound 1024"]
         assert peak <= 8 * held
+
+    def test_phase_two_holds_no_dense_grid(self):
+        # the bump's rank-1 coefficients are 1025 x 1025, but the trim keeps
+        # 659 x 683: only that block is expanded, beside the 257 x 257 grid
+        tracemalloc.start()
+        try:
+            c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.coeffs.shape == (659, 683)
+        assert peak < 8 * 1025 ** 2
+
+    @pytest.mark.parametrize("r", range(1, chebcore._MAX_RANK + 1))
+    def test_block_equals_the_full_expansion(self, monkeypatch, r):
+        left, right = decaying_factors(np.random.default_rng(r), r, 300, 280)
+        shapes = recording_expansions(monkeypatch)
+        c = assert_same_trim(left, right, 1e-6)
+        # the block is smaller than the product, and holds the trimmed result
+        rows, cols = shapes[0]
+        assert c.degree_x < rows < 300 and c.degree_y < cols < 280
+
+    def test_everything_below_the_threshold_is_one_zero(self, monkeypatch):
+        left, right = decaying_factors(np.random.default_rng(9), 3, 40, 50)
+        shapes = recording_expansions(monkeypatch)
+        c = assert_same_trim(left, right, 1e3)
+        assert shapes[0] == (1, 1)
+        assert c.coeffs.shape == (1, 1) and c.coeffs[0, 0] == 0.0
+
+    @pytest.mark.parametrize("toward, rows", [(np.inf, 31), (0.0, 30)])
+    def test_row_at_the_cut(self, monkeypatch, toward, rows):
+        # row 30's bound is one ulp above or below half the threshold, and
+        # every row after it is 0: the block ends after it or before it
+        threshold = 1e-6
+        left, right = decaying_factors(np.random.default_rng(5), 1, 40, 50)
+        right /= np.abs(right).max()
+        left[0, 30] = np.nextafter(0.5 * threshold, toward)
+        left[0, 31:] = 0.0
+        shapes = recording_expansions(monkeypatch)
+        assert_same_trim(left, right, threshold)
+        assert shapes[0][0] == rows
+
+    def test_cancelling_terms_keep_a_loose_bound(self, monkeypatch):
+        # the second term cancels the first to within 1e-9: the bounds keep
+        # every row and column, the trim far fewer
+        rng = np.random.default_rng(7)
+        left, right = decaying_factors(rng, 1, 60, 60)
+        left = np.concatenate((left, left))
+        near = 1.0 - 1e-9 * 0.5 ** np.arange(60)
+        right = np.concatenate((right, -right * near))
+        shapes = recording_expansions(monkeypatch)
+        c = assert_same_trim(left, right, 1e-12)
+        assert shapes[0] == (60, 60)
+        assert c.degree_x < 59 and c.degree_y < 20
 
 
 class TestTrim:
@@ -1048,6 +1135,31 @@ class TestPersistence:
     def test_non_integer_indices_are_invalid(self, degrees, entry):
         with pytest.raises(ValidationError, match="must be an integer"):
             bc.SparseCoeffs(*degrees, bc.UNIT_SQUARE, 0.0, (entry,))
+
+    @pytest.mark.parametrize("tol, value", [
+        (True, 1.5), ("0", 1.5), (None, 1.5), (np.float32(0.0), 1.5),
+        (0.0, "1.5"), (0.0, True), (0.0, np.bool_(True)), (0.0, None),
+        (0.0, 1 + 0j)], ids=["bool-tol", "str-tol", "none-tol",
+                             "float32-tol", "str-value", "bool-value",
+                             "numpy-bool-value", "none-value", "complex-value"])
+    def test_non_real_tol_or_value_is_invalid(self, tol, value):
+        with pytest.raises(ValidationError, match="must be a number"):
+            bc.SparseCoeffs(1, 1, bc.UNIT_SQUARE, tol, ((0, 0, value),))
+
+    def test_real_tol_and_values_are_stored_as_float(self):
+        sparse = bc.SparseCoeffs(1, 1, bc.UNIT_SQUARE, 0,
+                                 ((0, 0, 2), (1, 1, np.float64(0.5))))
+        assert sparse.tol == 0.0 and sparse.entries == ((0, 0, 2.0), (1, 1, 0.5))
+        assert type(sparse.tol) is float
+        assert all(type(v) is float for _, _, v in sparse.entries)
+
+    @pytest.mark.parametrize("tol, value", [("true", "1.0"), ("0", "true"),
+                                            ('"0"', "1.0"), ("0", '"1.5"')])
+    def test_loaded_non_real_tol_or_value_is_invalid(self, tol, value):
+        text = ('{"degree_x": 2, "degree_y": 2, "domain": [-1, 1, -1, 1], '
+                f'"tol": {tol}, "entries": [[0, 0, {value}]]}}')
+        with pytest.raises(ValidationError, match="must be a number"):
+            bc.load(io.StringIO(text))
 
     def test_numpy_integer_indices_are_stored_as_int(self):
         sparse = bc.SparseCoeffs(np.int64(1), np.int32(2), bc.UNIT_SQUARE, 0.0,
