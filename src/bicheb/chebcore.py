@@ -63,6 +63,7 @@ grid.  Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle.
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,6 +169,8 @@ class Cheb2:
             raise InvalidInputError("coefficients must be finite")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise InvalidInputError("tol must be finite and >= 0")
+        if not isinstance(self.domain, Domain2):
+            raise InvalidInputError(f"domain must be a Domain2, got {self.domain!r}")
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
 
@@ -185,7 +188,8 @@ class SparseCoeffs:
     """Trimmed coefficients as sorted (row, col, value) triplets.
 
     This is the persistence form: no zero values, integer indices within the
-    degree bounds, strictly increasing lexicographic order.
+    degree bounds (below 2^63), strictly increasing lexicographic order.
+    load checks a document's fields with this constructor.
     """
 
     degree_x: int
@@ -199,12 +203,24 @@ class SparseCoeffs:
         degree_y = _index(self.degree_y, "degree_y")
         if degree_x < 0 or degree_y < 0:
             raise ValidationError("degrees must be nonnegative")
+        if max(degree_x, degree_y) >= 2 ** 63:  # keeps the budget's arithmetic in range
+            raise ValidationError("degrees must be below 2^63")
+        if not isinstance(self.domain, Domain2):
+            raise ValidationError(f"domain must be a Domain2, got {self.domain!r}")
         tol = _require_real(self.tol, "tol")
         if not (math.isfinite(tol) and tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
+        if not isinstance(self.entries, (list, tuple)):
+            raise ValidationError("entries must be a list or tuple, got "
+                                  f"{type(self.entries).__name__}")
         normalized = []
         previous = None
-        for i, j, v in self.entries:
+        for entry in self.entries:
+            # type() tests cost less per entry than isinstance
+            if type(entry) is not tuple and type(entry) is not list or len(entry) != 3:
+                raise ValidationError(
+                    f"each entry must be [row, col, value], got {reprlib.repr(entry)}")
+            i, j, v = entry
             # plain ints and floats, as trim and load give, skip the calls
             if not (type(i) is int and type(j) is int):
                 i, j = _index(i, "entry row"), _index(j, "entry column")
@@ -232,7 +248,7 @@ def _index(v, what):
     """v as an int if it is a Python or numpy integer other than a bool; else
     ValidationError, where int() would truncate a float or convert a bool."""
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValidationError(f"{what} must be an integer, got {v!r}")
+        raise ValidationError(f"{what} must be an integer, got {reprlib.repr(v)}")
     return int(v)
 
 
@@ -1025,15 +1041,6 @@ def save(sparse, sink):
             handle.write(text)
 
 
-def _require_int(doc, key):
-    v = doc.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ValidationError(f'"{key}" must be an integer')
-    if v >= 2 ** 63:  # keeps the budget's arithmetic and messages in range
-        raise ValidationError(f'"{key}" must be below 2^63')
-    return v
-
-
 def _read_ascii(path, what):
     """Text of an ASCII file; another byte raises ParseError at its offset."""
     with open(path, "r", encoding="ascii") as handle:
@@ -1073,8 +1080,6 @@ def load(source):
     missing = [k for k in _DOC_KEYS if k not in doc]
     if missing:
         raise ValidationError(f"document is missing keys: {missing}")
-    degree_x = _require_int(doc, "degree_x")
-    degree_y = _require_int(doc, "degree_y")
     raw_domain = doc["domain"]
     if not (isinstance(raw_domain, list) and len(raw_domain) == 4):
         raise ValidationError('"domain" must be a list of four numbers')
@@ -1082,11 +1087,5 @@ def load(source):
         domain = Domain2(*(_require_real(b, "domain bound") for b in raw_domain))
     except InvalidInputError as exc:
         raise ValidationError(str(exc)) from None
-    raw_entries = doc["entries"]
-    if not isinstance(raw_entries, list):
-        raise ValidationError('"entries" must be a list')
-    for entry in raw_entries:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ValidationError(
-                f"each entry must be [row, col, value], got {entry!r}")
-    return SparseCoeffs(degree_x, degree_y, domain, doc["tol"], raw_entries)
+    return SparseCoeffs(doc["degree_x"], doc["degree_y"], domain, doc["tol"],
+                        doc["entries"])

@@ -83,10 +83,7 @@ def _parse_domain(text):
         bounds = [float(p) for p in parts]
     except ValueError:
         raise ValidationError(f"domain bounds must be numbers, got {text!r}") from None
-    try:
-        return Domain2(*bounds)
-    except InvalidInputError as exc:
-        raise ValidationError(str(exc)) from None
+    return Domain2(*bounds)
 
 
 def _parse_point(text):
@@ -132,6 +129,14 @@ def _build_from_expression(args, expression, tol):
     return c, f
 
 
+def _write_document(sparse, output):
+    """Save a SparseCoeffs to output and print its file, degrees and size."""
+    save(sparse, output)
+    print(f"wrote {output}")
+    print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
+    print(f"nonzero coefficients: {len(sparse.entries)}")
+
+
 def cmd_approx(args):
     tol = _tolerance(args)
     started = time.perf_counter()
@@ -141,11 +146,7 @@ def cmd_approx(args):
     except ValidationError as exc:  # its grid is over the budget; c is not
         indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
-    sparse = to_sparse(c)
-    save(sparse, args.output)
-    print(f"wrote {args.output}")
-    print(f"degrees: {c.degree_x} {c.degree_y}")
-    print(f"nonzero coefficients: {len(sparse.entries)}")
+    _write_document(to_sparse(c), args.output)
     print(f"parseval indicator: {indicator}")
     print(f"wall time: {elapsed:.3f} s")
     return EXIT_OK
@@ -237,11 +238,8 @@ def cmd_integrate(args):
 def cmd_diff(args):
     c = to_cheb2(load(args.input))
     derivative = diff_x(c) if args.axis == "x" else diff_y(c)
-    sparse = trim(derivative.coeffs, derivative.tol, derivative.domain)
-    save(sparse, args.output)
-    print(f"wrote {args.output}")
-    print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
-    print(f"nonzero coefficients: {len(sparse.entries)}")
+    _write_document(trim(derivative.coeffs, derivative.tol, derivative.domain),
+                    args.output)
     return EXIT_OK
 
 
@@ -258,11 +256,7 @@ def cmd_interp(args):
             4 * (n + 1) * (m + 1) + 2 * (max(n, m) + 1) * (n + m + 2))
     f = _ast_function(ast)
     coeffs = lagrange_cheb_coeffs(f, n, m, domain=args.domain)
-    sparse = trim(coeffs, tol, args.domain)
-    save(sparse, args.output)
-    print(f"wrote {args.output}")
-    print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
-    print(f"nonzero coefficients: {len(sparse.entries)}")
+    _write_document(trim(coeffs, tol, args.domain), args.output)
     if args.verify:
         c = Cheb2(coeffs, args.domain, tol)
         del coeffs
@@ -402,7 +396,7 @@ def _build_parser():
 def main(argv=None):
     try:
         # inside the try: a usage error or a bad --domain raises
-        # ValidationError from the parser
+        # ValidationError or InvalidInputError from the parser
         args = _build_parser().parse_args(argv)
         return args.run(args)
     except (LexError, ParseError) as exc:

@@ -1181,3 +1181,28 @@ class TestPersistence:
                 '"tol": 0, "entries": []}')
         with pytest.raises(ValidationError):
             bc.load(io.StringIO(text))
+
+    @pytest.mark.parametrize("entries", [
+        "ab", {(0, 0, 1.0)}, ((0, 0),), ((0, 0, 1.0, 2),), (5,), ({0, 1, 2.5},),
+    ], ids=["str", "set", "pair", "quadruple", "int-entry", "set-entry"])
+    def test_malformed_entries_are_invalid(self, entries):
+        with pytest.raises(ValidationError, match="must be a list|each entry must be"):
+            bc.SparseCoeffs(1, 1, bc.UNIT_SQUARE, 0.0, entries)
+
+    @pytest.mark.parametrize("degrees", [(2 ** 63, 0), (0, 2 ** 63)],
+                             ids=["degree_x", "degree_y"])
+    def test_degrees_stay_below_2_63(self, degrees):
+        with pytest.raises(ValidationError, match=r"below 2\^63"):
+            bc.SparseCoeffs(*degrees, bc.UNIT_SQUARE, 0.0, ())
+        # the largest degree the constructor accepts, load reads back
+        top = bc.SparseCoeffs(*(max(d - 1, 0) for d in degrees), bc.UNIT_SQUARE,
+                              0.0, ((0, 0, 1.0),))
+        assert bc.load(io.StringIO(bc.document_text(top))) == top
+
+    @pytest.mark.parametrize("domain", ["nope", (-1.0, 1.0, -1.0, 1.0), None],
+                             ids=["str", "tuple", "none"])
+    def test_domain_must_be_a_domain2(self, domain):
+        with pytest.raises(ValidationError, match="Domain2"):
+            bc.SparseCoeffs(0, 0, domain, 0.0, ())
+        with pytest.raises(InvalidInputError, match="Domain2"):
+            bc.Cheb2(np.ones((2, 2)), domain)
