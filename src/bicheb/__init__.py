@@ -33,8 +33,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EvalError,
-    InvalidInputError,
-    LexError,
     ParseError,
     SamplingError,
     ValidationError,

@@ -70,7 +70,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    InvalidInputError,
     ConvergenceError,
     ParseError,
     SamplingError,
@@ -124,9 +123,9 @@ class Domain2:
     def __post_init__(self):
         bounds = (self.xlo, self.xhi, self.ylo, self.yhi)
         if not all(math.isfinite(b) for b in bounds):
-            raise InvalidInputError("domain bounds must be finite")
+            raise ValidationError("domain bounds must be finite")
         if not (self.xlo < self.xhi and self.ylo < self.yhi):
-            raise InvalidInputError(
+            raise ValidationError(
                 "domain must satisfy xlo < xhi and ylo < yhi, got "
                 f"[{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
 
@@ -162,17 +161,19 @@ class Cheb2:
     def __post_init__(self):
         a = np.array(self.coeffs, dtype=float)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise InvalidInputError(
+            raise ValidationError(
                 f"coefficients must form a 2-D matrix, got shape {a.shape!r}")
         # min and max propagate NaN: no grid-sized mask beside the copy
         if not (math.isfinite(a.min()) and math.isfinite(a.max())):
-            raise InvalidInputError("coefficients must be finite")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise InvalidInputError("tol must be finite and >= 0")
+            raise ValidationError("coefficients must be finite")
+        tol = _require_real(self.tol, "tol")
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ValidationError("tol must be finite and >= 0")
         if not isinstance(self.domain, Domain2):
-            raise InvalidInputError(f"domain must be a Domain2, got {self.domain!r}")
+            raise ValidationError(f"domain must be a Domain2, got {self.domain!r}")
         a.setflags(write=False)
         object.__setattr__(self, "coeffs", a)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def degree_x(self):
@@ -274,7 +275,7 @@ def cheb_vector(n, x):
     out, or NaN, raises DomainError.
     """
     if n < 0:
-        raise InvalidInputError("degree must be >= 0")
+        raise ValidationError("degree must be >= 0")
     if not abs(x) <= 1.0 + _OVERSHOOT:  # NaN too
         raise DomainError(f"argument {x!r} lies outside [-1, 1]")
     x = min(1.0, max(-1.0, float(x)))
@@ -336,7 +337,7 @@ def lobatto_nodes(n):
     """cos(i pi / n) for i = 0..n, mirrored so node[n-i] equals -node[i]
     bit-for-bit (an exact 0 in the middle when n is even)."""
     if n < 1:
-        raise InvalidInputError("degenerate degree: need n >= 1")
+        raise ValidationError("degenerate degree: need n >= 1")
     nodes = np.empty(n + 1)
     half = n // 2
     nodes[: half + 1] = np.cos(np.pi * np.arange(half + 1) / n)
@@ -464,8 +465,11 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
     Raises ValidationError, before f is sampled, if the samples and the
     transform's arrays would exceed the grid budget.
     """
+    n, m = _index(n, "n"), _index(m, "m")
     if n < 1 or m < 1:
-        raise InvalidInputError("interpolation degrees must be >= 1")
+        raise ValidationError("interpolation degrees must be >= 1")
+    if not isinstance(domain, Domain2):
+        raise ValidationError(f"domain must be a Domain2, got {domain!r}")
     _check_grid_budget(f"the {n + 1} x {m + 1} interpolation grid",
                        (n + 1) * (m + 1) + _transform_entries(n + 1, m + 1))
     xs = domain.x_from_unit(lobatto_nodes(n))
@@ -489,7 +493,7 @@ def _trimmed(coeffs, threshold, domain):
     else:
         cols = np.flatnonzero(coeffs.any(axis=0))
         coeffs = coeffs[: rows[-1] + 1, : cols[-1] + 1]
-    return Cheb2(coeffs, domain=domain, tol=float(threshold))
+    return Cheb2(coeffs, domain=domain, tol=threshold)
 
 
 def _rank_test(values, threshold):
@@ -613,7 +617,7 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
             if relative:
                 peak = max(peak, along_x.max(), -along_x.min(),
                            along_y.max(), -along_y.min())
-            threshold = tol * peak if relative else float(tol)
+            threshold = tol * peak if relative else tol
             cx, cy = np.empty_like(along_x), np.empty_like(along_y)
             _dct_rows(along_x, cx)
             _dct_rows(along_y, cy)
@@ -713,6 +717,9 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
 
     Raises
     ------
+    ValidationError
+        If tol is not a positive finite number, n0 or max_n not an integer
+        power of two with 2 <= n0 <= max_n, or domain not a Domain2.
     ConvergenceError
         If a pass does not converge and an axis it would double is at max_n
         (or the largest power of two reached from n0).  The message gives
@@ -726,12 +733,16 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         none ran.  Bounds are written ``degree bound N`` when both axes
         have N, ``degree bounds NX x NY`` otherwise.
     """
-    if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
-        raise InvalidInputError("tol must be positive and finite")
+    tol = _require_real(tol, "tol")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError("tol must be positive and finite")
+    n0, max_n = _index(n0, "n0"), _index(max_n, "max_n")
     if not _is_power_of_two(n0) or n0 < 2:
-        raise InvalidInputError(f"n0 must be a power of two >= 2, got {n0}")
+        raise ValidationError(f"n0 must be a power of two >= 2, got {n0}")
     if not _is_power_of_two(max_n) or max_n < n0:
-        raise InvalidInputError(f"max_n must be a power of two >= n0, got {max_n}")
+        raise ValidationError(f"max_n must be a power of two >= n0, got {max_n}")
+    if not isinstance(domain, Domain2):
+        raise ValidationError(f"domain must be a Domain2, got {domain!r}")
 
     check_x = domain.x_from_unit(_CHECK_NODES)
     check_y = domain.y_from_unit(_CHECK_NODES)
@@ -779,7 +790,7 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         # tol times max |values|, with no grid of magnitudes; the 0.0 first
         # makes the threshold of an all -0.0 grid 0.0, as max |values| is
         threshold = (tol * max(0.0, values.max(), -values.min()) if relative
-                     else float(tol))
+                     else tol)
         tail_x = np.abs(coeffs[-2:, :]).max()
         tail_y = np.abs(coeffs[:, -2:]).max()
         tail = max(tail_x, tail_y)
@@ -823,19 +834,20 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
 def trim(coeffs, tol, domain=UNIT_SQUARE):
     """Sparse form of a coefficient matrix: drop |value| < tol and zeros,
     shrink the degrees to the largest retained row and column index."""
+    tol = _require_real(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0):
-        raise InvalidInputError("tol must be finite and >= 0")
+        raise ValidationError("tol must be finite and >= 0")
     a = np.asarray(coeffs, dtype=float)
     if a.ndim != 2:
-        raise InvalidInputError("coefficients must form a 2-D matrix")
+        raise ValidationError("coefficients must form a 2-D matrix")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError("coefficients must be finite")
-    return _sparse(a, (np.abs(a) >= tol) & (a != 0.0), float(tol), domain)
+        raise ValidationError("coefficients must be finite")
+    return _sparse(a, (np.abs(a) >= tol) & (a != 0.0), tol, domain)
 
 
 def to_sparse(c):
     """SparseCoeffs carrying every stored nonzero of a Cheb2."""
-    return _sparse(c.coeffs, c.coeffs != 0.0, float(c.tol), c.domain)
+    return _sparse(c.coeffs, c.coeffs != 0.0, c.tol, c.domain)
 
 
 def _sparse(a, keep, tol, domain):
@@ -862,8 +874,9 @@ def to_cheb2(sparse):
 
 def truncate(c, degree_x, degree_y):
     """Corner block of a Cheb2 up to the requested degrees (clipped to c's)."""
+    degree_x, degree_y = _index(degree_x, "degree_x"), _index(degree_y, "degree_y")
     if degree_x < 0 or degree_y < 0:
-        raise InvalidInputError("truncation degrees must be >= 0")
+        raise ValidationError("truncation degrees must be >= 0")
     nx = min(degree_x, c.degree_x)
     ny = min(degree_y, c.degree_y)
     return Cheb2(c.coeffs[: nx + 1, : ny + 1], c.domain, c.tol)
@@ -912,7 +925,7 @@ def evaluate_matrix(c, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(y, dtype=float))
     except ValueError:
-        raise InvalidInputError(
+        raise ValidationError(
             f"point coordinates of shapes {np.shape(x)} and {np.shape(y)} "
             "do not broadcast") from None
     u, v = (t.ravel() for t in _unit_points(c, x, y))
@@ -950,7 +963,7 @@ def evaluate_grid(c, xs, ys):
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     if xs.ndim != 1 or ys.ndim != 1:
-        raise InvalidInputError(
+        raise ValidationError(
             f"grid axes must be 1-D, got shapes {xs.shape} and {ys.shape}")
     u, v = _unit_points(c, xs[:, None], ys[None, :])
     basis_x, basis_y = _basis_pair(c, u.ravel(), v.ravel())
@@ -1083,9 +1096,6 @@ def load(source):
     raw_domain = doc["domain"]
     if not (isinstance(raw_domain, list) and len(raw_domain) == 4):
         raise ValidationError('"domain" must be a list of four numbers')
-    try:
-        domain = Domain2(*(_require_real(b, "domain bound") for b in raw_domain))
-    except InvalidInputError as exc:
-        raise ValidationError(str(exc)) from None
+    domain = Domain2(*(_require_real(b, "domain bound") for b in raw_domain))
     return SparseCoeffs(doc["degree_x"], doc["degree_y"], domain, doc["tol"],
                         doc["entries"])

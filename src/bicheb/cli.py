@@ -56,8 +56,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EvalError,
-    InvalidInputError,
-    LexError,
     ParseError,
     SamplingError,
     ValidationError,
@@ -109,13 +107,12 @@ def _tolerance(args):
     return tol
 
 
-def _check_resolution(args):
+def _check_resolution(args, grids):
+    """Refuse a --resolution below 2, or one for which `grids` arrays the
+    size of its grid would exceed the grid budget."""
     if args.resolution < 2:
         raise ValidationError("resolution must be >= 2")
-    # two coordinate arrays and their meshgrid, the values and, with
-    # --compare-expr, the reference and the error
-    _check_grid_budget(f"--resolution {args.resolution}",
-                       args.resolution ** 2 * (5 if args.compare_expr is None else 7))
+    _check_grid_budget(f"--resolution {args.resolution}", grids * args.resolution ** 2)
 
 
 def _ast_function(ast):
@@ -200,8 +197,12 @@ _ROWS_PER_WRITE = 4096
 
 def cmd_eval(args):
     # every point is checked, evaluated and compared before the sink opens,
-    # so a failure leaves no partial output
-    _check_resolution(args)
+    # so a failure leaves no partial output.  A grid peaks at about 7.3
+    # arrays of its size inside evaluate_matrix: the points' two coordinates,
+    # their unit coordinates before and after the clamp and one clamp's
+    # temporary.  The values and --compare-expr's reference and error come
+    # after those are let go.
+    _check_resolution(args, 8)
     c = to_cheb2(load(args.input))
     xs, ys = _collect_points(args, c.domain)
     compare_ast = _compare_ast(args)
@@ -270,7 +271,9 @@ def cmd_interp(args):
 
 
 def cmd_export(args):
-    _check_resolution(args)
+    # the values, and with --compare-expr the reference, the difference
+    # and the error: a peak of about 1.05 arrays of the grid's size, or 4.05
+    _check_resolution(args, 5 if args.compare_expr is None else 7)
     c = to_cheb2(load(args.input))
     grid = args.grid_domain or c.domain
     xs = np.linspace(grid.xlo, grid.xhi, args.resolution)
@@ -396,16 +399,16 @@ def _build_parser():
 def main(argv=None):
     try:
         # inside the try: a usage error or a bad --domain raises
-        # ValidationError or InvalidInputError from the parser
+        # ValidationError from the parser
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    except (LexError, ParseError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValidationError, InvalidInputError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -1,16 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per kind of
+failure: the CLI exits 2 on ParseError, 3 on ConvergenceError, 4 on
+ValidationError and 6 on DomainError, SamplingError and EvalError."""
 
 
 class ChebError(Exception):
     """Base class for every error raised by this package."""
-
-
-class InvalidInputError(ChebError):
-    """A numeric argument failed validation (shape, range, NaN/Inf)."""
-
-
-class UnsupportedSizeError(ChebError):
-    """A dimension of ``bicheb.paper.fft2`` is not a power of two."""
 
 
 class DomainError(ChebError):
@@ -33,23 +27,17 @@ class ConvergenceError(ChebError):
 
 
 class ValidationError(ChebError):
-    """A coefficient document or constructed object violates an invariant."""
+    """An argument, option value, document or object breaks a documented
+    rule: type, shape, range, NaN/Inf, a power-of-two size, the grid budget."""
 
 
-class PositionedError(ChebError):
-    """An error tied to a character offset in some source text."""
+class ParseError(ChebError):
+    """A formula or document could not be tokenized or parsed; ``position``
+    is the character offset of the fault in the source text."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class LexError(PositionedError):
-    """An illegal character was found while tokenizing."""
-
-
-class ParseError(PositionedError):
-    """A token stream or document could not be parsed."""
 
 
 class EvalError(ChebError):

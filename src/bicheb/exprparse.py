@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvalError, LexError, ParseError
+from .errors import EvalError, ParseError
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def tokenize(source):
             continue
         match = _TOKEN_RE.match(source, pos)
         if match is None:
-            raise LexError(f"illegal character {source[pos]!r}", pos)
+            raise ParseError(f"illegal character {source[pos]!r}", pos)
         tokens.append(Token(match.lastgroup, match.group(), pos))
         pos = match.end()
     return tokens

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebcore import UNIT_SQUARE, _is_power_of_two, _sample_on, lobatto_nodes
-from .errors import InvalidInputError, UnsupportedSizeError
+from .errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -34,10 +34,10 @@ from .errors import InvalidInputError, UnsupportedSizeError
 def _as_valid_matrix(x):
     a = np.asarray(x)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InvalidInputError(f"expected a 2-D matrix, got shape {a.shape!r}")
+        raise ValidationError(f"expected a 2-D matrix, got shape {a.shape!r}")
     a = a.astype(np.complex128)
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise InvalidInputError("matrix contains NaN or Inf entries")
+        raise ValidationError("matrix contains NaN or Inf entries")
     return a
 
 
@@ -85,12 +85,12 @@ def fft2(x):
     """Fast 2-D transform, identical in contract to ``dft2_naive``.
 
     Both dimensions must be powers of two; other sizes raise
-    UnsupportedSizeError rather than silently falling back.
+    ValidationError rather than silently falling back.
     """
     a = _as_valid_matrix(x)
     p, q = a.shape
     if not (_is_power_of_two(p) and _is_power_of_two(q)):
-        raise UnsupportedSizeError(
+        raise ValidationError(
             f"dimensions must be powers of two, got {p}x{q}")
     rows = _fft_last_axis(a)
     return _fft_last_axis(rows.T).T
@@ -116,7 +116,7 @@ def sample_grid(f, m, domain=UNIT_SQUARE):
     the grid's even symmetry bit for bit whenever f is deterministic.
     """
     if not _is_power_of_two(m) or m < 2:
-        raise InvalidInputError(f"grid size must be a power of two >= 2, got {m}")
+        raise ValidationError(f"grid size must be a power of two >= 2, got {m}")
     u = _periodic_nodes(m)
     return _sample_on(f, domain.x_from_unit(u), domain.y_from_unit(u))
 
@@ -137,10 +137,10 @@ def coeffs_from_samples(values, n):
     with the first row and column halved and the corner quartered.
     """
     if n < 1:
-        raise InvalidInputError("degree bound must be >= 1")
+        raise ValidationError("degree bound must be >= 1")
     m = np.shape(values)[0]
     if m < 2 * (n + 1):
-        raise InvalidInputError(
+        raise ValidationError(
             f"grid size {m} too small for degree {n}; need at least {2 * (n + 1)}")
     g = fft2(values) / (m * m)
     coeffs = 4.0 * g.real[: n + 1, : n + 1]
@@ -159,9 +159,9 @@ def coeffs_by_quadrature(f, k, j, nodes):
     path, which it cross-checks.
     """
     if k < 0 or j < 0:
-        raise InvalidInputError("coefficient indices must be >= 0")
+        raise ValidationError("coefficient indices must be >= 0")
     if nodes < 4 * max(k, j) + 16:
-        raise InvalidInputError(
+        raise ValidationError(
             f"need at least {4 * max(k, j) + 16} quadrature nodes for index "
             f"({k}, {j}), got {nodes}")
     t = (np.arange(nodes) + 0.5) * (np.pi / nodes)
@@ -193,7 +193,7 @@ class DecayBounds:
         for name in ("dxx", "dyy", "dxy"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
-                raise InvalidInputError(f"{name} must be finite and >= 0")
+                raise ValidationError(f"{name} must be finite and >= 0")
 
 
 def decay_bound_excess(c, bounds):
@@ -273,7 +273,7 @@ def aliasing_coeffs(alpha, n, m, cutoff=8):
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 2:
-        raise InvalidInputError("coefficient matrix must be 2-D")
+        raise ValidationError("coefficient matrix must be 2-D")
     rows, cols = a.shape
     out = np.zeros((n + 1, m + 1))
     col_classes = [
@@ -294,9 +294,9 @@ def interp_error_bound_gap(alpha, n, m):
     """
     a = np.asarray(alpha, dtype=float)
     if a.ndim != 2:
-        raise InvalidInputError("coefficient matrix must be 2-D")
+        raise ValidationError("coefficient matrix must be 2-D")
     if not np.all(np.isfinite(a)):
-        raise InvalidInputError("coefficient matrix must be finite")
+        raise ValidationError("coefficient matrix must be finite")
     a = np.abs(a)
     top = a[: n + 1, m + 1:].sum()
     rest = a[n + 1:, :].sum()

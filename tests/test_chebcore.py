@@ -18,7 +18,6 @@ from bicheb.errors import (
     ConvergenceError,
     DomainError,
     EvalError,
-    InvalidInputError,
     ParseError,
     SamplingError,
     ValidationError,
@@ -53,8 +52,8 @@ class TestPackage:
                        and not isinstance(getattr(bc, name), types.ModuleType))
         assert names == [
             "Cheb2", "ChebError", "ConvergenceError", "Domain2", "DomainError",
-            "EvalError", "InvalidInputError", "LexError", "ParseError",
-            "SamplingError", "SparseCoeffs", "UNIT_SQUARE", "ValidationError",
+            "EvalError", "ParseError", "SamplingError", "SparseCoeffs",
+            "UNIT_SQUARE", "ValidationError",
             "build_adaptive", "cheb_basis", "cheb_vector", "diff_x", "diff_y",
             "document_text", "eval_ast", "evaluate_clenshaw", "evaluate_grid",
             "evaluate_matrix", "integrate", "lagrange_cheb_coeffs", "load",
@@ -81,7 +80,7 @@ class TestChebT:
             bc.cheb_vector(2, 1.1)
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.cheb_vector(-1, 0.0)
 
 
@@ -171,9 +170,9 @@ class TestSampleGrid:
             bp.sample_grid(bad, 8)
 
     def test_rejects_bad_size(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bp.sample_grid(f_cosxy, 12)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bp.sample_grid(f_cosxy, 1)
 
     def test_domain_mapping(self):
@@ -210,9 +209,9 @@ class TestCoeffsFromSamples:
 
     def test_rejects_undersized_grid(self):
         grid = bp.sample_grid(f_cosxy, 16)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bp.coeffs_from_samples(grid, 8)  # needs m >= 18
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bp.coeffs_from_samples(grid, 0)
 
 
@@ -516,12 +515,23 @@ class TestBuildAdaptive:
         assert math.isnan(info.value.tail_magnitude)
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.build_adaptive(f_cosxy, 0.0)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.build_adaptive(f_cosxy, 1e-15, n0=3)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.build_adaptive(f_cosxy, 1e-15, n0=8, max_n=4)
+
+    @pytest.mark.parametrize("bounds", [{"n0": 8.0}, {"max_n": 64.0},
+                                        {"n0": np.float64(8.0)}],
+                             ids=["float-n0", "float-max_n", "numpy-float-n0"])
+    def test_non_integer_degree_bounds_are_invalid(self, bounds):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            bc.build_adaptive(f_cosxy, 1e-15, **bounds)
+
+    def test_domain_must_be_a_domain2(self):
+        with pytest.raises(ValidationError, match="Domain2"):
+            bc.build_adaptive(f_cosxy, 1e-15, domain="nope")
 
 
 def two_bumps(x, y):
@@ -782,8 +792,30 @@ class TestTrim:
         assert (sparse.degree_x, sparse.degree_y) == (2, 3)
 
     def test_rejects_negative_tol(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.trim(np.ones((2, 2)), -1.0)
+
+    # SparseCoeffs checks its tol the same way (TestPersistence)
+    @pytest.mark.parametrize("tol", ["0", None, True], ids=["str", "none", "bool"])
+    @pytest.mark.parametrize("call", [
+        lambda tol: bc.Cheb2(np.ones((2, 2)), bc.UNIT_SQUARE, tol),
+        lambda tol: bc.trim(np.ones((2, 2)), tol),
+        lambda tol: bc.build_adaptive(f_cosxy, tol),
+    ], ids=["Cheb2", "trim", "build_adaptive"])
+    def test_non_real_tol_is_invalid(self, call, tol):
+        with pytest.raises(ValidationError, match="tol must be a number"):
+            call(tol)
+
+    def test_real_tol_is_stored_as_float(self):
+        for tol in (0, np.float64(0.5)):
+            c = bc.Cheb2(np.ones((2, 2)), bc.UNIT_SQUARE, tol)
+            assert c.tol == tol and type(c.tol) is float
+
+    @pytest.mark.parametrize("degrees", [(1.5, 1), (1, 1.5), (True, 1)],
+                             ids=["float-x", "float-y", "bool-x"])
+    def test_truncation_degrees_must_be_integers(self, cosxy, degrees):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            bc.truncate(cosxy, *degrees)
 
 
 class TestEvaluate:
@@ -852,11 +884,11 @@ class TestEvaluate:
         assert values.shape == (0,)
 
     def test_unequal_lengths_rejected(self, cosxy):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.evaluate_matrix(cosxy, np.zeros(3), np.zeros(5))
 
     def test_grid_axes_must_be_one_dimensional(self, cosxy):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bc.evaluate_grid(cosxy, np.zeros((2, 3)), [0.0])
 
     def test_broadcast_points_match_grid(self, cosxy):
@@ -991,7 +1023,7 @@ class TestCoeffsByQuadrature:
         assert value == pytest.approx(0.880725579, abs=1e-8)
 
     def test_rejects_too_few_nodes(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             bp.coeffs_by_quadrature(f_cosxy, 10, 0, 32)
 
 
@@ -1204,5 +1236,5 @@ class TestPersistence:
     def test_domain_must_be_a_domain2(self, domain):
         with pytest.raises(ValidationError, match="Domain2"):
             bc.SparseCoeffs(0, 0, domain, 0.0, ())
-        with pytest.raises(InvalidInputError, match="Domain2"):
+        with pytest.raises(ValidationError, match="Domain2"):
             bc.Cheb2(np.ones((2, 2)), domain)

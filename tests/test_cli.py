@@ -179,6 +179,27 @@ class TestEval:
         assert last.startswith("max_abs_error")
         assert float(last.split()[1]) <= 1e-10
 
+    @pytest.mark.parametrize("compare", [[], ["--compare-expr", "cos(x*y)"]],
+                             ids=["values", "compare-expr"])
+    def test_eval_budget_covers_what_it_allocates(self, capsys, cos_file, tmp_path,
+                                                  monkeypatch, compare):
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            chebcore._check_grid_budget(what, entries, error)
+
+        monkeypatch.setattr(cli, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, "eval", str(cos_file), "--resolution", "300",
+                       "-o", str(tmp_path / "v.txt"), *compare)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 8 * max(charged)
+
     def test_round_trip_matches_in_process_build(self, capsys, cos_file):
         c = bc.build_adaptive(f_cosxy, 1e-15)
         points = [(0.3, -0.7), (0.0, 0.0), (-0.99, 0.99)]

@@ -17,7 +17,7 @@ from bicheb.exprparse import (
     pretty_print,
     tokenize,
 )
-from bicheb.errors import EvalError, LexError, ParseError
+from bicheb.errors import EvalError, ParseError
 
 
 class TestTokenize:
@@ -44,7 +44,7 @@ class TestTokenize:
         assert positions == sorted(set(positions))
 
     def test_illegal_character(self):
-        with pytest.raises(LexError) as info:
+        with pytest.raises(ParseError) as info:
             tokenize("x + $y")
         assert info.value.position == 4
 
@@ -81,7 +81,7 @@ class TestParse:
         "foo(x)", "z + 1", "1 2", "x ^", "* x",
     ])
     def test_rejections_carry_positions(self, source):
-        with pytest.raises((LexError, ParseError)) as info:
+        with pytest.raises(ParseError) as info:
             parse_expression(source)
         assert 0 <= info.value.position <= len(source)
 

@@ -8,7 +8,7 @@ import bicheb as bc
 import bicheb.paper as bp
 from bicheb import lagrange_cheb_coeffs
 from bicheb.paper import aliasing_coeffs, interp_error_bound_gap, lobatto_grid
-from bicheb.errors import InvalidInputError, ValidationError
+from bicheb.errors import ValidationError
 
 from conftest import f_cosxy
 
@@ -42,7 +42,7 @@ class TestLobattoGrid:
             assert np.array_equal(g.nodes, -g.nodes[::-1])
 
     def test_degenerate_degree(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             lobatto_grid(0)
 
     @pytest.mark.parametrize("n", range(1, 17))
@@ -100,8 +100,18 @@ class TestLagrangeCoeffs:
             assert np.abs(values - exact).max() <= 1e-11 * np.abs(exact).max()
 
     def test_rejects_degenerate_degrees(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValidationError):
             lagrange_cheb_coeffs(f_cosxy, 0, 3)
+
+    @pytest.mark.parametrize("n, m", [(2.5, 2), (2, np.float64(2.0)), (True, 2)],
+                             ids=["float-n", "numpy-float-m", "bool-n"])
+    def test_non_integer_degrees_are_invalid(self, n, m):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            lagrange_cheb_coeffs(f_cosxy, n, m)
+
+    def test_domain_must_be_a_domain2(self):
+        with pytest.raises(ValidationError, match="Domain2"):
+            lagrange_cheb_coeffs(f_cosxy, 2, 2, domain="nope")
 
     def test_over_budget_refused_before_sampling(self):
         calls = []
