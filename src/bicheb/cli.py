@@ -38,7 +38,6 @@ from .chebcore import (
     Domain2,
     UNIT_SQUARE,
     _check_grid_budget,
-    _format_real,
     _read_ascii,
     build_adaptive,
     evaluate_grid,
@@ -139,7 +138,7 @@ def cmd_approx(args):
     started = time.perf_counter()
     c, f = _build_from_expression(args, args.expression, tol)
     try:
-        indicator = _format_real(parseval_indicator(c, f))
+        indicator = "%.17g" % parseval_indicator(c, f)
     except ValidationError as exc:  # its grid is over the budget; c is not
         indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
@@ -191,7 +190,7 @@ def _value_columns(values, compare_ast, x, y):
     return [values, reference, np.abs(values - reference)]
 
 
-# Rows formatted per write by eval; "%.17g" gives the text of _format_real.
+# Rows formatted per write by eval.
 _ROWS_PER_WRITE = 4096
 
 
@@ -215,7 +214,7 @@ def cmd_eval(args):
                      for column in columns]
             sink.write("".join(row % cells for cells in zip(*block)))
         if compare_ast is not None:
-            sink.write(f"max_abs_error {_format_real(columns[2].max())}\n")
+            sink.write("max_abs_error %.17g\n" % columns[2].max())
     finally:
         if owned:
             sink.close()
@@ -232,7 +231,7 @@ def cmd_integrate(args):
         c = to_cheb2(load(args.input))
     else:
         c, _ = _build_from_expression(args, args.expr, tol)
-    print(_format_real(integrate(c)))
+    print("%.17g" % integrate(c))
     return EXIT_OK
 
 
@@ -266,7 +265,7 @@ def cmd_interp(args):
         residual = evaluate_grid(c, xs, ys)
         residual -= eval_ast(ast, xs[:, None], ys[None, :])
         worst = np.abs(residual, out=residual).max()
-        print(f"max node residual: {_format_real(worst)}")
+        print("max node residual: %.17g" % worst)
     return EXIT_OK
 
 
@@ -284,15 +283,15 @@ def cmd_export(args):
     header = ",".join(["x", "y", "value", "reference", "abs_error"][: 2 + len(columns)])
     # x and y text once per grid line, one %-format per row
     row = "%s,%s" + ",%.17g" * len(columns) + "\n"
-    fys = [_format_real(y) for y in ys]
+    fys = ["%.17g" % y for y in ys]
     with open(args.output, "w", encoding="ascii") as sink:
         sink.write(header + "\n")
         for i, x in enumerate(xs):
-            fx = _format_real(x)
+            fx = "%.17g" % x
             cells = zip(fys, *(column[i].tolist() for column in columns))
             sink.write("".join(row % (fx, *cell) for cell in cells))
     if compare_ast is not None:
-        print(f"max_abs_error {_format_real(columns[2].max())}")
+        print("max_abs_error %.17g" % columns[2].max())
     print(f"wrote {args.resolution * args.resolution} rows to {args.output}")
     return EXIT_OK
 

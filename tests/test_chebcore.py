@@ -132,6 +132,22 @@ class TestChebBasis:
             for k in (0, block)])
         assert np.array_equal(bc.evaluate_matrix(c, xs, ys), values)
 
+    @pytest.mark.parametrize("call", [
+        lambda: bc.cheb_vector(2.5, 0.1),
+        lambda: bc.cheb_basis(2.5, [0.1]),
+        lambda: bc.cheb_vector(True, 0.1),
+        lambda: bc.cheb_basis(True, [0.1]),
+        lambda: bc.cheb_basis(-1, [0.1]),
+    ], ids=["vector-float", "basis-float", "vector-bool", "basis-bool",
+            "basis-negative"])
+    def test_degree_must_be_a_nonnegative_integer(self, call):
+        with pytest.raises(ValidationError, match="degree must be"):
+            call()
+
+    def test_numpy_integer_degree(self):
+        assert np.array_equal(bc.cheb_vector(np.int64(3), 0.3), bc.cheb_vector(3, 0.3))
+        assert np.array_equal(bc.cheb_basis(np.int64(3), [0.3]), bc.cheb_basis(3, [0.3]))
+
 
 class TestSampleGrid:
     def test_constant(self):
@@ -794,6 +810,53 @@ class TestTrim:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValidationError):
             bc.trim(np.ones((2, 2)), -1.0)
+
+    @staticmethod
+    def by_mask(a, tol):
+        """(degree_x, degree_y, entries) by the mask trim once applied on its
+        own: keep |a| >= tol and nonzero, degrees from the kept indices."""
+        rows, cols = np.nonzero((np.abs(a) >= tol) & (a != 0.0))
+        if rows.size == 0:
+            return 0, 0, ()
+        return (int(rows.max()), int(cols.max()),
+                tuple(zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keeps_what_the_mask_keeps(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 9, 2))
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-20, 1, shape)
+            for tol in (0.0, 1e-15, 1e-3, 0.5):
+                b = a.copy()
+                # zeros, -0.0, entries at +-tol and just below it
+                picks = rng.choice(7, size=shape)
+                for k, v in enumerate((0.0, -0.0, tol, -tol, np.nextafter(tol, 0.0))):
+                    b[picks == k] = v
+                for t in (tol, 2.0 * np.abs(b).max()):  # the second keeps nothing
+                    sparse = bc.trim(b, t)
+                    assert sparse.tol == t
+                    assert (sparse.degree_x, sparse.degree_y, sparse.entries) == \
+                        self.by_mask(b, t)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 4)), np.full((2, 5), -0.0),
+                                   np.zeros((0, 3))], ids=["zero", "negative-zero", "empty"])
+    @pytest.mark.parametrize("tol", [0.0, 1e-15])
+    def test_no_entry_kept_is_the_zero_document(self, a, tol):
+        sparse = bc.trim(a, tol)
+        assert (sparse.degree_x, sparse.degree_y, sparse.entries) == \
+            self.by_mask(a, tol) == (0, 0, ())
+
+    def test_leaves_its_argument_unchanged(self):
+        # the builder's trim works in place, so trim must work on a copy
+        a = np.array([[1.0, 1e-20, -0.0], [1e-20, 2.0, 0.0]])
+        before = a.tobytes()
+        expected = ((0, 0, 1.0), (1, 1, 2.0))
+        assert bc.trim(a, 1e-15).entries == expected
+        assert a.tobytes() == before and a.flags.writeable
+        c = bc.Cheb2(a)
+        assert bc.trim(c.coeffs, 1e-15).entries == expected
+        assert c.coeffs.tobytes() == before
 
     # SparseCoeffs checks its tol the same way (TestPersistence)
     @pytest.mark.parametrize("tol", ["0", None, True], ids=["str", "none", "bool"])

@@ -695,6 +695,16 @@ class TestOptions:
         assert "budget" in err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_budget_message_gives_both_byte_counts(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # eval charges 8 grids: 4097^2 points need just over 1 GiB, which
+        # reads as 1 GiB to three digits, so only the bytes say why
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "eval", "c.json", "--resolution", "4097")
+        assert code == EXIT_VALIDATION and out == ""
+        assert ("needs 1074266176 bytes (1 GiB) of arrays, over the budget of "
+                "1073741824 bytes (1 GiB)") in err
+
     def test_interp_parses_before_the_budget(self, capsys, tmp_path, monkeypatch):
         # lagrange_cheb_coeffs charges the grid after the formula is parsed
         monkeypatch.chdir(tmp_path)
