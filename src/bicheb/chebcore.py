@@ -31,9 +31,12 @@ column of the dense matrix, so only the leading block that holds every
 entry the trim can keep is expanded.  Its entries are computed as the whole
 product's are, so the trimmed block is the trimmed dense matrix bit for bit;
 it is checked off the grid as a tensor pass is, and if an axis would pass
-max_n or the check fails, the tensor passes resume.  Each step is charged
-against the budget before it samples: the tested grid, the slices and three
-dense grids, since the block can be the whole matrix.  The bounds and the
+max_n or the check fails, the tensor passes resume.  The block is trimmed
+in place, its kept corner is moved to the head of its own buffer, and the
+Cheb2 takes that buffer without a copy, so the step's one dense array is
+the block.  Each step is charged against the budget before it samples: the
+tested grid, the slices and three dense grids, since the block can be the
+whole matrix; the charge leaves two grids to spare.  The bounds and the
 expansion are elementwise numpy, not a BLAS product, so they too give the
 same bytes on any number of CPUs.
 
@@ -64,9 +67,10 @@ cost 1.5-1.7 times as much (13 x 13 to 659 x 683 coefficients, 2 vCPUs,
 BLAS at one thread).  Clenshaw's recurrence (``evaluate_clenshaw``) is kept
 as the oracle.
 
-Coefficients are trimmed by one rule, the builder's (``_trimmed``): ``trim``
-applies it to a copy of any matrix, and ``to_sparse`` turns the nonzeros of
-a Cheb2 into a document.
+Coefficients are trimmed by one rule, the builder's (``_trim_in_place``):
+a tensor pass (``_trimmed``) and ``trim``, which applies it to a copy of any
+matrix, copy the kept block into a Cheb2, phase 2 keeps its own block, and
+``to_sparse`` turns the nonzeros of a Cheb2 into a document.
 """
 
 import json
@@ -167,7 +171,20 @@ class Cheb2:
     tol: float = 0.0
 
     def __post_init__(self):
-        a = np.array(self.coeffs, dtype=float)
+        self._adopt(np.array(self.coeffs, dtype=float))
+
+    @classmethod
+    def _owning(cls, a, domain, tol):
+        """Cheb2 of a, a float64 array that nothing else will write, without
+        the constructor's copy: the same checks, and a is made read-only."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "domain", domain)
+        object.__setattr__(c, "tol", tol)
+        c._adopt(a)
+        return c
+
+    def _adopt(self, a):
+        """Check a, tol and domain, and store a, read-only, as coeffs."""
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(
                 f"coefficients must form a 2-D matrix, got shape {a.shape!r}")
@@ -496,18 +513,31 @@ def _bounds(nx, ny):
     return f"degree bound {nx}" if nx == ny else f"degree bounds {nx} x {ny}"
 
 
-def _trimmed(coeffs, threshold, domain):
-    """Cheb2 of coeffs with |entries| < threshold zeroed (in place, with no
-    grid of magnitudes) and trailing all-zero rows and columns dropped; all
-    zero gives a single zero coefficient."""
-    np.copyto(coeffs, 0.0, where=(coeffs < threshold) & (coeffs > -threshold))
-    rows = np.flatnonzero(coeffs.any(axis=1))
+def _trim_in_place(a, threshold):
+    """The trim rule: zero the entries of a with |value| < threshold, in
+    place, and return the (rows, cols) of the leading block that holds every
+    entry left nonzero, (0, 0) if none.  NaN counts as nonzero, -0.0 as
+    zero.  The entries are zeroed in chunks of about _CHUNK_ENTRIES, a few
+    rows each, so the masks take a chunk, not a grid."""
+    step = max(1, _CHUNK_ENTRIES // max(1, a.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        chunk = a[lo:lo + step]
+        np.copyto(chunk, 0.0, where=(chunk < threshold) & (chunk > -threshold))
+    rows = np.flatnonzero(a.any(axis=1))
     if rows.size == 0:
-        coeffs = np.zeros((1, 1))
-    else:
-        cols = np.flatnonzero(coeffs.any(axis=0))
-        coeffs = coeffs[: rows[-1] + 1, : cols[-1] + 1]
-    return Cheb2(coeffs, domain=domain, tol=threshold)
+        return 0, 0
+    cols = np.flatnonzero(a[: rows[-1] + 1].any(axis=0))
+    return int(rows[-1]) + 1, int(cols[-1]) + 1
+
+
+def _trimmed(coeffs, threshold, domain):
+    """Cheb2 of coeffs trimmed in place (_trim_in_place), trailing all-zero
+    rows and columns dropped; all zero gives a single zero coefficient.
+    Cheb2 copies the kept block, so coeffs, often a grid several times its
+    size, is not held by the result."""
+    rows, cols = _trim_in_place(coeffs, threshold)
+    kept = coeffs[:rows, :cols] if rows else np.zeros((1, 1))
+    return Cheb2(kept, domain=domain, tol=threshold)
 
 
 def _rank_test(values, threshold):
@@ -541,7 +571,8 @@ def _expand(left, right):
 
 def _trimmed_product(left, right, threshold, domain):
     """_trimmed(_expand(left, right), threshold, domain) bit for bit, with
-    only the leading block of the product that the trim can keep expanded.
+    only the leading block of the product that the trim can keep expanded,
+    and that block's buffer kept as the Cheb2's array.
 
     Row i of the product is at most sum_k |left[k, i]| max |right[k]| in
     magnitude, column j sum_k |right[k, j]| max |left[k]|.  The bounds are
@@ -556,6 +587,12 @@ def _trimmed_product(left, right, threshold, domain):
     computes them, and the trim drops only trailing all-zero rows and
     columns, so it keeps the same matrix from the block as from the whole
     product.
+
+    The block is trimmed in place and its kept corner moved to the head of
+    its buffer, a chunk of rows at a time; the Cheb2 takes that head with no
+    copy, so the step holds one dense array, and the result keeps the
+    block's buffer, a few rows and columns more than it needs (666 x 692
+    for the bump's 659 x 683).
     """
     cut = 0.5 * threshold
     row_peaks = np.abs(right).max(axis=1)
@@ -570,7 +607,20 @@ def _trimmed_product(left, right, threshold, domain):
     # no row or column kept: a 1 x 1 block, trimmed to the zero coefficient
     nr = rows[-1] + 1 if rows.size else 1
     nc = cols[-1] + 1 if cols.size else 1
-    return _trimmed(_expand(left[:, :nr], right[:, :nc]), threshold, domain)
+    block = _expand(left[:, :nr], right[:, :nc])
+    rows, cols = _trim_in_place(block, threshold)
+    if not rows:
+        return Cheb2._owning(np.zeros((1, 1)), domain, threshold)
+    # move the kept corner to the head of the block's own (C-ordered) buffer
+    # in forward chunks of rows: a chunk's destination ends before the next
+    # chunk's rows begin, and numpy buffers a chunk that overlaps its own
+    flat = block.reshape(-1)
+    if cols < nc:
+        step = max(1, _CHUNK_ENTRIES // cols)
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            flat[lo * cols:hi * cols].reshape(hi - lo, cols)[...] = block[lo:hi, :cols]
+    return Cheb2._owning(flat[:rows * cols].reshape(rows, cols), domain, threshold)
 
 
 def _skeleton(along_x, along_y, core):
@@ -606,8 +656,10 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     against the threshold of every sample in hand.  Each step is charged
     against the budget first: the phase-1 grid, which stays held for phase
     1 to resume from, the slices with their transforms, and three grids for
-    the dense matrix: the expanded block, which at worst is the whole
-    product of _expand, and the trimmed copy.
+    the dense matrix.  The step holds one: the expanded block, which at
+    worst is the whole product of _expand, and which is trimmed and
+    compacted in place into the Cheb2's array.  So the charge leaves two
+    grids to spare.
     """
     rows_i, cols_j = np.array(pivots).T
     r = rows_i.size
@@ -912,8 +964,11 @@ def _unit_points(c, x, y):
         raise DomainError(
             f"point ({x0!r}, {y0!r}) lies outside the domain rectangle "
             f"[{d.xlo}, {d.xhi}] x [{d.ylo}, {d.yhi}]")
-    # np.clip costs several microseconds more on scalars
-    return np.minimum(np.maximum(u, -1.0), 1.0), np.minimum(np.maximum(v, -1.0), 1.0)
+    # u and v are fresh: arrays are clamped in place, with no copy, and
+    # scalars without np.clip, which costs several microseconds more on them
+    return tuple(np.minimum(np.maximum(t, -1.0, out=t), 1.0, out=t)
+                 if isinstance(t, np.ndarray) else np.minimum(np.maximum(t, -1.0), 1.0)
+                 for t in (u, v))
 
 
 def evaluate_matrix(c, x, y):

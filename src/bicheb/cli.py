@@ -196,12 +196,14 @@ _ROWS_PER_WRITE = 4096
 
 def cmd_eval(args):
     # every point is checked, evaluated and compared before the sink opens,
-    # so a failure leaves no partial output.  A grid peaks at about 7.3
-    # arrays of its size inside evaluate_matrix: the points' two coordinates,
-    # their unit coordinates before and after the clamp and one clamp's
-    # temporary.  The values and --compare-expr's reference and error come
-    # after those are let go.
-    _check_resolution(args, 8)
+    # so a failure leaves no partial output.  A large grid peaks at about
+    # 5.3 arrays of its size inside evaluate_matrix: the points' two
+    # coordinates, their unit coordinates, clamped in place, and the domain
+    # check's magnitudes; later the values join them, beside one block's
+    # basis matrices (0.9 arrays more for cos(x*y) on a 300 x 300 grid).  With
+    # --compare-expr it peaks at about 6.0, when the reference and the error
+    # join the points and their values.
+    _check_resolution(args, 7)
     c = to_cheb2(load(args.input))
     xs, ys = _collect_points(args, c.domain)
     compare_ast = _compare_ast(args)
@@ -333,6 +335,11 @@ def _add_build_options(sub):
                      help="scale the tolerance by the largest sampled magnitude")
 
 
+# argparse reads an argument that starts with "-" as an option
+_MINUS_HELP = ("one that starts with a minus sign goes in parentheses, "
+               "'(-x*y)', or last, after every option and --: -o p.json -- '-x*y'")
+
+
 def _build_parser():
     parser = _Parser(
         prog="bicheb",
@@ -341,7 +348,7 @@ def _build_parser():
 
     p = subs.add_parser("approx", help="build an approximant from a formula")
     p.set_defaults(run=cmd_approx)
-    p.add_argument("expression", help="formula in x and y, e.g. 'cos(x*y)'")
+    p.add_argument("expression", help=f"formula in x and y, e.g. 'cos(x*y)'; {_MINUS_HELP}")
     p.add_argument("-o", "--output", default="coeffs.json",
                    help="coefficient file to write (default coeffs.json)")
     _add_build_options(p)
@@ -375,7 +382,7 @@ def _build_parser():
 
     p = subs.add_parser("interp", help="interpolate a formula on the Lobatto grid")
     p.set_defaults(run=cmd_interp)
-    p.add_argument("expression", help="formula in x and y")
+    p.add_argument("expression", help=f"formula in x and y; {_MINUS_HELP}")
     p.add_argument("-n", type=int, required=True, help="degree in x")
     p.add_argument("-m", type=int, required=True, help="degree in y")
     p.add_argument("-o", "--output", default="interp.json",

@@ -777,6 +777,102 @@ class TestLowRankPhase:
         assert c.degree_x < 59 and c.degree_y < 20
 
 
+def trimmed_by_masks(a, threshold):
+    """The trim with full-size masks on a copy of a, as the builder once
+    applied it: the oracle of the chunked, in-place trim."""
+    a = a.copy()
+    a[(a < threshold) & (a > -threshold)] = 0.0
+    rows, cols = np.flatnonzero(a.any(axis=1)), np.flatnonzero(a.any(axis=0))
+    if rows.size == 0:
+        return np.zeros((1, 1))
+    return a[: rows[-1] + 1, : cols[-1] + 1]
+
+
+def rank_one(left, right):
+    return np.array([left], dtype=float), np.array([right], dtype=float)
+
+
+# Factors, threshold and the kept shape.  Entries of 0.6 against a threshold
+# of 1 have bounds above half the threshold: the block keeps their rows and
+# columns, and the trim drops them.
+OWNED_CASES = {
+    "neither": (*rank_one([2] * 9, [2] * 7), 1.0, (9, 7)),
+    "rows": (*rank_one([2] * 7 + [0.3] * 2, [2] * 7), 1.0, (7, 7)),
+    "columns": (*rank_one([2] * 9, [2] * 5 + [0.3] * 2), 1.0, (9, 5)),
+    "both": (*rank_one([2] * 7 + [0.3] * 2, [2] * 5 + [0.3] * 2), 1.0, (7, 5)),
+    "one-row": (*rank_one([2] + [0.3] * 8, [2] * 5 + [0.3] * 2), 1.0, (1, 5)),
+    "one-column": (*rank_one([2] * 7 + [0.3] * 2, [2] + [0.3] * 6), 1.0, (7, 1)),
+    "all-zero": (*rank_one([0.3] * 9, [2] * 7), 1.0, (1, 1)),
+    "all-negative-zero": (*rank_one([-0.0] * 9, [2] * 7), 0.0, (1, 1)),
+    # at threshold 0 nothing is zeroed: -0.0 stays inside the kept corner
+    "negative-zero": (*rank_one([2, -0.0, 2, -0.0, -0.0], [2, -0.0, 2, 2, -0.0, -0.0]),
+                      0.0, (3, 4)),
+    "decaying": (*decaying_factors(np.random.default_rng(3), 3, 300, 280), 1e-6, None),
+}
+
+
+class TestOwnedBlock:
+    """Phase 2 trims its expanded block in place and moves the kept corner
+    to the head of the block's buffer, which the Cheb2 takes without a copy."""
+
+    @pytest.mark.parametrize("chunk", [1, 16, 2 ** 15], ids=["row", "rows", "default"])
+    @pytest.mark.parametrize("case", OWNED_CASES)
+    def test_same_as_the_trimmed_copy(self, monkeypatch, case, chunk):
+        left, right, threshold, shape = OWNED_CASES[case]
+        # chunks of one row, of a few rows, and of the whole block
+        monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
+        expected = trimmed_by_masks(chebcore._expand(left, right), threshold)
+        c = assert_same_trim(left, right, threshold)
+        assert shape is None or c.coeffs.shape == shape
+        assert c.coeffs.shape == expected.shape
+        assert c.coeffs.tobytes() == expected.tobytes()  # -0.0 too
+
+    @pytest.mark.parametrize("chunk", [1, 16, 2 ** 15], ids=["row", "rows", "default"])
+    def test_nan_is_not_finite(self, monkeypatch, chunk):
+        # a NaN bound keeps its row and the trim keeps the NaN
+        monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
+        left, right = rank_one([2, np.nan, 2, 0.3, 0.3], [2] * 5 + [0.3] * 2)
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            chebcore._trimmed_product(left, right, 1.0, bc.UNIT_SQUARE)
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            chebcore._trimmed(chebcore._expand(left, right), 1.0, bc.UNIT_SQUARE)
+
+    def test_result_is_the_block_itself(self, monkeypatch):
+        blocks = []
+        expand = chebcore._expand
+
+        def recording(left, right):
+            blocks.append(expand(left, right))
+            return blocks[-1]
+
+        monkeypatch.setattr(chebcore, "_expand", recording)
+        left, right, threshold, _ = OWNED_CASES["both"]
+        c = chebcore._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
+        assert c.coeffs.shape == (7, 5) and blocks[0].shape == (9, 7)
+        assert np.shares_memory(c.coeffs, blocks[0])
+        assert c.coeffs.flags.c_contiguous and not c.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            c.coeffs[0, 0] = 1.0
+
+    def test_public_constructor_still_copies(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        c = bc.Cheb2(a)
+        a[0, 0] = 5.0
+        assert c.coeffs[0, 0] == 1.0 and a.flags.writeable
+        assert not np.shares_memory(c.coeffs, a)
+
+    def test_bump_holds_one_block_and_a_half(self):
+        # the 659 x 683 block, beside the 257 x 257 grid and the slices
+        tracemalloc.start()
+        try:
+            c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.coeffs.shape == (659, 683)
+        assert peak < 1.6 * 659 * 683 * 8
+
+
 class TestTrim:
     def test_small_matrix(self):
         sparse = bc.trim(np.array([[1.0, 1e-20], [0.0, 2.0]]), 1e-15)

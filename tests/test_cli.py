@@ -75,6 +75,19 @@ class TestApprox:
         assert run(capsys, "approx", "cos(x*y)", "-o", str(second))[0] == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("command, degrees", [("approx", []),
+                                                  ("interp", ["-n", "4", "-m", "4"])])
+    def test_leading_minus_in_parentheses_or_after_dashes(self, capsys, tmp_path,
+                                                          command, degrees):
+        # the README's two spellings of a formula that argparse would read
+        # as an option
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, command, "(-x*y)", *degrees, "-o", str(first))[0] == EXIT_OK
+        assert run(capsys, command, *degrees, "-o", str(second), "--",
+                   "-x*y")[0] == EXIT_OK
+        assert first.read_bytes() == second.read_bytes()
+        assert bc.load(first).entries == ((1, 1, -1.0),)
+
     def test_expression_error_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approx", "cos(x*", "-o",
                            str(tmp_path / "x.json"))
@@ -697,12 +710,12 @@ class TestOptions:
 
     def test_budget_message_gives_both_byte_counts(self, capsys, tmp_path,
                                                    monkeypatch):
-        # eval charges 8 grids: 4097^2 points need just over 1 GiB, which
+        # eval charges 7 grids: 4379^2 points need just over 1 GiB, which
         # reads as 1 GiB to three digits, so only the bytes say why
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "eval", "c.json", "--resolution", "4097")
+        code, out, err = run(capsys, "eval", "c.json", "--resolution", "4379")
         assert code == EXIT_VALIDATION and out == ""
-        assert ("needs 1074266176 bytes (1 GiB) of arrays, over the budget of "
+        assert ("needs 1073835896 bytes (1 GiB) of arrays, over the budget of "
                 "1073741824 bytes (1 GiB)") in err
 
     def test_interp_parses_before_the_budget(self, capsys, tmp_path, monkeypatch):
