@@ -10,13 +10,23 @@ Chebyshev-Lobatto nodes cos(i pi / N), which ``lagrange_cheb_coeffs``
 applies on any (n, m) grid.  The paper's radix-2 2-D FFT over the
 periodicized grid gives the same numbers; it is the tests' oracle, in
 ``bicheb.paper``.  The adaptive builder keeps a degree bound per axis and
-doubles each while its own tail is not negligible: x while the trailing
-rows of the (nx + 1) x (ny + 1) interpolation coefficients are not, y while
-the trailing columns are not.  A doubled axis' even-indexed nodes are the
-previous grid's nodes bit for bit, so each pass samples only the new rows
-and columns.  Once both tails pass, the trimmed approximant must also match
-f at a fixed set of off-grid check points.  Before each pass the builder
-checks the bytes that pass will hold against the grid budget.
+refines by one rule, which its tensor passes and its slice passes share,
+one function per part:
+- the threshold is tol, or with a relative tol, tol times the largest |f|
+  sampled so far (_threshold);
+- an axis' tail is the largest entry of the last two rows (x) or columns
+  (y) of the coefficients, and the axis grows unless its tail is below the
+  threshold or 0 (_tail_test);
+- a growing axis doubles its bound, unless that would pass max_n
+  (_doubled);
+- a doubled axis' even-indexed nodes are the previous grid's nodes bit for
+  bit, so the previous samples are copied in (_spread) and f is sampled at
+  the new nodes only (_sample_new);
+- once both tails pass, the trimmed approximant must also match f at a
+  fixed set of off-grid check points, within (nx + 1)(ny + 1) times the
+  threshold (build_adaptive's rejection).
+Before each pass the builder checks the bytes that pass will hold against
+the grid budget.
 
 Most functions worth a large grid have low numerical rank, so the builder
 has a second phase, the construction of Chebfun2 (Townsend and Trefethen,
@@ -24,9 +34,10 @@ SIAM J. Sci. Comput. 35(6), 2013).  Once per build, on the first pass whose
 tails fail and whose next grid would hold 513 x 513 entries or more, a
 rank test runs Gaussian elimination with complete pivoting on all of that
 pass's samples.  For a rank r of 1 to 8 the builder then samples only the r
-pivot columns f(x, y_J) and rows f(x_I, y), doubling each axis on its own
-and transforming the slices with the same DCT-I, until the tails of the
-rank-r coefficients pass.  Their factors bound the entries of each row and
+pivot columns f(x, y_J) and rows f(x_I, y), two tensor grids with one axis
+each, x_nodes x y_J and x_I x y_nodes, and refines them by the same rule,
+with the same DCT-I, until the tails of the rank-r coefficients pass.  Their
+factors bound the entries of each row and
 column of the dense matrix, so only the leading block that holds every
 entry the trim can keep is expanded.  Its entries are computed as the whole
 product's are, so the trimmed block is the trimmed dense matrix bit for bit;
@@ -65,7 +76,9 @@ grid.  A scalar point has its own path, one ``cheb_vector`` per axis on
 either side of the matrix, because through the batched kernel one point
 cost 1.5-1.7 times as much (13 x 13 to 659 x 683 coefficients, 2 vCPUs,
 BLAS at one thread).  Clenshaw's recurrence (``evaluate_clenshaw``) is kept
-as the oracle.
+as the oracle.  The basis matrices grow with the degrees, not with the
+points' arrays: _basis_entries gives their size, which the CLI charges
+against the grid budget before it evaluates.
 
 Coefficients are trimmed by one rule, the builder's (``_trim_in_place``):
 a tensor pass (``_trimmed``) and ``trim``, which applies it to a copy of any
@@ -91,8 +104,8 @@ from .errors import (
 # Tolerated relative overshoot of evaluation points beyond the unit square.
 _OVERSHOOT = 1e-12
 
-# Points per block of the batched evaluate_matrix: each block holds two basis
-# matrices of _EVAL_BLOCK x (degree + 1) doubles.
+# Points per block of the batched evaluate_matrix: each block runs the
+# recurrence over its 2 _EVAL_BLOCK coordinates (_basis_entries).
 _EVAL_BLOCK = 1024
 
 # Per-axis points of the builder's off-grid check: cos((i + 1/2) pi / 33),
@@ -327,15 +340,27 @@ def cheb_basis(n, t):
         raise ValidationError("degree must be >= 0")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     by_degree = np.empty((n + 1, t.size))
-    rows = list(by_degree)  # views, indexed faster than by_degree[k]
-    rows[0][:] = 1.0
+    by_degree[0] = 1.0
     if n >= 1:
-        rows[1][:] = t
+        by_degree[1] = t
     twice = 2.0 * t
-    for k in range(2, n + 1):
-        np.multiply(twice, rows[k - 1], rows[k])
-        np.subtract(rows[k], rows[k - 2], rows[k])
+    # the rows as views, taken one at a time as the loop walks them, which
+    # costs less than by_degree[k] and holds three, not one per degree
+    older, old = by_degree[0], by_degree[min(n, 1)]
+    for row in by_degree[2:]:
+        np.multiply(twice, old, row)
+        np.subtract(row, older, row)
+        older, old = old, row
     return np.ascontiguousarray(by_degree.T)
+
+
+def _basis_entries(degree_x, degree_y, points):
+    """Float64 entries that the basis matrices of degrees up to (degree_x,
+    degree_y) take for `points` coordinates of the two axes together: the
+    rows of the one recurrence of _basis_pair and their transposed copy.
+    evaluate_grid runs it once over both axes' points, evaluate_matrix once
+    per block of up to _EVAL_BLOCK points, each with two coordinates."""
+    return 2 * (max(degree_x, degree_y) + 1) * points
 
 
 def _basis_pair(c, u, v):
@@ -513,6 +538,58 @@ def _bounds(nx, ny):
     return f"degree bound {nx}" if nx == ny else f"degree bounds {nx} x {ny}"
 
 
+# ---------------------------------------------------------------------------
+# the refinement rule, shared by the builder's tensor passes and slice passes
+
+
+def _threshold(tol, relative, *samples):
+    """The trim threshold: tol, or with relative tol times the largest |f|
+    in samples, found with no array of magnitudes.  The 0.0 first makes the
+    threshold of samples that are all -0.0 0.0, as their largest |f| is."""
+    if not relative:
+        return tol
+    return tol * max(0.0, *(m for s in samples for m in (s.max(), -s.min())))
+
+
+def _tail_test(last_rows, last_cols, threshold):
+    """The tails, the largest |entry| of the last two rows and of the last
+    two columns of the coefficients, and for each axis whether it grows: it
+    does unless its tail is below the threshold or 0, so a zero tail passes
+    even a zero threshold (f zero on the grid)."""
+    tails = np.abs(last_rows).max(), np.abs(last_cols).max()
+    return tails, [not (t < threshold or t == 0.0) for t in tails]
+
+
+def _doubled(nx, ny, grow_x, grow_y, max_n, error):
+    """The next degree bounds, each growing axis doubled; error() is raised
+    instead if one would pass max_n."""
+    if (grow_x and 2 * nx > max_n) or (grow_y and 2 * ny > max_n):
+        raise error()
+    return nx * (1 + grow_x), ny * (1 + grow_y)
+
+
+def _spread(previous, grow_x, grow_y):
+    """A grid whose axes are those of the samples `previous`, doubled where
+    grow_x or grow_y is set, holding those samples at their nodes: every
+    second node of a doubled axis, since lobatto_nodes(2 n)[::2] is
+    lobatto_nodes(n) bit for bit.  The caller lets go of previous before
+    _sample_new calls f, so that previous is not held beside f's result."""
+    rows, cols = previous.shape
+    grid = np.empty(((rows - 1) * (1 + grow_x) + 1, (cols - 1) * (1 + grow_y) + 1))
+    grid[:: 1 + grow_x, :: 1 + grow_y] = previous
+    return grid
+
+
+def _sample_new(f, grid, xs, ys, grow_x, grow_y):
+    """Sample f into grid, the tensor grid xs x ys from _spread, at the nodes
+    it lacks and nowhere else: the odd rows if x doubled, and the odd
+    columns of the other rows if y doubled."""
+    if grow_x:
+        _sample_on(f, xs[1::2], ys, grid[1::2, :])
+    if grow_y:
+        _sample_on(f, xs[:: 1 + grow_x], ys[1::2], grid[:: 1 + grow_x, 1::2])
+
+
 def _trim_in_place(a, threshold):
     """The trim rule: zero the entries of a with |value| < threshold, in
     place, and return the (rows, cols) of the leading block that holds every
@@ -640,7 +717,8 @@ def _skeleton(along_x, along_y, core):
 
 
 class _Refused(Exception):
-    """A phase-2 step over the grid budget; phase 1 resumes and decides."""
+    """A phase-2 step over the grid budget or max_n; phase 1 resumes and
+    decides."""
 
 
 def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
@@ -650,10 +728,14 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     Cheb2 is expanded from the block of the rank-r coefficients that the
     trim can keep (_trimmed_product), and equals the trimmed dense matrix.
 
-    Each axis doubles on its own, and f is sampled only at the new nodes of
-    its r slices: f(x, y_J) for x, f(x_I, y) for y.  The axes' tails are
-    the last two rows and columns of the rank-r coefficients (_skeleton),
-    against the threshold of every sample in hand.  Each step is charged
+    The slices refine by the tensor passes' rule.  The threshold covers
+    every sample in hand, the grid's and both slices' (_threshold).  The
+    tails are the last two rows and columns of the rank-r coefficients
+    (_skeleton), and each axis doubles on its own (_tail_test, _doubled,
+    which raises _Refused at max_n).  The slices f(x, y_J), (nx + 1) x r,
+    and f(x_I, y), r x (ny + 1), are tensor grids with one refined axis
+    each, so a doubled axis samples f at the new nodes of its r slices
+    only (_spread, _sample_new).  Each step is charged
     against the budget first: the phase-1 grid, which stays held for phase
     1 to resume from, the slices with their transforms, and three grids for
     the dense matrix.  The step holds one: the expanded block, which at
@@ -667,9 +749,9 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     x_pivots = domain.x_from_unit(lobatto_nodes(nx))[rows_i]
     y_pivots = domain.y_from_unit(lobatto_nodes(ny))[cols_j]
     core = values[np.ix_(rows_i, cols_j)]
-    along_x = np.ascontiguousarray(values[:, cols_j].T)
-    along_y = values[rows_i, :]
-    peak = max(0.0, values.max(), -values.min())
+    # the slices as tensor grids, one axis of each refined: f(x, y_J) on
+    # Lobatto(nx) x y_J, (nx + 1) x r, and f(x_I, y) on x_I x Lobatto(ny)
+    along_x, along_y = values[:, cols_j], values[rows_i, :]
 
     def charge(nx, ny):
         _check_grid_budget(
@@ -680,34 +762,23 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     try:
         charge(nx, ny)
         while True:
-            if relative:
-                peak = max(peak, along_x.max(), -along_x.min(),
-                           along_y.max(), -along_y.min())
-            threshold = tol * peak if relative else tol
-            cx, cy = np.empty_like(along_x), np.empty_like(along_y)
-            _dct_rows(along_x, cx)
+            threshold = _threshold(tol, relative, values, along_x, along_y)
+            cx, cy = np.empty((r, nx + 1)), np.empty((r, ny + 1))
+            _dct_rows(along_x.T, cx)
             _dct_rows(along_y, cy)
             left, right = _skeleton(cx, cy, core)
-            tail_x = np.abs(_expand(left[:, -2:], right)).max()
-            tail_y = np.abs(_expand(left, right[:, -2:])).max()
-            grow_x = not (tail_x < threshold or tail_x == 0.0)
-            grow_y = not (tail_y < threshold or tail_y == 0.0)
+            _, (grow_x, grow_y) = _tail_test(_expand(left[:, -2:], right),
+                                             _expand(left, right[:, -2:]), threshold)
             if not (grow_x or grow_y):
                 break
-            if (grow_x and 2 * nx > max_n) or (grow_y and 2 * ny > max_n):
-                return None
-            nx, ny = nx * (1 + grow_x), ny * (1 + grow_y)
+            nx, ny = _doubled(nx, ny, grow_x, grow_y, max_n, _Refused)
             charge(nx, ny)
-            if grow_x:
-                previous, along_x = along_x, np.empty((r, nx + 1))
-                along_x[:, ::2] = previous
-                xs = domain.x_from_unit(lobatto_nodes(nx)[1::2])
-                _sample_on(f, xs, y_pivots, along_x[:, 1::2].T)
-            if grow_y:
-                previous, along_y = along_y, np.empty((r, ny + 1))
-                along_y[:, ::2] = previous
-                ys = domain.y_from_unit(lobatto_nodes(ny)[1::2])
-                _sample_on(f, x_pivots, ys, along_y[:, 1::2])
+            along_x = _spread(along_x, grow_x, False)
+            _sample_new(f, along_x, domain.x_from_unit(lobatto_nodes(nx)),
+                        y_pivots, grow_x, False)
+            along_y = _spread(along_y, False, grow_y)
+            _sample_new(f, along_y, x_pivots,
+                        domain.y_from_unit(lobatto_nodes(ny)), False, grow_y)
     except _Refused:
         return None
     return _trimmed_product(left, right, threshold, domain), nx, ny
@@ -718,25 +789,26 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     """Construct a Cheb2 for f, doubling each degree until its tail is negligible.
 
     At degree bounds (nx, ny), f is sampled on the (nx + 1) x (ny + 1)
-    Lobatto grid (only the nodes the previous grid lacks) and the
-    interpolant's coefficients on it are computed.  The x tail is the
-    largest entry of the last two rows, the y tail that of the last two
-    columns; each axis whose tail is at or above the threshold doubles its
-    bound, and the other keeps it.  When both tails are below the threshold
-    the entries below it are trimmed, and the pass converges if the
+    Lobatto grid, only at the nodes the previous grid lacks (_spread,
+    _sample_new), and the interpolant's coefficients on it are computed.
+    The x tail is the largest entry of the last two rows, the y tail that
+    of the last two columns; each axis whose tail is at or above the
+    threshold (_threshold) doubles its bound, and the other keeps it
+    (_tail_test, _doubled).  When both tails are below the threshold the
+    entries below it are trimmed, and the pass converges if the
     approximant matches f within (nx + 1)(ny + 1) times the threshold at
     32 x 32 fixed check points that are nodes of no power-of-two Lobatto
-    grid; otherwise both bounds double.
+    grid (rejection); otherwise both bounds double.
 
     Phase 2: the first pass whose tails fail and whose next grid would hold
     at least 513 x 513 entries runs the rank test, once per build: Gaussian
     elimination with complete pivoting on all of that pass's samples,
     stopped at the threshold.  If it stops after 1 to 8 steps, their pivots
-    are the nodes (x_I, y_J).  The builder then samples only the new nodes
-    of the r slices f(x, y_J) and f(x_I, y), each axis doubling on its own
-    while its two-row tail of the rank-r coefficients C_x M^-1 C_y^T,
-    M = f(x_I, y_J), is not below the threshold (relative: tol times the
-    largest magnitude sampled so far).
+    are the nodes (x_I, y_J).  The builder then refines the r slices
+    f(x, y_J) and f(x_I, y) by the same rule and the same functions, each
+    axis on its own, with the tails of the rank-r coefficients
+    C_x M^-1 C_y^T, M = f(x_I, y_J), and a threshold over the grid's and
+    the slices' samples.
     The factors bound each row and column of the dense matrix of those
     coefficients, and only its leading block that can hold an entry at or
     above the threshold is expanded; trimmed, it is the trimmed dense
@@ -814,17 +886,23 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     check_y = domain.y_from_unit(_CHECK_NODES)
     reference = None  # f on the check grid, sampled at most once
 
-    def misfit_of(c):
+    def rejection(c, nx, ny):
+        """None if c, trimmed from the degree bounds (nx, ny), matches f at
+        the check points within the bound, else the misfit against it.  The
+        trim drops at most (nx + 1)(ny + 1) entries, each below c.tol."""
         nonlocal reference
         if reference is None:
             reference = _sample_on(f, check_x, check_y)
-        return np.abs(evaluate_grid(c, check_x, check_y) - reference).max()
+        misfit = np.abs(evaluate_grid(c, check_x, check_y) - reference).max()
+        bound = (nx + 1) * (ny + 1) * c.tol
+        return (None if misfit <= bound
+                else f"off-grid misfit {misfit:.3e} above {bound:.3e}")
 
-    def refused(message):
-        return ConvergenceError(
-            message if values is None else
-            f"{message}; {why} at {_bounds(*(s - 1 for s in values.shape))}",
-            float(tail))
+    def refused(*message):
+        # the budget's message, if any, then why the last pass failed
+        if values is not None:
+            message += (f"{why} at {_bounds(*(s - 1 for s in values.shape))}",)
+        return ConvergenceError("; ".join(message), float(tail))
 
     nx = ny = n0
     values = None
@@ -840,40 +918,22 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         ys = domain.y_from_unit(lobatto_nodes(ny))
         if values is None:
             values = _sample_on(f, xs, ys)
-        else:
-            # lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit: keep
-            # the previous samples and sample only the new rows and columns,
-            # straight into the grid, once the previous samples are let go
-            previous, values = values, np.empty((nx + 1, ny + 1))
-            sx, sy = nx // (previous.shape[0] - 1), ny // (previous.shape[1] - 1)
-            values[::sx, ::sy] = previous
-            del previous
-            if sx == 2:
-                _sample_on(f, xs[1::2], ys, values[1::2, :])
-            if sy == 2:
-                _sample_on(f, xs[::sx], ys[1::2], values[::sx, 1::2])
+        else:  # grow_x and grow_y name the axes the last pass doubled
+            values = _spread(values, grow_x, grow_y)
+            _sample_new(f, values, xs, ys, grow_x, grow_y)
         coeffs = _lobatto_coeffs(values)
-        # tol times max |values|, with no grid of magnitudes; the 0.0 first
-        # makes the threshold of an all -0.0 grid 0.0, as max |values| is
-        threshold = (tol * max(0.0, values.max(), -values.min()) if relative
-                     else tol)
-        tail_x = np.abs(coeffs[-2:, :]).max()
-        tail_y = np.abs(coeffs[:, -2:]).max()
+        threshold = _threshold(tol, relative, values)
+        (tail_x, tail_y), (grow_x, grow_y) = _tail_test(
+            coeffs[-2:, :], coeffs[:, -2:], threshold)
         tail = max(tail_x, tail_y)
-        # a zero tail passes even against a zero threshold (f zero on the grid)
-        grow_x = not (tail_x < threshold or tail_x == 0.0)
-        grow_y = not (tail_y < threshold or tail_y == 0.0)
         tails_failed = grow_x or grow_y
         if not tails_failed:
             c = _trimmed(coeffs, threshold, domain)
-            misfit = misfit_of(c)
-            # the trim drops at most (nx + 1)(ny + 1) entries, each below threshold
-            bound = (nx + 1) * (ny + 1) * threshold
-            if misfit <= bound:
+            why = rejection(c, nx, ny)
+            if why is None:
                 return c
-            why = (f"off-grid misfit {misfit:.3e} above {bound:.3e} although "
-                   f"the coefficient tail {tail:.3e} passed against "
-                   f"{threshold:.3e}")
+            why += (f" although the coefficient tail {tail:.3e} passed "
+                    f"against {threshold:.3e}")
             grow_x = grow_y = True
         elif nx == ny:
             why = f"coefficient tail {tail:.3e} still at or above {threshold:.3e}"
@@ -882,19 +942,15 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
                       (("x", tail_x, grow_x), ("y", tail_y, grow_y)) if grow]
             why = (f"coefficient tail {' and '.join(failed)} still at or "
                    f"above {threshold:.3e}")
-        if (grow_x and 2 * nx > max_n) or (grow_y and 2 * ny > max_n):
-            raise ConvergenceError(f"{why} at {_bounds(nx, ny)}", float(tail))
-        nx, ny = nx * (1 + grow_x), ny * (1 + grow_y)
+        nx, ny = _doubled(nx, ny, grow_x, grow_y, max_n, refused)
         if tails_failed and not tested and (nx + 1) * (ny + 1) >= _RANK_ENTRIES:
             tested = True
             del coeffs  # the rank test holds two grids besides the samples
             pivots = _rank_test(values, threshold)
             found = pivots and _slice_phase(f, values, pivots, tol, relative,
                                             max_n, domain)
-            if found:
-                c, sx, sy = found
-                if misfit_of(c) <= (sx + 1) * (sy + 1) * c.tol:
-                    return c
+            if found and rejection(*found) is None:
+                return found[0]
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):
@@ -919,15 +975,16 @@ def to_sparse(c):
 
 
 def to_cheb2(sparse):
-    """Dense Cheb2 from a sparse coefficient document.  ValidationError if
-    the dense matrix and Cheb2's copy of it would exceed the grid budget."""
+    """Dense Cheb2 from a sparse coefficient document, which holds the
+    matrix it fills with no copy.  ValidationError if that matrix would
+    exceed the grid budget."""
     _check_grid_budget(
         f"a dense {sparse.degree_x + 1} x {sparse.degree_y + 1} coefficient matrix",
-        2 * (sparse.degree_x + 1) * (sparse.degree_y + 1))
+        (sparse.degree_x + 1) * (sparse.degree_y + 1))
     coeffs = np.zeros((sparse.degree_x + 1, sparse.degree_y + 1))
     for i, j, v in sparse.entries:
         coeffs[i, j] = v
-    return Cheb2(coeffs, sparse.domain, sparse.tol)
+    return Cheb2._owning(coeffs, sparse.domain, sparse.tol)
 
 
 def truncate(c, degree_x, degree_y):
@@ -995,6 +1052,7 @@ def evaluate_matrix(c, x, y):
         block = slice(start, start + _EVAL_BLOCK)
         basis_x, basis_y = _basis_pair(c, u[block], v[block])
         values[block] = np.einsum("ij,ij->i", basis_x @ c.coeffs, basis_y)
+        del basis_x, basis_y  # views of the whole basis: not beside the next
     return values.reshape(x.shape)
 
 

@@ -37,6 +37,8 @@ from .chebcore import (
     Cheb2,
     Domain2,
     UNIT_SQUARE,
+    _EVAL_BLOCK,
+    _basis_entries,
     _check_grid_budget,
     _read_ascii,
     build_adaptive,
@@ -199,13 +201,18 @@ def cmd_eval(args):
     # so a failure leaves no partial output.  A large grid peaks at about
     # 5.3 arrays of its size inside evaluate_matrix: the points' two
     # coordinates, their unit coordinates, clamped in place, and the domain
-    # check's magnitudes; later the values join them, beside one block's
-    # basis matrices (0.9 arrays more for cos(x*y) on a 300 x 300 grid).  With
-    # --compare-expr it peaks at about 6.0, when the reference and the error
-    # join the points and their values.
+    # check's magnitudes; later the values join them.  With --compare-expr
+    # it peaks at about 6.0, when the reference and the error join the
+    # points and their values.  Seven arrays are charged before the
+    # document is read, and again with one block's basis matrices, which
+    # grow with its degrees, before any point is evaluated.
     _check_resolution(args, 7)
     c = to_cheb2(load(args.input))
     xs, ys = _collect_points(args, c.domain)
+    _check_grid_budget(
+        f"evaluating {xs.size} points at degrees {c.degree_x} x {c.degree_y}",
+        7 * xs.size + _basis_entries(c.degree_x, c.degree_y,
+                                     2 * min(xs.size, _EVAL_BLOCK)))
     compare_ast = _compare_ast(args)
     columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
     row = " ".join(["%.17g"] * len(columns)) + "\n"
@@ -251,11 +258,10 @@ def cmd_interp(args):
     n, m = args.n, args.m
     if args.verify and n >= 1 and m >= 1:
         # the coefficients and Cheb2's copy of them, the values at the nodes
-        # and f's, and the two arrays of evaluate_grid's one Chebyshev
-        # recurrence over the nodes of both axes
+        # and f's, and evaluate_grid's basis matrices of both axes' nodes
         _check_grid_budget(
             f"--verify on the {n + 1} x {m + 1} grid",
-            4 * (n + 1) * (m + 1) + 2 * (max(n, m) + 1) * (n + m + 2))
+            4 * (n + 1) * (m + 1) + _basis_entries(n, m, n + m + 2))
     f = _ast_function(ast)
     coeffs = lagrange_cheb_coeffs(f, n, m, domain=args.domain)
     _write_document(trim(coeffs, tol, args.domain), args.output)
@@ -273,9 +279,17 @@ def cmd_interp(args):
 
 def cmd_export(args):
     # the values, and with --compare-expr the reference, the difference
-    # and the error: a peak of about 1.05 arrays of the grid's size, or 4.05
-    _check_resolution(args, 5 if args.compare_expr is None else 7)
+    # and the error: a peak of about 1.05 arrays of the grid's size, or
+    # 4.05, charged before the document is read and again with the basis
+    # matrices of both axes' points, which grow with its degrees
+    grids = 5 if args.compare_expr is None else 7
+    _check_resolution(args, grids)
     c = to_cheb2(load(args.input))
+    _check_grid_budget(
+        f"the {args.resolution} x {args.resolution} grid at degrees "
+        f"{c.degree_x} x {c.degree_y}",
+        grids * args.resolution ** 2
+        + _basis_entries(c.degree_x, c.degree_y, 2 * args.resolution))
     grid = args.grid_domain or c.domain
     xs = np.linspace(grid.xlo, grid.xhi, args.resolution)
     ys = np.linspace(grid.ylo, grid.yhi, args.resolution)

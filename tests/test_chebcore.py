@@ -873,6 +873,103 @@ class TestOwnedBlock:
         assert peak < 1.6 * 659 * 683 * 8
 
 
+def smooth(x, y):
+    return np.cos(3.0 * x + 0.5) * np.exp(y) + x * y
+
+
+def recording(f, points):
+    """f, appending every (x, y) it is called at to points."""
+    def recorder(x, y):
+        xb, yb = np.broadcast_arrays(x, y)
+        points.extend(zip(xb.ravel().tolist(), yb.ravel().tolist()))
+        return f(x, y)
+    return recorder
+
+
+class TestSharedRefinement:
+    """The tensor passes and the slice passes refine by the same functions:
+    _spread and _sample_new for the samples, _threshold, _tail_test and
+    _doubled for the decision."""
+
+    DOMAIN = bc.Domain2(-0.5, 2.0, 1.0, 1.5)
+
+    def assert_refines(self, xs, ys, coarse_xs, coarse_ys, grow_x, grow_y):
+        # f is called once at each node of xs x ys that coarse_xs x coarse_ys
+        # lacks, and the grid is _sample_on's over xs x ys, bit for bit
+        previous = chebcore._sample_on(smooth, coarse_xs, coarse_ys)
+        grid = chebcore._spread(previous, grow_x, grow_y)
+        points = []
+        chebcore._sample_new(recording(smooth, points), grid, xs, ys,
+                             grow_x, grow_y)
+        old = {(x, y) for x in coarse_xs.tolist() for y in coarse_ys.tolist()}
+        new = {(x, y) for x in xs.tolist() for y in ys.tolist()} - old
+        assert len(points) == len(set(points)) and set(points) == new
+        whole = chebcore._sample_on(smooth, xs, ys)
+        assert grid.shape == whole.shape and grid.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("grow_x, grow_y",
+                             [(True, False), (False, True), (True, True)],
+                             ids=["x", "y", "both"])
+    def test_tensor_grid(self, grow_x, grow_y):
+        nx, ny = 16, 8
+        xs = self.DOMAIN.x_from_unit(chebcore.lobatto_nodes(nx * (1 + grow_x)))
+        ys = self.DOMAIN.y_from_unit(chebcore.lobatto_nodes(ny * (1 + grow_y)))
+        coarse_xs = self.DOMAIN.x_from_unit(chebcore.lobatto_nodes(nx))
+        coarse_ys = self.DOMAIN.y_from_unit(chebcore.lobatto_nodes(ny))
+        self.assert_refines(xs, ys, coarse_xs, coarse_ys, grow_x, grow_y)
+
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_slices(self, r):
+        # f(x, y_J) on Lobatto(2 n) x y_J, and f(x_I, y) on x_I x Lobatto(2 n)
+        coarse = chebcore.lobatto_nodes(32)
+        fine = chebcore.lobatto_nodes(64)
+        pivots = coarse[[5, 17, 30][:r]]
+        d = self.DOMAIN
+        xs, coarse_xs, x_pivots = (d.x_from_unit(t) for t in (fine, coarse, pivots))
+        ys, coarse_ys, y_pivots = (d.y_from_unit(t) for t in (fine, coarse, pivots))
+        self.assert_refines(xs, y_pivots, coarse_xs, y_pivots, True, False)
+        self.assert_refines(x_pivots, ys, x_pivots, coarse_ys, False, True)
+
+    def test_an_axis_that_keeps_its_bound_is_copied(self):
+        previous = chebcore._sample_on(smooth, np.arange(3.0), np.arange(4.0))
+        grid = chebcore._spread(previous, False, False)
+        chebcore._sample_new(lambda x, y: pytest.fail("f called"), grid,
+                             np.arange(3.0), np.arange(4.0), False, False)
+        assert np.array_equal(grid, previous)
+
+    def test_phase_two_threshold_covers_every_sample(self):
+        # tol times the largest |f| of the grid and of both slices: the
+        # slices come closer to the bump's peak than any node of the grid
+        samples = []
+
+        def f(x, y):
+            values = -narrow_bump(x, y)
+            samples.append(np.stack(np.broadcast_arrays(x, y, values)))
+            return values
+
+        c = bc.build_adaptive(f, 1e-14, relative=True)
+        x, y, values = np.concatenate([s.reshape(3, -1) for s in samples], axis=1)
+        checks, nodes = chebcore._CHECK_NODES, chebcore.lobatto_nodes(256)
+        check = np.isin(x, checks) & np.isin(y, checks)
+        grid = np.isin(x, nodes) & np.isin(y, nodes)
+        assert check.sum() == 32 * 32 and grid.sum() == 257 ** 2
+        peak = np.abs(values[~check]).max()
+        assert peak > np.abs(values[grid]).max()
+        assert c.tol == 1e-14 * peak
+
+    @pytest.mark.parametrize("tails, grows", [
+        ((0.0, 0.0), [False, False]), ((1.0, 0.5), [True, False]),
+        ((0.5, 1.0), [False, True]), ((0.99, 1.0), [False, True])])
+    def test_tail_test(self, tails, grows):
+        # a tail equal to the threshold fails it
+        (tail_x, tail_y), got = chebcore._tail_test(
+            np.full((2, 3), -tails[0]), np.full((3, 2), tails[1]), 1.0)
+        assert (tail_x, tail_y) == tails and got == grows
+        # a zero tail passes a zero threshold
+        zeros = np.zeros((2, 2))
+        assert chebcore._tail_test(zeros, zeros, 0.0)[1] == [False, False]
+
+
 class TestTrim:
     def test_small_matrix(self):
         sparse = bc.trim(np.array([[1.0, 1e-20], [0.0, 2.0]]), 1e-15)

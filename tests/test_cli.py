@@ -743,6 +743,50 @@ class TestOptions:
         assert "1000000001 x 1" in err and "budget" in err
         assert not (tmp_path / "d.json").exists()
 
+    @staticmethod
+    def write_one_entry(path, degree_x):
+        path.write_text(f'{{"degree_x": {degree_x}, "degree_y": 0, "domain": '
+                        '[-1, 1, -1, 1], "tol": 0, "entries": [[0, 0, 1.0]]}\n')
+
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_budget_covers_the_basis_matrices(self, capsys, tmp_path, monkeypatch,
+                                              command):
+        # one entry, but degree 3000: the evaluator's basis matrices, a
+        # column per degree, outweigh the 128 x 128 grid's arrays
+        monkeypatch.chdir(tmp_path)
+        self.write_one_entry(tmp_path / "deg.json", 3000)
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            chebcore._check_grid_budget(what, entries, error)
+
+        monkeypatch.setattr(cli, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, command, "deg.json", "--resolution", "128",
+                       "-o", "out")[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 8 * max(charged)
+
+    @pytest.mark.parametrize("command, degree, what", [
+        ("eval", 100000, "evaluating 1600 points at degrees 100000 x 0 needs"),
+        ("export", 1000000, "the 40 x 40 grid at degrees 1000000 x 0 needs"),
+    ])
+    def test_basis_matrices_over_budget(self, capsys, tmp_path, monkeypatch,
+                                        command, degree, what):
+        # the dense matrix fits, but one run of the recurrence would not
+        monkeypatch.chdir(tmp_path)
+        self.write_one_entry(tmp_path / "wide.json", degree)
+        code, out, err = run(capsys, command, "wide.json", "--resolution", "40",
+                             "-o", "out")
+        assert code == EXIT_VALIDATION and out == ""
+        assert what in err and "budget" in err
+        assert not (tmp_path / "out").exists()
+
     def test_builder_over_budget_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
         code, out, err = run(capsys, "approx", "cos(x*y)",
