@@ -32,27 +32,35 @@ def _diff_first_axis(a):
     return b
 
 
+def _derivative(c, axis):
+    """The coefficient matrix of c's derivative along axis 0 (x) or 1 (y), a
+    new array that nothing else holds, with the chain-rule factor of the
+    domain's affine map applied: 2 / (hi - lo) of that axis.  A degree-0
+    axis yields the zero function's single coefficient."""
+    if c.coeffs.shape[axis] == 1:
+        return np.zeros((1, 1))
+    if axis == 0:
+        b = _diff_first_axis(c.coeffs)
+        b *= 2.0 / (c.domain.xhi - c.domain.xlo)
+    else:
+        b = _diff_first_axis(c.coeffs.T).T
+        b *= 2.0 / (c.domain.yhi - c.domain.ylo)
+    return b
+
+
 def diff_x(c):
     """Approximant of df/dx, with degrees (degree_x - 1, degree_y).
 
     A degree-0 first variable yields the zero function.  On a non-unit
     domain every coefficient carries the chain-rule factor of the affine
-    map, 2 / (xhi - xlo).
+    map, 2 / (xhi - xlo).  The result holds the one matrix it computes.
     """
-    if c.degree_x == 0:
-        return Cheb2(np.zeros((1, 1)), c.domain, c.tol)
-    b = _diff_first_axis(c.coeffs)
-    b *= 2.0 / (c.domain.xhi - c.domain.xlo)
-    return Cheb2(b, c.domain, c.tol)
+    return Cheb2._owning(_derivative(c, 0), c.domain, c.tol)
 
 
 def diff_y(c):
     """Approximant of df/dy; mirror of diff_x along the second index."""
-    if c.degree_y == 0:
-        return Cheb2(np.zeros((1, 1)), c.domain, c.tol)
-    b = _diff_first_axis(c.coeffs.T).T
-    b *= 2.0 / (c.domain.yhi - c.domain.ylo)
-    return Cheb2(b, c.domain, c.tol)
+    return Cheb2._owning(_derivative(c, 1), c.domain, c.tol)
 
 
 def integrate(c):

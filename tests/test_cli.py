@@ -213,6 +213,33 @@ class TestEval:
         assert code == EXIT_OK
         assert peak <= 8 * max(charged)
 
+    @pytest.mark.parametrize("source, expected", [
+        (["--point", "0,0"], EXIT_OK),
+        (["--point", "0,0", "--grid-domain=-1,1,-1,1"], EXIT_VALIDATION),
+    ], ids=["points", "grid-domain"])
+    def test_resolution_charged_only_for_a_grid(self, capsys, cos_file, source,
+                                                expected):
+        # 7 grids of 5000^2 points are 1.4 GB, but the points need no grid
+        code, out, err = run(capsys, "eval", str(cos_file), *source,
+                             "--resolution", "5000")
+        assert code == expected
+        if expected == EXIT_VALIDATION:
+            assert out == "" and "--resolution 5000 needs" in err
+        else:
+            assert float(out) == pytest.approx(1.0, abs=1e-15) and err == ""
+
+    def test_empty_points_file_charges_its_grid(self, capsys, cos_file, tmp_path,
+                                                monkeypatch):
+        # the file is read after the document: its grid is charged then,
+        # before it is allocated (at a small budget, so a miss stays cheap)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 20)
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n")
+        code, out, err = run(capsys, "eval", str(cos_file), "--points-file",
+                             str(empty), "--resolution", "200")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "--resolution 200 needs" in err
+
     def test_round_trip_matches_in_process_build(self, capsys, cos_file):
         c = bc.build_adaptive(f_cosxy, 1e-15)
         points = [(0.3, -0.7), (0.0, 0.0), (-0.99, 0.99)]
@@ -401,6 +428,33 @@ class TestDiff:
         x, y = 0.3, -0.4
         exact = -np.sin(x * y) - x * y * np.cos(x * y)
         assert bc.evaluate_matrix(c, x, y) == pytest.approx(exact, abs=1e-7)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_diff_budget_covers_what_it_allocates(self, capsys, tmp_path,
+                                                  monkeypatch, axis):
+        # two entries, but a dense 2001 x 2001 matrix (32 MB): the input and
+        # its derivative are the command's two matrices.  The allowance is
+        # for Python objects: the parser, the document's entries and text.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two.json").write_text(
+            '{"degree_x": 2000, "degree_y": 2000, "domain": [-1, 1, -1, 1], '
+            '"tol": 0, "entries": [[0, 0, 1.0], [2000, 2000, 0.5]]}\n')
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            chebcore._check_grid_budget(what, entries, error)
+
+        monkeypatch.setattr(cli, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, "diff", "two.json", "--axis", axis, "-o", "d.json")[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert max(charged) == 2 * 2001 * 2001
+        assert peak <= 8 * max(charged) + 2 ** 20
 
 
 class TestInterp:
@@ -806,6 +860,67 @@ class TestOptions:
         assert code == EXIT_VALIDATION
         assert "resolution" in err
         assert not dst.exists()
+
+
+def _cli_process(*args, env=None, **kwargs):
+    """python -m bicheb.cli ARGS in a fresh interpreter that imports this
+    checkout's bicheb."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(bc.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "bicheb.cli", *args], env=env,
+                          timeout=60, **kwargs)
+
+
+class TestEntryPoint:
+    def test_process_matches_in_process(self, capsys, tmp_path, monkeypatch):
+        def summary(out):
+            return [line for line in out.splitlines()
+                    if not line.startswith("wall time")]
+
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "approx", "cos(x*y)", "-o", "a.json")
+        assert code == EXIT_OK
+        result = _cli_process("approx", "cos(x*y)", "-o", "f.json", cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert result.returncode == EXIT_OK and result.stderr == ""
+        assert summary(result.stdout) == [
+            line.replace("a.json", "f.json") for line in summary(out)]
+        assert ((tmp_path / "f.json").read_bytes()
+                == (tmp_path / "a.json").read_bytes())
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["integrate", "--expr", "x*y"], EXIT_OK),
+        (["integrate", "--expr", "x+"], EXIT_PARSE),
+        (["eval", "missing.json", "--point", "0,0"], EXIT_IO),
+    ], ids=["ok", "parse-error", "io-error"])
+    def test_main_returns_its_code(self, capsys, tmp_path, monkeypatch, argv,
+                                   expected):
+        # only run ends the process; main hands the code back to the caller
+        def ended(code):
+            raise AssertionError(f"os._exit({code}) inside main")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "_exit", ended)
+        code = main(argv)
+        assert type(code) is int and code == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_flush_exits_5(self, capsys, tmp_path):
+        # stdout buffered, as by default: the value reaches the device only
+        # when run flushes it, after main has returned 0
+        doc = tmp_path / "c.json"
+        assert run(capsys, "approx", "cos(x*y)", "-o", str(doc))[0] == EXIT_OK
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            result = _cli_process("integrate", str(doc), env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        assert result.returncode == EXIT_IO
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert "Exception ignored" not in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestImports:
