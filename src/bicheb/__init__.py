@@ -14,7 +14,6 @@ from .chebcore import (
     UNIT_SQUARE,
     build_adaptive,
     cheb_basis,
-    cheb_vector,
     document_text,
     evaluate_clenshaw,
     evaluate_grid,

@@ -68,22 +68,21 @@ stay in cache.  Each row's FFT is independent of the others and runs the
 same operations whichever chunk it falls in, so the coefficients are
 bit-for-bit the same for any chunk size and any number of CPUs.
 
-Evaluation of arrays has one kernel, the basis matrices of the points on
-either side of the coefficient matrix, both from one run of the Chebyshev
+Evaluation has one kernel, the basis matrices of the points on either
+side of the coefficient matrix, both from one run of the Chebyshev
 recurrence over the points of the two axes: ``evaluate_matrix`` takes whole
 arrays of scattered points (in bounded blocks), ``evaluate_grid`` a tensor
-grid.  A scalar point has its own path, one ``cheb_vector`` per axis on
-either side of the matrix, because through the batched kernel one point
-cost 1.5-1.7 times as much (13 x 13 to 659 x 683 coefficients, 2 vCPUs,
-BLAS at one thread).  Clenshaw's recurrence (``evaluate_clenshaw``) is kept
-as the oracle.  The basis matrices grow with the degrees, not with the
-points' arrays: _basis_entries gives their size, which the CLI charges
-against the grid budget before it evaluates.
+grid.  A scalar point goes through the same kernel as a one-point array.
+Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle, and
+maps its point as the kernel does.  The basis matrices grow with the
+degrees, not with the points' arrays: _basis_entries gives their size,
+which the CLI charges against the grid budget before it evaluates.
 
-Coefficients are trimmed by one rule, the builder's (``_trim_in_place``):
-a tensor pass (``_trimmed``) and ``trim``, which applies it to a copy of any
-matrix, copy the kept block into a Cheb2, phase 2 keeps its own block, and
-``to_sparse`` turns the nonzeros of a Cheb2 into a document.
+Coefficients are trimmed by one rule, the builder's (``_trim_in_place``).
+A tensor pass (``_trimmed``) copies the kept block into a Cheb2, phase 2
+keeps its own block, and ``trim`` and the CLI's ``diff`` trim a matrix of
+their own in place and turn its nonzeros into a document
+(``_sparse_trimmed``, ``to_sparse``), with no second copy.
 """
 
 import json
@@ -306,33 +305,14 @@ def _require_real(v, what):
 # Chebyshev polynomial evaluation
 
 
-def cheb_vector(n, x):
-    """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}.
-
-    x may overshoot [-1, 1] by up to 1e-12 and is clamped; anything further
-    out, or NaN, raises DomainError.  n must be an integer >= 0.
-    """
-    n = _index(n, "degree")
-    if n < 0:
-        raise ValidationError("degree must be >= 0")
-    if not abs(x) <= 1.0 + _OVERSHOOT:  # NaN too
-        raise DomainError(f"argument {x!r} lies outside [-1, 1]")
-    x = min(1.0, max(-1.0, float(x)))
-    out = np.ones(n + 1)
-    if n >= 1:
-        out[1] = x
-    for k in range(2, n + 1):
-        out[k] = 2.0 * x * out[k - 1] - out[k - 2]
-    return out
-
-
 def cheb_basis(n, t):
     """C-ordered matrix with entry [i, k] = T_k(t[i]) for k = 0..n (no
     clamping).
 
     The recurrence fills one contiguous row of points per degree, in place,
-    with the operations of cheb_vector in the same order, so each entry is
-    bit for bit cheb_vector's; the result is the transpose of those rows.
+    with the operations of one point's recurrence (bicheb.paper.cheb_vector,
+    the oracle) in the same order, so each entry is bit for bit the
+    oracle's; the result is the transpose of those rows.
     n must be an integer >= 0.
     """
     n = _index(n, "degree")
@@ -608,10 +588,11 @@ def _trim_in_place(a, threshold):
 
 
 def _trimmed(coeffs, threshold, domain):
-    """Cheb2 of coeffs trimmed in place (_trim_in_place), trailing all-zero
-    rows and columns dropped; all zero gives a single zero coefficient.
-    Cheb2 copies the kept block, so coeffs, often a grid several times its
-    size, is not held by the result."""
+    """The builder's Cheb2 of coeffs trimmed in place (_trim_in_place),
+    trailing all-zero rows and columns dropped; all zero gives a single zero
+    coefficient.  Cheb2 copies the kept block, so coeffs, a pass's grid of
+    coefficients, often several times its size, is not held by the
+    result."""
     rows, cols = _trim_in_place(coeffs, threshold)
     kept = coeffs[:rows, :cols] if rows else np.zeros((1, 1))
     return Cheb2(kept, domain=domain, tol=threshold)
@@ -954,15 +935,23 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):
-    """to_sparse of a copy of coeffs trimmed as the builder trims (_trimmed):
-    |value| < tol zeroed, trailing all-zero rows and columns dropped."""
+    """The document of coeffs trimmed as the builder trims: |value| < tol
+    zeroed, trailing all-zero rows and columns dropped.  coeffs is copied
+    once, and the copy is trimmed in place (_sparse_trimmed)."""
     tol = _require_real(tol, "tol")
     a = np.array(coeffs, dtype=float)
     if a.ndim != 2:
         raise ValidationError("coefficients must form a 2-D matrix")
-    c = _trimmed(a, tol, domain)
-    del a  # Cheb2 holds its own copy: free this one before the triplets
-    return to_sparse(c)
+    return _sparse_trimmed(a, tol, domain)
+
+
+def _sparse_trimmed(a, tol, domain):
+    """to_sparse of a, a float64 matrix its caller gives up, trimmed in
+    place by the builder's rule (_trim_in_place) and held by a Cheb2 with no
+    copy; the zero document if no entry is kept."""
+    if _trim_in_place(a, tol) == (0, 0):
+        return SparseCoeffs(0, 0, domain, tol, ())
+    return to_sparse(Cheb2._owning(a, domain, tol))
 
 
 def to_sparse(c):
@@ -1002,12 +991,14 @@ def truncate(c, degree_x, degree_y):
 
 
 def _unit_points(c, x, y):
-    """x and y mapped onto [-1, 1], an overshoot of up to 1e-12 clamped.
+    """x and y mapped onto [-1, 1] as fresh arrays, an overshoot of up to
+    1e-12 clamped in place.
 
-    x and y are scalars or arrays that broadcast against each other.  The
-    first point (x, y) of the broadcast, in row-major order, that lies
-    further out or is not finite raises DomainError.
+    x and y are arrays that broadcast against each other; a scalar is a
+    one-point array.  The first point (x, y) of the broadcast, in row-major
+    order, that lies further out or is not finite raises DomainError.
     """
+    x, y = np.atleast_1d(x, y)  # a 0-d map gives a scalar, which out= refuses
     u = c.domain.unit_from_x(x)
     v = c.domain.unit_from_y(y)
     bad_u = ~(np.abs(u) <= 1.0 + _OVERSHOOT)
@@ -1021,24 +1012,18 @@ def _unit_points(c, x, y):
         raise DomainError(
             f"point ({x0!r}, {y0!r}) lies outside the domain rectangle "
             f"[{d.xlo}, {d.xhi}] x [{d.ylo}, {d.yhi}]")
-    # u and v are fresh: arrays are clamped in place, with no copy, and
-    # scalars without np.clip, which costs several microseconds more on them
-    return tuple(np.minimum(np.maximum(t, -1.0, out=t), 1.0, out=t)
-                 if isinstance(t, np.ndarray) else np.minimum(np.maximum(t, -1.0), 1.0)
-                 for t in (u, v))
+    return tuple(np.minimum(np.maximum(t, -1.0, out=t), 1.0, out=t) for t in (u, v))
 
 
 def evaluate_matrix(c, x, y):
     """Values at the points (x, y) as the bilinear form V'(u) coeffs V(v).
 
-    Scalar x and y give a float.  Arrays give an array of their broadcast
-    shape; 1-D arrays of equal length pair up point by point.  Every point
-    is checked first, then the values are computed _EVAL_BLOCK points at a
-    time as the row sums of (cheb_basis(u) @ coeffs) * cheb_basis(v).
+    Arrays give an array of their broadcast shape; 1-D arrays of equal
+    length pair up point by point.  Scalar x and y are a one-point array
+    and give its value as a float, bit for bit.  Every point is checked
+    first, then the values are computed _EVAL_BLOCK points at a time as the
+    row sums of (cheb_basis(u) @ coeffs) * cheb_basis(v).
     """
-    if np.ndim(x) == 0 and np.ndim(y) == 0:
-        u, v = _unit_points(c, x, y)
-        return float(cheb_vector(c.degree_x, u) @ c.coeffs @ cheb_vector(c.degree_y, v))
     try:
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
                                    np.asarray(y, dtype=float))
@@ -1053,7 +1038,7 @@ def evaluate_matrix(c, x, y):
         basis_x, basis_y = _basis_pair(c, u[block], v[block])
         values[block] = np.einsum("ij,ij->i", basis_x @ c.coeffs, basis_y)
         del basis_x, basis_y  # views of the whole basis: not beside the next
-    return values.reshape(x.shape)
+    return values.reshape(x.shape) if x.ndim else float(values[0])
 
 
 def evaluate_clenshaw(c, x, y):
@@ -1063,7 +1048,7 @@ def evaluate_clenshaw(c, x, y):
     Each row of the coefficient matrix is collapsed with a Clenshaw pass in
     the second variable, then one more pass runs across the rows.
     """
-    u, v = _unit_points(c, float(x), float(y))
+    (u,), (v,) = _unit_points(c, float(x), float(y))
     a = c.coeffs
     b1 = np.zeros(a.shape[0])
     b2 = np.zeros(a.shape[0])
@@ -1182,12 +1167,20 @@ def load(source):
     literal longer than Python converts raise it at offset 0.  A well-formed
     document that violates the coefficient invariants, holds a number
     beyond the largest double or declares a degree of 2^63 or more raises
-    ValidationError.
+    ValidationError.  So does a text whose parse is charged more than the
+    grid budget, before it is parsed: 8 bytes per character, which covers
+    the text, the parser's objects and the checked entries of a document
+    whose values take 17 significant digits, as an approximant's do.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = _read_ascii(source, "coefficient document")
+    # one double per character: under tracemalloc, load peaked at 5.5-7.7
+    # bytes per character of such documents (Runge's, the bump's, dense
+    # random ones), and at 13.7 when every value was 1
+    _check_grid_budget(f"parsing the {len(text)}-character coefficient document",
+                       len(text))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -49,7 +49,7 @@ from .chebcore import (
     _basis_entries,
     _check_grid_budget,
     _read_ascii,
-    _trim_in_place,
+    _sparse_trimmed,
     build_adaptive,
     evaluate_grid,
     evaluate_matrix,
@@ -267,8 +267,7 @@ def cmd_diff(args):
     c = to_cheb2(sparse)
     del sparse  # load's entries, Python objects, can outweigh the matrix
     b = _derivative(c, 0 if args.axis == "x" else 1)
-    _trim_in_place(b, c.tol)
-    _write_document(to_sparse(Cheb2._owning(b, c.domain, c.tol)), args.output)
+    _write_document(_sparse_trimmed(b, c.tol, c.domain), args.output)
     return EXIT_OK
 
 
@@ -345,7 +344,8 @@ def _add_formula_options(sub, tol_help):
     """--domain and --tol, taken by every command that samples a formula."""
     sub.add_argument("--domain", type=_parse_domain, default=UNIT_SQUARE,
                      metavar="XLO,XHI,YLO,YHI",
-                     help="approximation rectangle (default -1,1,-1,1)")
+                     help="approximation rectangle (default -1,1,-1,1); "
+                          + _NEGATIVE_XLO_HELP.format("--domain"))
     # parsed and checked by _tolerance, which also reads the environment
     sub.add_argument("--tol", default=None,
                      help=f"{tol_help} (default 1e-15 or ${_TOL_ENV})")
@@ -353,7 +353,8 @@ def _add_formula_options(sub, tol_help):
 
 def _add_grid_options(sub, grid_help):
     sub.add_argument("--grid-domain", type=_parse_domain, default=None,
-                     metavar="XLO,XHI,YLO,YHI", help=grid_help)
+                     metavar="XLO,XHI,YLO,YHI",
+                     help=f"{grid_help}; {_NEGATIVE_XLO_HELP.format('--grid-domain')}")
     sub.add_argument("--resolution", type=int, default=50,
                      help="grid points per axis (default 50)")
 
@@ -372,6 +373,7 @@ def _add_build_options(sub):
 # argparse reads an argument that starts with "-" as an option
 _MINUS_HELP = ("one that starts with a minus sign goes in parentheses, "
                "'(-x*y)', or last, after every option and --: -o p.json -- '-x*y'")
+_NEGATIVE_XLO_HELP = "a negative XLO needs the = spelling, {}=-1,1,-1,1"
 
 
 def _build_parser():

@@ -5,8 +5,10 @@ each Lobatto node cos(i pi / (m/2)) up to four times, and takes its 2-D DFT
 with a radix-2 FFT (``sample_grid``, ``fft2``, ``coeffs_from_samples``).
 Production computes the same coefficients with a DCT-I of the distinct
 Lobatto samples in ``chebcore``.  The other oracles are the naive DFT, the
-coefficients by midpoint quadrature, the second-derivative decay bounds, and
-the aliasing fold that ties series coefficients to the interpolant's.
+coefficients by midpoint quadrature, the second-derivative decay bounds, the
+aliasing fold that ties series coefficients to the interpolant's, and one
+point's Chebyshev vector, which every row of ``cheb_basis`` must equal bit
+for bit.
 
 Neither ``bicheb`` nor ``bicheb.cli`` imports this module; import it as
 ``bicheb.paper``.
@@ -17,8 +19,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebcore import UNIT_SQUARE, _is_power_of_two, _sample_on, lobatto_nodes
-from .errors import ValidationError
+from .chebcore import (
+    UNIT_SQUARE,
+    _OVERSHOOT,
+    _index,
+    _is_power_of_two,
+    _sample_on,
+    lobatto_nodes,
+)
+from .errors import DomainError, ValidationError
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev polynomials at one point
+
+
+def cheb_vector(n, x):
+    """(T_0(x), ..., T_n(x)) by the recurrence T_{k+1} = 2 x T_k - T_{k-1}.
+
+    x may overshoot [-1, 1] by up to 1e-12 and is clamped; anything further
+    out, or NaN, raises DomainError.  n must be an integer >= 0.
+    """
+    n = _index(n, "degree")
+    if n < 0:
+        raise ValidationError("degree must be >= 0")
+    if not abs(x) <= 1.0 + _OVERSHOOT:  # NaN too
+        raise DomainError(f"argument {x!r} lies outside [-1, 1]")
+    x = min(1.0, max(-1.0, float(x)))
+    out = np.ones(n + 1)
+    if n >= 1:
+        out[1] = x
+    for k in range(2, n + 1):
+        out[k] = 2.0 * x * out[k - 1] - out[k - 2]
+    return out
 
 
 # ---------------------------------------------------------------------------

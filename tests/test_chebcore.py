@@ -45,6 +45,10 @@ def narrow_bump(x, y):
     return np.exp(-5000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2))
 
 
+def runge(x, y):
+    return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
+
+
 class TestPackage:
     def test_public_names(self):
         # the parser's tokens and AST nodes stay in bicheb.exprparse
@@ -54,7 +58,7 @@ class TestPackage:
             "Cheb2", "ChebError", "ConvergenceError", "Domain2", "DomainError",
             "EvalError", "ParseError", "SamplingError", "SparseCoeffs",
             "UNIT_SQUARE", "ValidationError",
-            "build_adaptive", "cheb_basis", "cheb_vector", "diff_x", "diff_y",
+            "build_adaptive", "cheb_basis", "diff_x", "diff_y",
             "document_text", "eval_ast", "evaluate_clenshaw", "evaluate_grid",
             "evaluate_matrix", "integrate", "lagrange_cheb_coeffs", "load",
             "parse_expression", "parseval_indicator", "save", "to_cheb2",
@@ -64,46 +68,46 @@ class TestPackage:
 class TestChebT:
     # T_k(x) is the last entry of cheb_vector(k, x)
     def test_degree_zero_is_one(self):
-        assert bc.cheb_vector(0, 0.37)[0] == 1.0
+        assert bp.cheb_vector(0, 0.37)[0] == 1.0
 
     def test_degree_two(self):
-        assert bc.cheb_vector(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)
+        assert bp.cheb_vector(2, 0.5)[2] == pytest.approx(-0.5, abs=1e-15)
 
     def test_degree_three(self):
-        assert bc.cheb_vector(3, 0.8)[3] == pytest.approx(-0.352, abs=1e-12)
+        assert bp.cheb_vector(3, 0.8)[3] == pytest.approx(-0.352, abs=1e-12)
 
     def test_clamps_tiny_overshoot(self):
-        assert bc.cheb_vector(5, 1.0 + 1e-13)[5] == pytest.approx(1.0, abs=1e-12)
+        assert bp.cheb_vector(5, 1.0 + 1e-13)[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_material_overshoot(self):
         with pytest.raises(DomainError):
-            bc.cheb_vector(2, 1.1)
+            bp.cheb_vector(2, 1.1)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValidationError):
-            bc.cheb_vector(-1, 0.0)
+            bp.cheb_vector(-1, 0.0)
 
 
 class TestChebVector:
     def test_all_ones_at_one(self):
-        assert np.allclose(bc.cheb_vector(2, 1.0), [1, 1, 1], atol=1e-15)
+        assert np.allclose(bp.cheb_vector(2, 1.0), [1, 1, 1], atol=1e-15)
 
     def test_alternating_at_minus_one(self):
-        assert np.allclose(bc.cheb_vector(3, -1.0), [1, -1, 1, -1], atol=1e-15)
+        assert np.allclose(bp.cheb_vector(3, -1.0), [1, -1, 1, -1], atol=1e-15)
 
     def test_pattern_at_zero(self):
-        assert np.allclose(bc.cheb_vector(4, 0.0), [1, 0, -1, 0, 1], atol=1e-15)
+        assert np.allclose(bp.cheb_vector(4, 0.0), [1, 0, -1, 0, 1], atol=1e-15)
 
     def test_matches_cheb_t(self):
-        v = bc.cheb_vector(7, 0.3)
+        v = bp.cheb_vector(7, 0.3)
         for k in range(8):
-            assert v[k] == pytest.approx(bc.cheb_vector(k, 0.3)[k], abs=1e-14)
+            assert v[k] == pytest.approx(bp.cheb_vector(k, 0.3)[k], abs=1e-14)
 
     def test_rejects_nan(self):
         # NaN fails every comparison, so it must not reach the clamp, which
         # would turn it into -1 and return T_k(-1)
         with pytest.raises(DomainError):
-            bc.cheb_vector(3, float("nan"))
+            bp.cheb_vector(3, float("nan"))
 
 
 class TestChebBasis:
@@ -113,7 +117,7 @@ class TestChebBasis:
                             np.random.default_rng(n).uniform(-1.0, 1.0, 61)))
         basis = bc.cheb_basis(n, t)
         assert basis.shape == (t.size, n + 1) and basis.flags.c_contiguous
-        assert np.array_equal(basis, [bc.cheb_vector(n, x) for x in t])
+        assert np.array_equal(basis, [bp.cheb_vector(n, x) for x in t])
 
     @pytest.mark.parametrize("shape", [(6, 10), (10, 6), (1, 4), (7, 7)])
     def test_evaluators_equal_a_basis_per_axis(self, shape):
@@ -133,9 +137,9 @@ class TestChebBasis:
         assert np.array_equal(bc.evaluate_matrix(c, xs, ys), values)
 
     @pytest.mark.parametrize("call", [
-        lambda: bc.cheb_vector(2.5, 0.1),
+        lambda: bp.cheb_vector(2.5, 0.1),
         lambda: bc.cheb_basis(2.5, [0.1]),
-        lambda: bc.cheb_vector(True, 0.1),
+        lambda: bp.cheb_vector(True, 0.1),
         lambda: bc.cheb_basis(True, [0.1]),
         lambda: bc.cheb_basis(-1, [0.1]),
     ], ids=["vector-float", "basis-float", "vector-bool", "basis-bool",
@@ -145,7 +149,7 @@ class TestChebBasis:
             call()
 
     def test_numpy_integer_degree(self):
-        assert np.array_equal(bc.cheb_vector(np.int64(3), 0.3), bc.cheb_vector(3, 0.3))
+        assert np.array_equal(bp.cheb_vector(np.int64(3), 0.3), bp.cheb_vector(3, 0.3))
         assert np.array_equal(bc.cheb_basis(np.int64(3), [0.3]), bc.cheb_basis(3, [0.3]))
 
 
@@ -1040,6 +1044,20 @@ class TestTrim:
         assert (sparse.degree_x, sparse.degree_y, sparse.entries) == \
             self.by_mask(a, tol) == (0, 0, ())
 
+    def test_copies_its_matrix_once(self):
+        # the copy is trimmed in place and read by to_sparse, with no second
+        # copy of the kept block, which here is the whole matrix
+        a = np.zeros((1000, 1000))
+        a[0, 0], a[-1, -1] = 1.0, 2.0
+        tracemalloc.start()
+        try:
+            sparse = bc.trim(a, 1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sparse.entries == ((0, 0, 1.0), (999, 999, 2.0))
+        assert peak <= 1.1 * a.nbytes
+
     def test_leaves_its_argument_unchanged(self):
         # the builder's trim works in place, so trim must work on a copy
         a = np.array([[1.0, 1e-20, -0.0], [1e-20, 2.0, 0.0]])
@@ -1133,6 +1151,16 @@ class TestEvaluate:
     def test_scalar_point_gives_float(self, cosxy):
         assert type(bc.evaluate_matrix(cosxy, 0.3, -0.7)) is float
         assert type(bc.evaluate_matrix(cosxy, np.float64(0.3), np.float64(-0.7))) is float
+
+    def test_scalar_point_is_a_one_point_array(self):
+        # one kernel for every point: a scalar gives the bits of the same
+        # point in a one-point array
+        c = bc.build_adaptive(runge, 1e-14, relative=True)
+        rng = np.random.default_rng(22)
+        for x, y in rng.uniform(-1.0, 1.0, size=(200, 2)):
+            value = bc.evaluate_matrix(c, float(x), float(y))
+            assert type(value) is float
+            assert value == bc.evaluate_matrix(c, np.array([x]), np.array([y]))[0]
 
     def test_empty_arrays_give_empty_array(self, cosxy):
         values = bc.evaluate_matrix(cosxy, np.array([]), np.array([]))
@@ -1367,6 +1395,27 @@ class TestPersistence:
                 '"tol": 1e-15, "entries": []}')
         c = bc.to_cheb2(bc.load(io.StringIO(text)))
         assert bc.evaluate_matrix(c, 0.123, -0.9) == 0.0
+
+    def test_parse_stays_within_its_charge(self, tmp_path, monkeypatch):
+        # 17-digit values and indices past the small-int cache: load held
+        # 7.4 bytes per character of this document, against 8 charged
+        path = tmp_path / "d.json"
+        bc.save(bc.trim(np.random.default_rng(8).uniform(1.0, 10.0, (40, 1000)), 0.0),
+                path)
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+
+        monkeypatch.setattr(chebcore, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            bc.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert charged == [len(path.read_text())]
+        assert peak <= 8 * charged[0]
 
     def test_malformed_document_reports_location(self):
         with pytest.raises(ParseError) as info:

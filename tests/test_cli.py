@@ -387,6 +387,27 @@ class TestIntegrate:
         assert str(path) in err and "x*y^3" in err
 
 
+    def test_document_over_budget_is_refused_before_parsing(self, capsys, tmp_path,
+                                                            monkeypatch):
+        # 8 bytes per character of the document, charged before json.loads
+        path = tmp_path / "c.json"
+        assert run(capsys, "approx", "cos(x*y)", "-o", str(path))[0] == EXIT_OK
+        size = len(path.read_text())
+        parsed = []
+        loads = chebcore.json.loads
+        monkeypatch.setattr(chebcore.json, "loads",
+                            lambda text: parsed.append(text) or loads(text))
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * size - 1)
+        with pytest.raises(ValidationError,
+                           match=f"the {size}-character coefficient document needs"):
+            bc.load(path)
+        code, out, err = run(capsys, "integrate", str(path))
+        assert code == EXIT_VALIDATION and out == ""
+        assert "budget" in err and not parsed
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * size)
+        assert run(capsys, "integrate", str(path))[0] == EXIT_OK and parsed
+
+
 class TestDiff:
     def test_constant_becomes_zero_function(self, capsys, tmp_path):
         src = tmp_path / "k.json"
@@ -841,6 +862,24 @@ class TestOptions:
         assert what in err and "budget" in err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_rectangle_takes_the_equals_spelling(self, capsys, tmp_path):
+        # after a space, argparse reads -1,1,-1,1 as an option
+        default, spelled = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(capsys, "approx", "cos(x*y)", "-o", str(default))[0] == EXIT_OK
+        assert run(capsys, "approx", "cos(x*y)", "--domain=-1,1,-1,1",
+                   "-o", str(spelled))[0] == EXIT_OK
+        assert spelled.read_bytes() == default.read_bytes()
+        code, grid, _ = run(capsys, "eval", str(default), "--resolution", "3")
+        assert code == EXIT_OK
+        code, out, err = run(capsys, "eval", str(default), "--point", "0,0",
+                             "--grid-domain=-1,1,-1,1", "--resolution", "3")
+        assert code == EXIT_OK and err == ""
+        values = [float(v) for v in out.split()]
+        assert values[1:] == pytest.approx([float(v) for v in grid.split()], abs=1e-15)
+        code, _, err = run(capsys, "approx", "x", "--domain", "-1,1,-1,1",
+                           "-o", str(tmp_path / "c.json"))
+        assert code == EXIT_VALIDATION and "expected one argument" in err
+
     def test_builder_over_budget_exits_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
         code, out, err = run(capsys, "approx", "cos(x*y)",
@@ -927,7 +966,7 @@ class TestImports:
     ORACLES = ("fft2", "dft2_naive", "sample_grid", "coeffs_from_samples",
                "coeffs_by_quadrature", "DecayBounds", "decay_bound_excess",
                "LobattoGrid", "lobatto_grid", "aliasing_coeffs",
-               "interp_error_bound_gap")
+               "interp_error_bound_gap", "cheb_vector")
 
     def test_cli_loads_no_oracle_module(self):
         # a fresh interpreter: this test session has imported bicheb.paper
