@@ -1168,19 +1168,21 @@ def load(source):
     document that violates the coefficient invariants, holds a number
     beyond the largest double or declares a degree of 2^63 or more raises
     ValidationError.  So does a text whose parse is charged more than the
-    grid budget, before it is parsed: 8 bytes per character, which covers
-    the text, the parser's objects and the checked entries of a document
-    whose values take 17 significant digits, as an approximant's do.
+    grid budget, before it is parsed: 8 bytes per character, or one byte
+    per character and 256 bytes per '[' if that is more, which covers the
+    text, the parser's objects and the checked entries, each a list,
+    whatever the length of their values.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = _read_ascii(source, "coefficient document")
-    # one double per character: under tracemalloc, load peaked at 5.5-7.7
-    # bytes per character of such documents (Runge's, the bump's, dense
-    # random ones), and at 13.7 when every value was 1
+    # in doubles: under tracemalloc, load peaked at the text plus about 235
+    # bytes per entry, whether its value took 1 digit or 17; the floor of a
+    # double per character bounds values that are not lists, such as a list
+    # of numbers under a key that load ignores
     _check_grid_budget(f"parsing the {len(text)}-character coefficient document",
-                       len(text))
+                       max(len(text), (len(text) + 7) // 8 + 32 * text.count("[")))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,6 +33,7 @@ stdout exits 5.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -180,12 +181,6 @@ def _collect_points(args, domain):
     return xs, ys
 
 
-def _open_sink(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
-
-
 def _compare_ast(args):
     if args.compare_expr is None:
         return None
@@ -228,17 +223,14 @@ def cmd_eval(args):
     compare_ast = _compare_ast(args)
     columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
     row = " ".join(["%.17g"] * len(columns)) + "\n"
-    sink, owned = _open_sink(args.output)
-    try:
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="ascii")) as sink:
         for start in range(0, xs.size, _ROWS_PER_WRITE):
             block = [column[start:start + _ROWS_PER_WRITE].tolist()
                      for column in columns]
             sink.write("".join(row % cells for cells in zip(*block)))
         if compare_ast is not None:
             sink.write("max_abs_error %.17g\n" % columns[2].max())
-    finally:
-        if owned:
-            sink.close()
     return EXIT_OK
 
 
@@ -257,15 +249,13 @@ def cmd_integrate(args):
 
 
 def cmd_diff(args):
+    c = to_cheb2(load(args.input))
     # the input's dense matrix and its derivative's, which the trim zeroes
-    # in place: the two matrices the command holds, charged before either
-    sparse = load(args.input)
-    shape = (sparse.degree_x + 1, sparse.degree_y + 1)
+    # in place: the two matrices the command holds, charged before the second
+    rows, cols = c.coeffs.shape
     _check_grid_budget(
-        f"a dense {shape[0]} x {shape[1]} coefficient matrix and its derivative",
-        2 * shape[0] * shape[1])
-    c = to_cheb2(sparse)
-    del sparse  # load's entries, Python objects, can outweigh the matrix
+        f"a dense {rows} x {cols} coefficient matrix and its derivative",
+        2 * rows * cols)
     b = _derivative(c, 0 if args.axis == "x" else 1)
     _write_document(_sparse_trimmed(b, c.tol, c.domain), args.output)
     return EXIT_OK
@@ -438,27 +428,28 @@ def _build_parser():
     return parser
 
 
+# the exit code of each error class that main reports: the first row whose
+# classes the error is an instance of
+_EXIT_CODES = (
+    ((ParseError,), EXIT_PARSE),
+    ((ConvergenceError,), EXIT_CONVERGENCE),
+    ((ValidationError,), EXIT_VALIDATION),
+    ((OSError,), EXIT_IO),
+    ((DomainError, SamplingError, EvalError), EXIT_EVAL),
+)
+_REPORTED = tuple(cls for classes, _ in _EXIT_CODES for cls in classes)
+
+
 def main(argv=None):
     try:
         # inside the try: a usage error or a bad --domain raises
         # ValidationError from the parser
         args = _build_parser().parse_args(argv)
         return args.run(args)
-    except ParseError as exc:
+    except _REPORTED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (DomainError, SamplingError, EvalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+        return next(code for classes, code in _EXIT_CODES
+                    if isinstance(exc, classes))
 
 
 def run():

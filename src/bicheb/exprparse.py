@@ -120,43 +120,40 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect(self, kind, text):
+    def accept(self, kind, *texts):
+        """Consume and return the next token if it is of `kind` and its text
+        equals one of `texts`; otherwise consume nothing and return None."""
         token = self.peek()
-        if token is None or token.kind != kind or token.text != text:
-            found = "end of input" if token is None else repr(token.text)
-            pos = self._end_position() if token is None else token.position
-            raise ParseError(f"expected {text!r}, found {found}", pos)
+        if token is None or token.kind != kind or token.text not in texts:
+            return None
         self.index += 1
         return token
 
+    def expect(self, kind, text):
+        if self.accept(kind, text) is None:
+            token = self.peek()
+            found = "end of input" if token is None else repr(token.text)
+            pos = self._end_position() if token is None else token.position
+            raise ParseError(f"expected {text!r}, found {found}", pos)
+
     def expression(self):
         node = self.term()
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "operator" and token.text in "+-":
-                self.index += 1
-                node = BinOp(token.text, node, self.term())
-            else:
-                return node
+        while token := self.accept("operator", "+", "-"):
+            node = BinOp(token.text, node, self.term())
+        return node
 
     def term(self):
         node = self.factor()
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "operator" and token.text in "*/":
-                self.index += 1
-                node = BinOp(token.text, node, self.factor())
-            else:
-                return node
+        while token := self.accept("operator", "*", "/"):
+            node = BinOp(token.text, node, self.factor())
+        return node
 
     def factor(self):
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
             raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels",
                              self.tokens[self.index - 1].position)
-        token = self.peek()
-        if token is not None and token.kind == "operator" and token.text == "-":
-            self.index += 1
+        if self.accept("operator", "-"):
             node = Neg(self.factor())
         else:
             node = self.power()
@@ -165,9 +162,7 @@ class _Parser:
 
     def power(self):
         base = self.atom()
-        token = self.peek()
-        if token is not None and token.kind == "operator" and token.text == "^":
-            self.index += 1
+        if self.accept("operator", "^"):
             return BinOp("^", base, self.factor())
         return base
 
@@ -180,8 +175,7 @@ class _Parser:
             self.expect("paren", ")")
             return node
         if token.kind == "identifier":
-            following = self.peek()
-            if following is not None and following.kind == "paren" and following.text == "(":
+            if self.accept("paren", "("):
                 return self.call(token)
             if token.text in ("x", "y"):
                 return Var(token.text)
@@ -194,15 +188,9 @@ class _Parser:
         name = name_token.text
         if name not in FUNCTIONS:
             raise ParseError(f"unknown function {name!r}", name_token.position)
-        self.expect("paren", "(")
         args = [self.expression()]
-        while True:
-            token = self.peek()
-            if token is not None and token.kind == "comma":
-                self.index += 1
-                args.append(self.expression())
-            else:
-                break
+        while self.accept("comma", ","):
+            args.append(self.expression())
         self.expect("paren", ")")
         if len(args) != FUNCTIONS[name]:
             raise ParseError(

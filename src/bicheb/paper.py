@@ -6,9 +6,10 @@ with a radix-2 FFT (``sample_grid``, ``fft2``, ``coeffs_from_samples``).
 Production computes the same coefficients with a DCT-I of the distinct
 Lobatto samples in ``chebcore``.  The other oracles are the naive DFT, the
 coefficients by midpoint quadrature, the second-derivative decay bounds, the
-aliasing fold that ties series coefficients to the interpolant's, and one
+aliasing fold that ties series coefficients to the interpolant's, one
 point's Chebyshev vector, which every row of ``cheb_basis`` must equal bit
-for bit.
+for bit, and the derivative's backward loop, which ``calculus._derivative``
+must equal bit for bit.
 
 Neither ``bicheb`` nor ``bicheb.cli`` imports this module; import it as
 ``bicheb.paper``.
@@ -52,6 +53,30 @@ def cheb_vector(n, x):
     for k in range(2, n + 1):
         out[k] = 2.0 * x * out[k - 1] - out[k - 2]
     return out
+
+
+# ---------------------------------------------------------------------------
+# derivative coefficients by the backward loop
+
+
+def _diff_first_axis(a):
+    """Backward solve for the derivative coefficients along axis 0.
+
+    With b read as zero at and beyond row n, the recurrence is
+    b[k] = 2 (k + 1) a[k + 1] + b[k + 2] for k = n-1 .. 1 and
+    b[0] = a[1] + b[2] / 2.  ``calculus._derivative`` must equal it bit for
+    bit, before its chain-rule factor, along either axis.
+    """
+    n = a.shape[0] - 1
+    b = np.zeros((n, a.shape[1]))
+    for k in range(n - 1, 0, -1):
+        b[k] = 2.0 * (k + 1) * a[k + 1]
+        if k + 2 <= n - 1:
+            b[k] += b[k + 2]
+    b[0] = a[1]
+    if n >= 3:
+        b[0] += 0.5 * b[2]
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bicheb as bc
+import bicheb.paper as bp
 from bicheb import diff_x, diff_y, integrate
 
 from conftest import f_cosxy, f_example2
@@ -59,6 +60,22 @@ class TestDiff:
         d = diff_x(c)
         for x in (0.1, 0.9, 1.7):
             assert bc.evaluate_matrix(d, x, 0.0) == pytest.approx(2 * x, abs=1e-10)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 142])
+    def test_equals_the_paper_loop_bit_for_bit(self, degree):
+        # the running sums add in the order of the paper's backward loop;
+        # the domain's chain-rule factors are not powers of two
+        domain = bc.Domain2(-0.5, 2.5, 1.0, 1.7)
+        a = np.random.default_rng(degree).standard_normal((degree + 1, 6))
+        for diff, coeffs, width in ((diff_x, a, 3.0), (diff_y, a.T, 1.7 - 1.0)):
+            got = diff(bc.Cheb2(coeffs, domain)).coeffs
+            if degree == 0:
+                expected = np.zeros((1, 1))
+            else:
+                expected = bp._diff_first_axis(a) * (2.0 / width)
+                expected = expected if diff is diff_x else expected.T
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_recurrence_residual_is_tiny(self, cosxy):
         n, m = cosxy.degree_x, cosxy.degree_y

@@ -1398,7 +1398,7 @@ class TestPersistence:
 
     def test_parse_stays_within_its_charge(self, tmp_path, monkeypatch):
         # 17-digit values and indices past the small-int cache: load held
-        # 7.4 bytes per character of this document, against 8 charged
+        # 9.7 MiB for this 1.3 MiB document, against 11.1 MiB charged
         path = tmp_path / "d.json"
         bc.save(bc.trim(np.random.default_rng(8).uniform(1.0, 10.0, (40, 1000)), 0.0),
                 path)
@@ -1414,7 +1414,40 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert charged == [len(path.read_text())]
+        text = path.read_text()
+        assert charged == [max(len(text), (len(text) + 7) // 8 + 32 * text.count("["))]
+        assert peak <= 8 * charged[0]
+
+    @pytest.mark.parametrize("document", [
+        # one-digit values and no spaces: the entries' Python objects, about
+        # 235 bytes each, outweigh the text's 11 characters per entry
+        lambda: ('{"degree_x": 299, "degree_y": 299, "domain": [-1, 1, -1, 1], '
+                 '"tol": 0, "entries": ['
+                 + ",".join(f"[{i},{j},1]" for i in range(300) for j in range(300))
+                 + "]}\n"),
+        # a flat list under a key that load ignores has one '[' however long
+        # it is: each value, a float and its list slot, costs more than its
+        # characters, and the floor of a double per character covers it
+        lambda: ('{"degree_x": 0, "degree_y": 0, "domain": [-1, 1, -1, 1], '
+                 '"tol": 0, "entries": [], "pad": ['
+                 + ",".join(["0.12345678901234567"] * 200_000) + "]}\n"),
+    ], ids=["compact-entries", "ignored-list-of-numbers"])
+    def test_short_values_stay_within_their_charge(self, tmp_path, monkeypatch,
+                                                   document):
+        path = tmp_path / "d.json"
+        path.write_text(document())
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+
+        monkeypatch.setattr(chebcore, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            bc.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak <= 8 * charged[0]
 
     def test_malformed_document_reports_location(self):

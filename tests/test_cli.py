@@ -11,7 +11,7 @@ import pytest
 
 import bicheb as bc
 import bicheb.paper as bp
-from bicheb import chebcore, cli
+from bicheb import calculus, chebcore, cli
 from bicheb.errors import ValidationError
 from bicheb.cli import (
     EXIT_CONVERGENCE,
@@ -252,6 +252,18 @@ class TestEval:
         for (x, y), v in zip(points, values):
             assert abs(v - bc.evaluate_matrix(c, x, y)) <= 1e-15
 
+    @pytest.mark.parametrize("source, message", [
+        (["--point", "1"], "point must be 'x,y', got '1'"),
+        (["--point", "a,b"], "point coordinates must be numbers, got 'a,b'"),
+        (["--points-file", "bad.txt"], "point must be 'x,y', got 'foo'"),
+    ], ids=["one-number", "not-numbers", "file-line"])
+    def test_malformed_point_is_refused(self, capsys, cos_file, tmp_path,
+                                       monkeypatch, source, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.txt").write_text("0.1,0.2\nfoo\n")
+        code, out, err = run(capsys, "eval", str(cos_file), *source)
+        assert (code, out, err) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
     def test_out_of_domain_point(self, capsys, cos_file):
         code, _, err = run(capsys, "eval", str(cos_file), "--point", "2,0")
         assert code == EXIT_EVAL
@@ -386,25 +398,54 @@ class TestIntegrate:
         assert out == ""
         assert str(path) in err and "x*y^3" in err
 
+    def test_integrate_budget_covers_what_it_allocates(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # two entries, but a dense 2001 x 2001 matrix (32 MB) and the
+        # 1001 x 1001 quarter of its even-indexed coefficients, which
+        # integrate copies.  The allowance is for Python objects.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two.json").write_text(
+            '{"degree_x": 2000, "degree_y": 2000, "domain": [-1, 1, -1, 1], '
+            '"tol": 0, "entries": [[0, 0, 1.0], [2000, 2000, 0.5]]}\n')
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            chebcore._check_grid_budget(what, entries, error)
+
+        monkeypatch.setattr(calculus, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, "integrate", "two.json")[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert max(charged) == 2001 ** 2 + 1001 ** 2
+        assert peak <= 8 * max(charged) + 2 ** 20
 
     def test_document_over_budget_is_refused_before_parsing(self, capsys, tmp_path,
                                                             monkeypatch):
-        # 8 bytes per character of the document, charged before json.loads
+        # a double per character of the document, or a byte per character and
+        # 256 per '[' rounded up to whole doubles if that is more, charged
+        # before json.loads
         path = tmp_path / "c.json"
         assert run(capsys, "approx", "cos(x*y)", "-o", str(path))[0] == EXIT_OK
-        size = len(path.read_text())
+        text = path.read_text()
+        size = len(text)
+        need = 8 * max(size, (size + 7) // 8 + 32 * text.count("["))
         parsed = []
         loads = chebcore.json.loads
         monkeypatch.setattr(chebcore.json, "loads",
                             lambda text: parsed.append(text) or loads(text))
-        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * size - 1)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", need - 1)
         with pytest.raises(ValidationError,
                            match=f"the {size}-character coefficient document needs"):
             bc.load(path)
         code, out, err = run(capsys, "integrate", str(path))
         assert code == EXIT_VALIDATION and out == ""
         assert "budget" in err and not parsed
-        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * size)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", need)
         assert run(capsys, "integrate", str(path))[0] == EXIT_OK and parsed
 
 

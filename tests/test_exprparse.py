@@ -72,6 +72,7 @@ class TestParse:
     def test_constants(self):
         assert eval_ast(parse_expression("cos(pi)"), 0.0, 0.0) == pytest.approx(-1.0)
         assert eval_ast(parse_expression("log(e)"), 0.0, 0.0) == pytest.approx(1.0)
+        assert eval_ast(parse_expression("sqrt(x)"), 4.0, 0.0) == 2.0
 
     def test_two_argument_function(self):
         assert eval_ast(parse_expression("pow(x, 3)"), 2.0, 0.0) == 8.0
@@ -84,6 +85,41 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_expression(source)
         assert 0 <= info.value.position <= len(source)
+
+    @pytest.mark.parametrize("source, message", [
+        ("", "empty expression (at position 0)"),
+        ("x +", "unexpected end of input (at position 3)"),
+        ("(x", "expected ')', found end of input (at position 2)"),
+        ("((x)", "expected ')', found end of input (at position 4)"),
+        ("x)", "unexpected token ')' (at position 1)"),
+        (")", "unexpected token ')' (at position 0)"),
+        ("(", "unexpected end of input (at position 1)"),
+        ("cos()", "unexpected token ')' (at position 4)"),
+        ("cos(x, y)", "cos takes 1 argument(s), got 2 (at position 0)"),
+        ("pow(x)", "pow takes 2 argument(s), got 1 (at position 0)"),
+        ("pow(x,y,1)", "pow takes 2 argument(s), got 3 (at position 0)"),
+        ("pow(x,", "unexpected end of input (at position 6)"),
+        ("sin(x,)", "unexpected token ')' (at position 6)"),
+        ("foo(x)", "unknown function 'foo' (at position 0)"),
+        ("e(x)", "unknown function 'e' (at position 0)"),
+        ("z + 1", "unknown identifier 'z' (at position 0)"),
+        ("cos x", "unknown identifier 'cos' (at position 0)"),
+        ("sin", "unknown identifier 'sin' (at position 0)"),
+        ("1 2", "unexpected token '2' (at position 2)"),
+        ("x,y", "unexpected token ',' (at position 1)"),
+        ("x ^", "unexpected end of input (at position 3)"),
+        ("* x", "unexpected token '*' (at position 0)"),
+        ("x ** 2", "unexpected token '*' (at position 3)"),
+        ("2*(3+)", "unexpected token ')' (at position 5)"),
+        ("--x+", "unexpected end of input (at position 4)"),
+        ("1.5e", "unexpected token 'e' (at position 3)"),
+        ("x$y", "illegal character '$' (at position 1)"),
+        ("-" * 200 + "x", "expression nested deeper than 128 levels (at position 127)"),
+    ])
+    def test_rejection_messages(self, source, message):
+        with pytest.raises(ParseError) as info:
+            parse_expression(source)
+        assert str(info.value) == message
 
     def test_deep_parentheses_are_rejected(self):
         with pytest.raises(ParseError):
