@@ -1168,21 +1168,24 @@ def load(source):
     document that violates the coefficient invariants, holds a number
     beyond the largest double or declares a degree of 2^63 or more raises
     ValidationError.  So does a text whose parse is charged more than the
-    grid budget, before it is parsed: 8 bytes per character, or one byte
-    per character and 256 bytes per '[' if that is more, which covers the
-    text, the parser's objects and the checked entries, each a list,
-    whatever the length of their values.
+    grid budget, before it is parsed: one byte per character, 256 bytes per
+    '[' or '{' and 64 per ',', ':' or '"', or 8 bytes per character if that
+    is more, which covers the text, the parser's objects and the checked
+    entries, whatever the length of their values, and any value under a
+    key that load ignores.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = _read_ascii(source, "coefficient document")
-    # in doubles: under tracemalloc, load peaked at the text plus about 235
-    # bytes per entry, whether its value took 1 digit or 17; the floor of a
-    # double per character bounds values that are not lists, such as a list
-    # of numbers under a key that load ignores
+    # in doubles.  Under tracemalloc load peaked at the text plus about 235
+    # bytes per entry, whether its value took 1 digit or 17; 200,000 short
+    # values under a key that load ignores, each after a ',', at the text
+    # plus 72 bytes for each '{}', 59 for '"ab"' and 36 for '999'
     _check_grid_budget(f"parsing the {len(text)}-character coefficient document",
-                       max(len(text), (len(text) + 7) // 8 + 32 * text.count("[")))
+                       max(len(text), (len(text) + 7) // 8
+                           + 32 * (text.count("[") + text.count("{"))
+                           + 8 * (text.count(",") + text.count(":") + text.count('"'))))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -21,7 +21,10 @@ take --tol (approx, integrate, interp); the others ignore it.
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
 output, so a bad point or reference leaves no partial output.  ``eval`` and
-``export`` write their rows in blocks, each value as ``%.17g``.
+``export`` write their rows in blocks, each value as ``%.17g``; from 4096
+rows on, with two or more usable CPUs, forked children format some of the
+blocks and the parent writes every block in order, so the bytes are those
+of one process (``_write_rows``).
 
 A ``bicheb`` process (the console script, or ``python -m bicheb.cli``) runs
 ``run``: once ``main`` returns it flushes stdout and stderr and ends with
@@ -38,6 +41,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -199,6 +203,79 @@ def _value_columns(values, compare_ast, x, y):
 
 # Rows formatted per write by eval.
 _ROWS_PER_WRITE = 4096
+# The fewest rows that eval or export split across processes.  Below it a
+# fork costs more than the formatting it takes off the parent: on 2 vCPUs,
+# export with --compare-expr of Runge's document broke even at 64 x 64
+# rows, lost 1.6 ms at 48 x 48 and saved 3 ms at 80 x 80 (30 pairs each).
+# And the most processes, the parent among them, that format one output.
+_SPLIT_ROWS = 4096
+_MAX_WRITERS = 4
+
+
+def _write_rows(sink, rows, blocks, format_block):
+    """Write format_block(0), ..., format_block(blocks - 1), the text of
+    `rows` rows, to sink in that order.
+
+    K processes format the blocks, block i by writer i % K.  K is 1 below
+    _SPLIT_ROWS rows or without os.fork and os.sched_getaffinity, and
+    otherwise one per usable CPU, at most _MAX_WRITERS and `blocks`.  The
+    parent is writer 0; each other writer is a forked child that sends its
+    blocks through its own pipe, length-prefixed.  The parent formats the
+    blocks of a child it could not start or whose pipe ends early, so sink
+    gets the same bytes whatever K is.  Before it returns or raises, the
+    parent closes every pipe and then reaps every child."""
+    writers = 1
+    if rows >= _SPLIT_ROWS and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        writers = min(len(os.sched_getaffinity(0)), _MAX_WRITERS, blocks)
+    pipes = [None] * writers  # the parent's read end of each child's pipe
+    children = []
+    try:
+        for writer in range(1, writers):
+            read_end, write_end = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns of a fork while BLAS threads run;
+                    # the child only formats, writes its pipe and calls
+                    # os._exit, and never calls BLAS
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the pipe ends at once
+                pid = None
+            if pid == 0:
+                # the child never unwinds into main, where it would run the
+                # rest of the command and flush the sink it inherited
+                try:
+                    # with no reader but the parent's, a write after the
+                    # parent closes its end fails instead of blocking
+                    os.close(read_end)
+                    with open(write_end, "wb") as out:
+                        for i in range(writer, blocks, writers):
+                            data = format_block(i).encode("ascii")
+                            out.write(len(data).to_bytes(8, "little") + data)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append(pid)
+            os.close(write_end)
+            pipes[writer] = open(read_end, "rb")
+        for i in range(blocks):
+            # after an early end, every read of the pipe returns b""
+            pipe = pipes[i % writers]
+            head = pipe.read(8) if pipe else b""
+            size = int.from_bytes(head, "little")
+            data = pipe.read(size) if pipe else b""
+            if len(head) == 8 and len(data) == size:
+                sink.write(data.decode("ascii"))
+            else:
+                sink.write(format_block(i))
+    finally:
+        for pipe in filter(None, pipes):
+            pipe.close()
+        for pid in filter(None, children):
+            # where SIGCHLD is ignored, as an exec can inherit, the kernel
+            # reaps the child itself: waitpid waits for it, then finds none
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 def cmd_eval(args):
@@ -223,12 +300,15 @@ def cmd_eval(args):
     compare_ast = _compare_ast(args)
     columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
     row = " ".join(["%.17g"] * len(columns)) + "\n"
+
+    def rows(i):
+        block = slice(i * _ROWS_PER_WRITE, (i + 1) * _ROWS_PER_WRITE)
+        return "".join(row % cells for cells in
+                       zip(*(column[block].tolist() for column in columns)))
+
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else open(args.output, "w", encoding="ascii")) as sink:
-        for start in range(0, xs.size, _ROWS_PER_WRITE):
-            block = [column[start:start + _ROWS_PER_WRITE].tolist()
-                     for column in columns]
-            sink.write("".join(row % cells for cells in zip(*block)))
+        _write_rows(sink, xs.size, -(-xs.size // _ROWS_PER_WRITE), rows)
         if compare_ast is not None:
             sink.write("max_abs_error %.17g\n" % columns[2].max())
     return EXIT_OK
@@ -309,12 +389,15 @@ def cmd_export(args):
     # x and y text once per grid line, one %-format per row
     row = "%s,%s" + ",%.17g" * len(columns) + "\n"
     fys = ["%.17g" % y for y in ys]
+
+    def line(i):
+        fx = "%.17g" % xs[i]
+        cells = zip(fys, *(column[i].tolist() for column in columns))
+        return "".join(row % (fx, *cell) for cell in cells)
+
     with open(args.output, "w", encoding="ascii") as sink:
         sink.write(header + "\n")
-        for i, x in enumerate(xs):
-            fx = "%.17g" % x
-            cells = zip(fys, *(column[i].tolist() for column in columns))
-            sink.write("".join(row % (fx, *cell) for cell in cells))
+        _write_rows(sink, xs.size * ys.size, xs.size, line)
     if compare_ast is not None:
         print("max_abs_error %.17g" % columns[2].max())
     print(f"wrote {args.resolution * args.resolution} rows to {args.output}")

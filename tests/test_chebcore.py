@@ -1415,7 +1415,10 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         text = path.read_text()
-        assert charged == [max(len(text), (len(text) + 7) // 8 + 32 * text.count("["))]
+        assert charged == [max(len(text), (len(text) + 7) // 8
+                               + 32 * (text.count("[") + text.count("{"))
+                               + 8 * (text.count(",") + text.count(":")
+                                      + text.count('"')))]
         assert peak <= 8 * charged[0]
 
     @pytest.mark.parametrize("document", [
@@ -1431,7 +1434,15 @@ class TestPersistence:
         lambda: ('{"degree_x": 0, "degree_y": 0, "domain": [-1, 1, -1, 1], '
                  '"tol": 0, "entries": [], "pad": ['
                  + ",".join(["0.12345678901234567"] * 200_000) + "]}\n"),
-    ], ids=["compact-entries", "ignored-list-of-numbers"])
+        # short values under that key: each takes more than a double per
+        # character, up to 25 bytes per character for '{}', and the charges
+        # per '{', ',', ':' and '"' cover them
+        *[lambda value=value: ('{"degree_x": 0, "degree_y": 0, '
+                               '"domain": [-1, 1, -1, 1], "tol": 0, "entries": [], '
+                               '"pad": [' + ",".join([value] * 200_000) + "]}\n")
+          for value in ("{}", '"ab"', "999", "0.5")],
+    ], ids=["compact-entries", "ignored-list-of-numbers", "ignored-objects",
+            "ignored-strings", "ignored-integers", "ignored-short-floats"])
     def test_short_values_stay_within_their_charge(self, tmp_path, monkeypatch,
                                                    document):
         path = tmp_path / "d.json"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -426,14 +427,15 @@ class TestIntegrate:
 
     def test_document_over_budget_is_refused_before_parsing(self, capsys, tmp_path,
                                                             monkeypatch):
-        # a double per character of the document, or a byte per character and
-        # 256 per '[' rounded up to whole doubles if that is more, charged
-        # before json.loads
+        # a byte per character rounded up to whole doubles, 256 per '[' or
+        # '{' and 64 per ',', ':' or '"', or a double per character if that
+        # is more, charged before json.loads
         path = tmp_path / "c.json"
         assert run(capsys, "approx", "cos(x*y)", "-o", str(path))[0] == EXIT_OK
         text = path.read_text()
         size = len(text)
-        need = 8 * max(size, (size + 7) // 8 + 32 * text.count("["))
+        need = 8 * max(size, (size + 7) // 8 + 32 * (text.count("[") + text.count("{"))
+                       + 8 * (text.count(",") + text.count(":") + text.count('"')))
         parsed = []
         loads = chebcore.json.loads
         monkeypatch.setattr(chebcore.json, "loads",
@@ -663,6 +665,163 @@ class TestExport:
         code, _, _ = run(capsys, "export", str(src), "-o",
                          str(tmp_path / "missing" / "out.csv"))
         assert code == EXIT_IO
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that blocks, in a wait for a child say, for 60 s."""
+    def expired(signum, frame):
+        raise AssertionError("still blocked after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="rows are split only where os.fork and "
+                           "os.sched_getaffinity exist")
+@pytest.mark.usefixtures("deadline")
+class TestRowWriter:
+    """eval and export split their rows across forked children from
+    _SPLIT_ROWS rows on; the output's bytes are those of one process."""
+
+    @pytest.fixture()
+    def doc(self, tmp_path, cosxy):
+        path = tmp_path / "c.json"
+        bc.save(bc.to_sparse(cosxy), path)
+        return str(path)
+
+    @staticmethod
+    def _cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def _output(capsys, tmp_path, *args):
+        """The command's exit code, stderr, and its rows: the bytes of the
+        file that a final -o names, or else stdout."""
+        dst = tmp_path / "out.txt"
+        dst.unlink(missing_ok=True)
+        to_file = args[-1] == "-o"
+        code, out, err = run(capsys, *args, *[str(dst)] * to_file)
+        return code, err, dst.read_bytes() if to_file else out.encode()
+
+    @pytest.mark.parametrize("args", [
+        ("export", "--resolution", "70", "-o"),
+        ("export", "--resolution", "70", "--compare-expr", "cos(x*y)", "-o"),
+        ("eval", "--resolution", "120", "--compare-expr", "cos(x*y)", "-o"),
+        ("eval", "--resolution", "120"),
+    ], ids=["export", "export-compare", "eval-file", "eval-stdout"])
+    def test_split_writes_the_bytes_of_one_process(self, capsys, tmp_path,
+                                                   monkeypatch, doc, args):
+        argv = (args[0], doc, *args[1:])
+        self._cpus(monkeypatch, 1)
+        one = self._output(capsys, tmp_path, *argv)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        self._cpus(monkeypatch, 8)
+        split = self._output(capsys, tmp_path, *argv)
+        assert one[:2] == split[:2] == (EXIT_OK, "")
+        assert split[2] == one[2] and one[2].count(b"\n") >= 4900
+        # export: one block per grid line; eval: 4 blocks of 4096 rows
+        assert len(forks) == cli._MAX_WRITERS - 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("cpus, args", [
+        (8, ("eval", "--resolution", "63")),
+        (8, ("export", "--resolution", "63", "-o")),
+        (1, ("export", "--resolution", "100", "-o")),
+        (None, ("export", "--resolution", "100", "-o")),
+    ], ids=["eval-3969-rows", "export-3969-rows", "one-cpu", "no-affinity"])
+    def test_one_process_below_threshold_or_on_one_cpu(self, capsys, tmp_path,
+                                                       monkeypatch, doc, cpus, args):
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            self._cpus(monkeypatch, cpus)
+
+        def refused():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refused)
+        assert self._output(capsys, tmp_path, args[0], doc, *args[1:])[:2] == (EXIT_OK, "")
+
+    @pytest.mark.parametrize("failure", ["first-block", "later-block", "no-fork"])
+    def test_parent_formats_what_a_child_does_not_send(self, capsys, tmp_path,
+                                                       monkeypatch, doc, failure):
+        # a child that raises ends without a word, its pipe ends early, and
+        # the parent formats the rest of its blocks with the same function
+        args = ("export", doc, "--resolution", "80", "--compare-expr", "cos(x*y)", "-o")
+        self._cpus(monkeypatch, 1)
+        one = self._output(capsys, tmp_path, *args)
+        parent = os.getpid()
+        write_rows = cli._write_rows
+
+        def failing(sink, rows, blocks, format_block):
+            def block(i):
+                if os.getpid() != parent and (failure == "first-block" or i > 40):
+                    raise RuntimeError("formatting failed in a child")
+                return format_block(i)
+            return write_rows(sink, rows, blocks, block)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_write_rows", failing)
+        if failure == "no-fork":
+            monkeypatch.setattr(os, "fork", no_fork)
+        self._cpus(monkeypatch, 4)
+        assert self._output(capsys, tmp_path, *args) == one
+        _no_child_left()
+
+    def test_ignored_sigchld_is_no_error(self, capsys, tmp_path, monkeypatch, doc):
+        # a SIGCHLD ignored by whoever started the process survives exec; the
+        # kernel then reaps the children, and waitpid finds none to reap
+        args = ("export", doc, "--resolution", "70", "-o")
+        self._cpus(monkeypatch, 1)
+        one = self._output(capsys, tmp_path, *args)
+        self._cpus(monkeypatch, 4)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert self._output(capsys, tmp_path, *args) == one
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        _no_child_left()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_5_and_reaps_every_child(self, capsys, monkeypatch, doc):
+        # the first block's write fails while the children block on full
+        # pipes: the parent closes its read ends, and then reaps them
+        self._cpus(monkeypatch, 4)
+        code, out, err = run(capsys, "export", doc, "--resolution", "300",
+                             "-o", "/dev/full")
+        assert code == EXIT_IO and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        _no_child_left()
+
+    def test_failed_stdout_write_mid_stream_exits_5(self, capsys, monkeypatch, doc):
+        class Failing:
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError(5, "Input/output error")
+
+        self._cpus(monkeypatch, 4)
+        monkeypatch.setattr(sys, "stdout", Failing())
+        assert main(["eval", doc, "--resolution", "200"]) == EXIT_IO
+        assert sys.stdout.writes == 3
+        assert capsys.readouterr().err == "error: [Errno 5] Input/output error\n"
+        _no_child_left()
 
 
 class TestDeterminism:

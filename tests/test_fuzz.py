@@ -1,5 +1,5 @@
-"""Fuzz tests: whatever coefficient document ``bicheb eval`` reads, it ends
-with a documented exit code, never a traceback.
+"""Fuzz tests: whatever coefficient document or points file ``bicheb eval``
+reads, it ends with a documented exit code, never a traceback.
 
 Skipped when Hypothesis is not installed.  Examples are derandomized, so
 every run tries the same documents.
@@ -123,3 +123,42 @@ def test_valid_document_evaluates(doc_path, capsys):
     assert _eval_exit_code(doc_path, json.dumps(_valid_document())) == 0
     # 0.5 T_0(0) T_0(0) - 0.25 T_2(0) T_1(0), and T_1(0) = 0
     assert float(capsys.readouterr().out) == 0.5
+
+
+# the parts of a points file's line: numbers, non-finite and malformed ones,
+# separators, blanks and non-ASCII text
+coordinates = st.one_of(
+    st.floats(-1, 1).map(repr), st.floats().map(repr), st.integers(-2, 2).map(str),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-0", "1_0", "0x1", "", ".",
+                     "\xe9", "\u2212" "1", "\u0663", "\u00bd"]))
+separators = st.sampled_from([",", " ", ", ", "\t", ";", ",,", "", "\r", "\x0c"])
+point_lines = st.one_of(
+    st.tuples(coordinates, separators, coordinates).map("".join),
+    st.sampled_from(["", "   ", "\t", "1,2,3"]),
+    st.text(st.characters(max_codepoint=127), max_size=8))
+
+
+@pytest.fixture(scope="module")
+def points_folder(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("points")
+    (folder / "c.json").write_text(json.dumps(_valid_document()))
+    return folder
+
+
+@FUZZ
+@given(lines=st.lists(point_lines, max_size=6))
+def test_points_file(points_folder, lines):
+    text = "\n".join(lines)
+    (points_folder / "points.txt").write_bytes(text.encode("utf-8"))
+    out = points_folder / "values.txt"
+    out.unlink(missing_ok=True)
+    code = cli.main(["eval", str(points_folder / "c.json"), "--points-file",
+                     str(points_folder / "points.txt"), "--resolution", "2",
+                     "-o", str(out)])
+    # 0 success, 2 a non-ASCII byte, 4 a malformed point, 6 a point outside
+    # the domain or not finite
+    assert code in {0, 2, 4, 6}
+    if code == 0:
+        # one row per point, or the 2 x 2 grid's when the file holds none
+        count = sum(1 for line in text.split("\n") if line.strip())
+        assert len(out.read_text().splitlines()) == (count or 4)
