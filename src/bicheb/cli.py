@@ -14,9 +14,12 @@ inputs, and failures map to documented exit codes:
     5  I/O failure, or stdout cannot be flushed
     6  evaluation failure (outside domain, non-finite sample)
 
-Each command reads the parsed arguments, whose defaults live in the parser.
-BICHEB_TOL overrides the default tolerance, 1e-15, of the commands that
-take --tol (approx, integrate, interp); the others ignore it.
+The parser converts and checks every argument, defaults included: the
+numbers, the rectangles, each --point, the formulas, which it parses into
+callables, and --tol, whose default is $BICHEB_TOL or else 1e-15 for the
+commands that take it (approx, integrate, interp); the others ignore
+BICHEB_TOL.  So every command fails in one order: a bad argument first,
+then eval's --points-file, then the coefficient document, then the work.
 
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
@@ -37,8 +40,10 @@ stdout exits 5.
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
+import re
 import sys
 import time
 import warnings
@@ -109,17 +114,25 @@ def _parse_point(text):
         raise ValidationError(f"point coordinates must be numbers, got {text!r}") from None
 
 
-def _tolerance(args):
-    """--tol, else $BICHEB_TOL, else 1e-15; it must be a finite number > 0."""
-    raw = args.tol if args.tol is not None else os.environ.get(_TOL_ENV, "1e-15")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(
-            f"tolerance (--tol or ${_TOL_ENV}) must be a finite number > 0, got {raw!r}")
-    return tol
+def _parse_tolerance(text):
+    """--tol, whose default is $BICHEB_TOL or else 1e-15: a finite number > 0."""
+    with contextlib.suppress(ValueError):
+        if 0 < (tol := float(text)) < math.inf:
+            return tol
+    raise ValidationError(
+        f"tolerance (--tol or ${_TOL_ENV}) must be a finite number > 0, got {text!r}")
+
+
+class _Formula(str):
+    """A formula argument: its source text, parsed, and callable as f(x, y).
+    parse_expression and eval_ast are looked up when they run, so a wrapper
+    put in their place in this module sees every call."""
+
+    def __init__(self, text):
+        self.ast = parse_expression(text)
+
+    def __call__(self, x, y):
+        return eval_ast(self.ast, x, y)
 
 
 def _check_resolution(args, grids):
@@ -128,17 +141,6 @@ def _check_resolution(args, grids):
     if args.resolution < 2:
         raise ValidationError("resolution must be >= 2")
     _check_grid_budget(f"--resolution {args.resolution}", grids * args.resolution ** 2)
-
-
-def _ast_function(ast):
-    return lambda x, y: eval_ast(ast, x, y)
-
-
-def _build_from_expression(args, expression, tol):
-    f = _ast_function(parse_expression(expression))
-    c = build_adaptive(f, tol, n0=args.n0, max_n=args.max_n,
-                       domain=args.domain, relative=args.relative_tol)
-    return c, f
 
 
 def _write_document(sparse, output):
@@ -150,11 +152,11 @@ def _write_document(sparse, output):
 
 
 def cmd_approx(args):
-    tol = _tolerance(args)
     started = time.perf_counter()
-    c, f = _build_from_expression(args, args.expression, tol)
+    c = build_adaptive(args.expression, args.tol, n0=args.n0, max_n=args.max_n,
+                       domain=args.domain, relative=args.relative_tol)
     try:
-        indicator = "%.17g" % parseval_indicator(c, f)
+        indicator = "%.17g" % parseval_indicator(c, args.expression)
     except ValidationError as exc:  # its grid is over the budget; c is not
         indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
@@ -164,40 +166,32 @@ def cmd_approx(args):
     return EXIT_OK
 
 
-def _collect_points(args, domain):
-    """The points to evaluate as two arrays, xs and ys."""
-    points = [_parse_point(p) for p in args.point]
+def _given_points(args):
+    """The points of --point and then of --points-file, one 'x,y' per line
+    and blank lines skipped, as a C-ordered 2 x k array of xs and ys.
+
+    The file's text is charged before it is parsed: two bytes per
+    character, the file's bytes and their text, which the read held
+    together, and 32 per line, for the coordinates parsed, with room to
+    grow, and their copy that is returned."""
+    points = np.reshape(args.point, (-1, 2)).T
     if args.points_file is not None:
-        for line in _read_ascii(args.points_file, "points file").split("\n"):
-            line = line.strip()
-            if line:
-                points.append(_parse_point(line))
-    xs = np.array([x for x, _ in points], dtype=float)
-    ys = np.array([y for _, y in points], dtype=float)
-    if args.grid_domain is not None or not points:
-        _check_resolution(args, 7)  # again: a --points-file may hold no point
-        grid = args.grid_domain or domain
-        gx, gy = np.meshgrid(np.linspace(grid.xlo, grid.xhi, args.resolution),
-                             np.linspace(grid.ylo, grid.yhi, args.resolution),
-                             indexing="ij")
-        xs = np.concatenate([xs, gx.ravel()])
-        ys = np.concatenate([ys, gy.ravel()])
-    return xs, ys
+        text = _read_ascii(args.points_file, "points file")
+        _check_grid_budget(f"parsing the {len(text)}-character points file",
+                           (len(text) + 3) // 4 + 4 * (text.count("\n") + 1))
+        lines = (match.group().strip() for match in re.finditer("[^\n]+", text))
+        coords = np.fromiter(itertools.chain.from_iterable(
+            _parse_point(line) for line in lines if line), float)
+        points = np.concatenate([points, coords.reshape(-1, 2).T], axis=1)
+    return np.ascontiguousarray(points)
 
 
-def _compare_ast(args):
-    if args.compare_expr is None:
-        return None
-    return parse_expression(args.compare_expr)
-
-
-def _value_columns(values, compare_ast, x, y):
+def _value_columns(values, compare, x, y):
     """The columns eval and export write: the values and, given a reference
     formula, its values at the points (x, y) and the absolute errors."""
-    if compare_ast is None:
+    if compare is None:
         return [values]
-    reference = np.broadcast_to(
-        np.asarray(eval_ast(compare_ast, x, y), dtype=float), values.shape)
+    reference = np.broadcast_to(np.asarray(compare(x, y), dtype=float), values.shape)
     return [values, reference, np.abs(values - reference)]
 
 
@@ -285,20 +279,27 @@ def cmd_eval(args):
     # coordinates, their unit coordinates, clamped in place, and the domain
     # check's magnitudes; later the values join them.  With --compare-expr
     # it peaks at about 6.0, when the reference and the error join the
-    # points and their values.  Seven arrays are charged before the
-    # document is read, and again with one block's basis matrices, which
-    # grow with its degrees, before any point is evaluated.  The grid is
-    # charged only if one is evaluated: with --grid-domain or no points.
-    if args.grid_domain is not None or not (args.point or args.points_file is not None):
+    # points and their values.  The grid, evaluated with --grid-domain or
+    # when there is no point, is charged as seven arrays once the points
+    # are read, before the document is; all the points are charged again
+    # with one block's basis matrices, which grow with the document's
+    # degrees, before any point is evaluated.
+    xs, ys = _given_points(args)
+    if grid := (args.grid_domain is not None or not xs.size):
         _check_resolution(args, 7)
     c = to_cheb2(load(args.input))
-    xs, ys = _collect_points(args, c.domain)
+    if grid:
+        # x-major: each x of the grid with every y in turn
+        g = args.grid_domain or c.domain
+        gx = np.linspace(g.xlo, g.xhi, args.resolution)
+        gy = np.linspace(g.ylo, g.yhi, args.resolution)
+        xs = np.concatenate([xs, np.repeat(gx, args.resolution)])
+        ys = np.concatenate([ys, np.tile(gy, args.resolution)])
     _check_grid_budget(
         f"evaluating {xs.size} points at degrees {c.degree_x} x {c.degree_y}",
         7 * xs.size + _basis_entries(c.degree_x, c.degree_y,
                                      2 * min(xs.size, _EVAL_BLOCK)))
-    compare_ast = _compare_ast(args)
-    columns = _value_columns(evaluate_matrix(c, xs, ys), compare_ast, xs, ys)
+    columns = _value_columns(evaluate_matrix(c, xs, ys), args.compare_expr, xs, ys)
     row = " ".join(["%.17g"] * len(columns)) + "\n"
 
     def rows(i):
@@ -309,7 +310,7 @@ def cmd_eval(args):
     with (contextlib.nullcontext(sys.stdout) if args.output is None
           else open(args.output, "w", encoding="ascii")) as sink:
         _write_rows(sink, xs.size, -(-xs.size // _ROWS_PER_WRITE), rows)
-        if compare_ast is not None:
+        if args.compare_expr is not None:
             sink.write("max_abs_error %.17g\n" % columns[2].max())
     return EXIT_OK
 
@@ -319,11 +320,11 @@ def cmd_integrate(args):
         raise ValidationError(
             "integrate takes either a coefficient file or --expr; "
             f"got file {args.input!r} and --expr {args.expr!r}")
-    tol = _tolerance(args)
     if args.input is not None:
         c = to_cheb2(load(args.input))
     else:
-        c, _ = _build_from_expression(args, args.expr, tol)
+        c = build_adaptive(args.expr, args.tol, n0=args.n0, max_n=args.max_n,
+                           domain=args.domain, relative=args.relative_tol)
     print("%.17g" % integrate(c))
     return EXIT_OK
 
@@ -342,8 +343,6 @@ def cmd_diff(args):
 
 
 def cmd_interp(args):
-    tol = _tolerance(args)
-    ast = parse_expression(args.expression)
     n, m = args.n, args.m
     if args.verify and n >= 1 and m >= 1:
         # the coefficients and Cheb2's copy of them, the values at the nodes
@@ -351,16 +350,15 @@ def cmd_interp(args):
         _check_grid_budget(
             f"--verify on the {n + 1} x {m + 1} grid",
             4 * (n + 1) * (m + 1) + _basis_entries(n, m, n + m + 2))
-    f = _ast_function(ast)
-    coeffs = lagrange_cheb_coeffs(f, n, m, domain=args.domain)
-    _write_document(trim(coeffs, tol, args.domain), args.output)
+    coeffs = lagrange_cheb_coeffs(args.expression, n, m, domain=args.domain)
+    _write_document(trim(coeffs, args.tol, args.domain), args.output)
     if args.verify:
-        c = Cheb2(coeffs, args.domain, tol)
+        c = Cheb2(coeffs, args.domain, args.tol)
         del coeffs
         xs = args.domain.x_from_unit(lobatto_nodes(n))
         ys = args.domain.y_from_unit(lobatto_nodes(m))
         residual = evaluate_grid(c, xs, ys)
-        residual -= eval_ast(ast, xs[:, None], ys[None, :])
+        residual -= args.expression(xs[:, None], ys[None, :])
         worst = np.abs(residual, out=residual).max()
         print("max node residual: %.17g" % worst)
     return EXIT_OK
@@ -382,8 +380,7 @@ def cmd_export(args):
     grid = args.grid_domain or c.domain
     xs = np.linspace(grid.xlo, grid.xhi, args.resolution)
     ys = np.linspace(grid.ylo, grid.yhi, args.resolution)
-    compare_ast = _compare_ast(args)
-    columns = _value_columns(evaluate_grid(c, xs, ys), compare_ast,
+    columns = _value_columns(evaluate_grid(c, xs, ys), args.compare_expr,
                              xs[:, None], ys[None, :])
     header = ",".join(["x", "y", "value", "reference", "abs_error"][: 2 + len(columns)])
     # x and y text once per grid line, one %-format per row
@@ -398,7 +395,7 @@ def cmd_export(args):
     with open(args.output, "w", encoding="ascii") as sink:
         sink.write(header + "\n")
         _write_rows(sink, xs.size * ys.size, xs.size, line)
-    if compare_ast is not None:
+    if args.compare_expr is not None:
         print("max_abs_error %.17g" % columns[2].max())
     print(f"wrote {args.resolution * args.resolution} rows to {args.output}")
     return EXIT_OK
@@ -419,8 +416,9 @@ def _add_formula_options(sub, tol_help):
                      metavar="XLO,XHI,YLO,YHI",
                      help="approximation rectangle (default -1,1,-1,1); "
                           + _NEGATIVE_XLO_HELP.format("--domain"))
-    # parsed and checked by _tolerance, which also reads the environment
-    sub.add_argument("--tol", default=None,
+    # a string, which argparse converts and checks as it does a given value
+    sub.add_argument("--tol", type=_parse_tolerance,
+                     default=os.environ.get(_TOL_ENV, "1e-15"),
                      help=f"{tol_help} (default 1e-15 or ${_TOL_ENV})")
 
 
@@ -457,7 +455,8 @@ def _build_parser():
 
     p = subs.add_parser("approx", help="build an approximant from a formula")
     p.set_defaults(run=cmd_approx)
-    p.add_argument("expression", help=f"formula in x and y, e.g. 'cos(x*y)'; {_MINUS_HELP}")
+    p.add_argument("expression", type=_Formula,
+                   help=f"formula in x and y, e.g. 'cos(x*y)'; {_MINUS_HELP}")
     p.add_argument("-o", "--output", default="coeffs.json",
                    help="coefficient file to write (default coeffs.json)")
     _add_build_options(p)
@@ -465,12 +464,12 @@ def _build_parser():
     p = subs.add_parser("eval", help="evaluate a coefficient file")
     p.set_defaults(run=cmd_eval)
     p.add_argument("input", help="coefficient file")
-    p.add_argument("--point", action="append", default=[], metavar="X,Y",
-                   help="evaluation point (repeatable)")
+    p.add_argument("--point", type=_parse_point, action="append", default=[],
+                   metavar="X,Y", help="evaluation point (repeatable)")
     p.add_argument("--points-file", default=None,
                    help="file with one 'x,y' pair per line")
     _add_grid_options(p, "evaluate on a grid over this rectangle instead")
-    p.add_argument("--compare-expr", default=None,
+    p.add_argument("--compare-expr", type=_Formula, default=None,
                    help="reference formula; adds error columns and a max line")
     p.add_argument("-o", "--output", default=None,
                    help="write values here instead of stdout")
@@ -478,7 +477,7 @@ def _build_parser():
     p = subs.add_parser("integrate", help="integrate over the domain")
     p.set_defaults(run=cmd_integrate)
     p.add_argument("input", nargs="?", default=None, help="coefficient file")
-    p.add_argument("--expr", default=None,
+    p.add_argument("--expr", type=_Formula, default=None,
                    help="build from this formula instead of a file")
     _add_build_options(p)
 
@@ -491,7 +490,7 @@ def _build_parser():
 
     p = subs.add_parser("interp", help="interpolate a formula on the Lobatto grid")
     p.set_defaults(run=cmd_interp)
-    p.add_argument("expression", help=f"formula in x and y; {_MINUS_HELP}")
+    p.add_argument("expression", type=_Formula, help=f"formula in x and y; {_MINUS_HELP}")
     p.add_argument("-n", type=int, required=True, help="degree in x")
     p.add_argument("-m", type=int, required=True, help="degree in y")
     p.add_argument("-o", "--output", default="interp.json",
@@ -505,7 +504,7 @@ def _build_parser():
     p.add_argument("input", help="coefficient file")
     p.add_argument("-o", "--output", required=True, help="CSV file to write")
     _add_grid_options(p, "report rectangle (default: the file's domain)")
-    p.add_argument("--compare-expr", default=None,
+    p.add_argument("--compare-expr", type=_Formula, default=None,
                    help="reference formula; adds reference and abs_error columns")
 
     return parser

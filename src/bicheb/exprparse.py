@@ -337,6 +337,19 @@ def _eval(node, x, y):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# Points in a block of eval_ast's rows: a formula holds the temporaries of
+# one block at a time, not of its whole broadcast shape.
+_BLOCK_POINTS = 2 ** 16
+
+
+def _rows(a, shape, rows):
+    """The rows `rows` of a as broadcast to shape, as a broadcastable
+    array: a slice of a if its first axis is shape's, else a itself."""
+    if np.ndim(a) == len(shape) and np.shape(a)[0] == shape[0]:
+        return a[rows]
+    return a
+
+
 def eval_ast(node, x, y):
     """Evaluate an expression tree at (x, y).
 
@@ -344,9 +357,21 @@ def eval_ast(node, x, y):
     plain float.  Evaluation is pure: equal inputs give bitwise-equal
     results.  NaN/Inf intermediates raise instead of propagating, so the
     floating-point warnings they would trigger are suppressed here.
+
+    Arrays whose broadcast shape has more rows than _BLOCK_POINTS points
+    hold are evaluated in blocks of whole rows, each of about that many
+    points, into one float array of that shape.  Each value is computed as
+    in one piece, with the same bits; of faults in two blocks, the first
+    block's is raised.
     """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    step = max(1, _BLOCK_POINTS // max(1, math.prod(shape[1:])))
     with np.errstate(all="ignore"):
-        value = _eval(node, x, y)
-    if isinstance(value, np.ndarray):
-        return value
-    return float(value)
+        if not shape or step >= shape[0]:
+            value = _eval(node, x, y)
+            return value if isinstance(value, np.ndarray) else float(value)
+        out = np.empty(shape)
+        for start in range(0, shape[0], step):
+            rows = slice(start, start + step)
+            out[rows] = _eval(node, _rows(x, shape, rows), _rows(y, shape, rows))
+    return out

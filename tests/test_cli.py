@@ -241,6 +241,58 @@ class TestEval:
         assert code == EXIT_VALIDATION and out == ""
         assert "--resolution 200 needs" in err
 
+    @pytest.mark.parametrize("line, blanks", [
+        ("0,0\n", 0),
+        ("0.12345678901234567,-0.98765432109876543\n", 0),
+        ("0.5,0.5\n", 3),
+    ], ids=["short", "17-digit", "blank-heavy"])
+    def test_points_file_budget_covers_what_it_allocates(
+            self, capsys, cos_file, tmp_path, monkeypatch, line, blanks):
+        # the text is charged before it is split, and the points with the
+        # evaluation's arrays once the document is read; the peak stays
+        # within the larger charge
+        pts = tmp_path / "pts.txt"
+        pts.write_text((line + "\n" * blanks) * 50_000)
+        charged = []
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            chebcore._check_grid_budget(what, entries, error)
+
+        monkeypatch.setattr(cli, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, "eval", str(cos_file), "--points-file", str(pts),
+                       "-o", str(tmp_path / "v.txt"))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert len((tmp_path / "v.txt").read_text().splitlines()) == 50_000
+        assert peak <= 8 * max(charged)
+
+    def test_points_file_over_budget_is_refused_before_splitting(
+            self, capsys, cos_file, tmp_path, monkeypatch):
+        # two bytes per character and 32 per line: 4.0 MB for these
+        # 100,000 lines.  Refused, the command holds no more than the read
+        # did, the file's bytes and their text, and parses no line.
+        pts = tmp_path / "pts.txt"
+        pts.write_text("0,0\n" * 100_000)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 21)
+        parsed = []
+        monkeypatch.setattr(cli, "_parse_point", parsed.append)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "eval", str(cos_file), "--points-file",
+                                 str(pts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_VALIDATION and out == ""
+        assert "parsing the 400000-character points file needs 4000032 bytes" in err
+        assert not parsed
+        assert peak <= 2 * 400_000 + 2 ** 17
+
     def test_round_trip_matches_in_process_build(self, capsys, cos_file):
         c = bc.build_adaptive(f_cosxy, 1e-15)
         points = [(0.3, -0.7), (0.0, 0.0), (-0.99, 0.99)]
@@ -587,6 +639,28 @@ class TestInterp:
         assert code == EXIT_OK and "max node residual" in out
         assert peak <= 8 * max(charged)
 
+    def test_formula_temporaries_are_within_the_charge(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # evaluated whole, each '+' kept its left operand's grid while it
+        # computed the right one: 7.2 grids held against 3.1 charged
+        charged = []
+        check = chebcore._check_grid_budget
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            check(what, entries, error)
+
+        monkeypatch.setattr(chebcore, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, "interp", "x*y+(x*y+(x*y+(x*y+x*y)))", "-n", "1024",
+                       "-m", "1024", "-o", str(tmp_path / "i.json"))[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 8 * max(charged)
+
     def test_coefficient_gap_is_fold_of_series_tail(self, capsys, tmp_path,
                                                     cosxy_alpha32):
         path = tmp_path / "i.json"
@@ -847,11 +921,12 @@ class TestOptions:
     """Every default lives in the parser, and a command checks only the
     options it takes."""
 
-    def test_documented_defaults(self):
+    def test_documented_defaults(self, monkeypatch):
+        monkeypatch.delenv("BICHEB_TOL", raising=False)
         parse = _build_parser().parse_args
         for argv in (["approx", "1"], ["integrate", "--expr", "1"]):
             args = parse(argv)
-            assert (args.max_n, args.n0, args.tol) == (4096, 8, None)
+            assert (args.max_n, args.n0, args.tol) == (4096, 8, 1e-15)
             assert args.domain == bc.UNIT_SQUARE
         assert parse(["interp", "1", "-n", "2", "-m", "3"]).domain == bc.UNIT_SQUARE
         for argv in (["eval", "c.json"], ["export", "c.json", "-o", "g.csv"]):

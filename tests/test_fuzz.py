@@ -1,8 +1,9 @@
 """Fuzz tests: whatever coefficient document or points file ``bicheb eval``
-reads, it ends with a documented exit code, never a traceback.
+reads, and whatever text a formula argument or an option's value holds, a
+command ends with a documented exit code, never a traceback.
 
 Skipped when Hypothesis is not installed.  Examples are derandomized, so
-every run tries the same documents.
+every run tries the same inputs.
 """
 
 import json
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bicheb import cli
+from bicheb import chebcore, cli
 
 # 0 success, 2 syntax, 4 validation, 5 I/O, 6 evaluation
 DOCUMENTED = {0, 2, 4, 5, 6}
@@ -162,3 +163,80 @@ def test_points_file(points_folder, lines):
         # one row per point, or the 2 x 2 grid's when the file holds none
         count = sum(1 for line in text.split("\n") if line.strip())
         assert len(out.read_text().splitlines()) == (count or 4)
+
+
+# Formula text and option values: whatever text a formula argument or an
+# option's value holds, a command ends with a documented exit code, never a
+# traceback.  3 is a build that does not converge.
+FORMULA_OR_OPTION = {0, 2, 3, 4, 6}
+
+# the pieces of a formula: names, numbers at the edges of a double, known
+# and unknown functions, operators, brackets and stray characters
+formula_tokens = st.sampled_from([
+    "x", "y", "pi", "e", "z", "0", "1", "2.5", ".5", "17", "1e308", "1e-320",
+    "1e400", "+", "-", "*", "/", "^", "(", ")", ",", " ", "sin(", "cos(", "tan(",
+    "exp(", "log(", "sqrt(", "abs(", "pow(", "foo(", "$", "\xe9", "\x00"])
+# well-formed formulas, whose values may still overflow, divide by zero or
+# leave a function's domain
+formula_atoms = st.sampled_from(["x", "y", "pi", "0", "1", "2.5", "17", "1e308",
+                                 "1e-320"])
+well_formed = st.recursive(formula_atoms, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/^"), inner).map("({0[0]}{0[1]}{0[2]})".format),
+    st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-"]),
+              inner).map("{0[0]}({0[1]})".format),
+    st.tuples(inner, inner).map("pow({0[0]}, {0[1]})".format)), max_leaves=8)
+formulas = (well_formed | st.lists(formula_tokens, max_size=12).map("".join)
+            | st.text(max_size=20))
+
+
+@pytest.fixture(scope="module")
+def small_budget():
+    # large degrees, grids and resolutions are refused at a 4 MiB budget
+    # instead of allocated, so that every example stays cheap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chebcore, "_GRID_BUDGET", 2 ** 22)
+        yield
+
+
+@pytest.fixture(scope="module")
+def work_folder(tmp_path_factory, small_budget):
+    folder = tmp_path_factory.mktemp("options")
+    (folder / "c.json").write_text(json.dumps(_valid_document()))
+    return folder
+
+
+@FUZZ
+@given(text=formulas, command=st.sampled_from(["approx", "interp"]))
+def test_formula_text(work_folder, text, command):
+    sizes = ["--max-n", "16"] if command == "approx" else ["-n", "4", "-m", "4"]
+    # after --, text that starts with a minus sign is a formula too
+    argv = [command, *sizes, "-o", str(work_folder / "f.json"), "--", text]
+    assert cli.main(argv) in FORMULA_OR_OPTION
+
+
+# each option, and the command it is given to with valid values for the rest
+OPTION_COMMANDS = {
+    "--tol": "approx", "--domain": "approx", "--max-n": "approx", "--n0": "approx",
+    "--grid-domain": "eval", "--resolution": "eval", "--point": "eval",
+    "-n": "interp", "-m": "interp",
+}
+option_values = st.one_of(
+    st.text(max_size=12),
+    st.integers(-3, 40).map(str),
+    st.floats().map(repr),
+    st.lists(st.sampled_from(["-1", "0", "1", "0.5", "2", "1e308", "nan", "inf", "a",
+                              ""]), min_size=1, max_size=5).map(",".join))
+
+
+@FUZZ
+@given(option=st.sampled_from(sorted(OPTION_COMMANDS)), value=option_values)
+def test_option_values(work_folder, option, value):
+    command = OPTION_COMMANDS[option]
+    out = str(work_folder / "o.txt")
+    argv = {"approx": ["approx", "cos(x*y)", "--max-n", "64", "-o", out],
+            "eval": ["eval", str(work_folder / "c.json"), "-o", out],
+            "interp": ["interp", "cos(x*y)", "-n", "4", "-m", "4", "-o", out]}[command]
+    # the value attached to its option, so that one starting with a minus
+    # sign is not read as an option; a later value replaces the one above
+    attached = option + value if option in ("-n", "-m") else f"{option}={value}"
+    assert cli.main([*argv, attached]) in FORMULA_OR_OPTION
