@@ -9,8 +9,8 @@ inputs, and failures map to documented exit codes:
     3  adaptive construction did not converge, or its next pass would
        exceed the memory budget
     4  validation failure (inconsistent document, bad option values or
-       usage, a grid or a document's declared degrees over the memory
-       budget)
+       usage, a grid, a file or a document's declared degrees over the
+       memory budget, samples whose transform overflows)
     5  I/O failure, or stdout cannot be flushed
     6  evaluation failure (outside domain, non-finite sample)
 
@@ -20,6 +20,11 @@ callables, and --tol, whose default is $BICHEB_TOL or else 1e-15 for the
 commands that take it (approx, integrate, interp); the others ignore
 BICHEB_TOL.  So every command fails in one order: a bad argument first,
 then eval's --points-file, then the coefficient document, then the work.
+
+The parser's and the builder's functions are looked up in the package when
+they are first called, which loads their modules then: only a formula
+argument loads ``bicheb.exprparse``, and only ``approx`` and ``integrate
+--expr`` load ``bicheb.builder``.
 
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
@@ -50,6 +55,8 @@ import warnings
 
 import numpy as np
 
+import bicheb
+
 from .calculus import _derivative, integrate
 from .chebcore import (
     Cheb2,
@@ -60,13 +67,11 @@ from .chebcore import (
     _check_grid_budget,
     _read_ascii,
     _sparse_trimmed,
-    build_adaptive,
     evaluate_grid,
     evaluate_matrix,
     lagrange_cheb_coeffs,
     load,
     lobatto_nodes,
-    parseval_indicator,
     save,
     to_cheb2,
     to_sparse,
@@ -80,7 +85,6 @@ from .errors import (
     SamplingError,
     ValidationError,
 )
-from .exprparse import eval_ast, parse_expression
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -125,14 +129,15 @@ def _parse_tolerance(text):
 
 class _Formula(str):
     """A formula argument: its source text, parsed, and callable as f(x, y).
-    parse_expression and eval_ast are looked up when they run, so a wrapper
-    put in their place in this module sees every call."""
+    parse_expression and eval_ast are looked up in the package when they
+    run, which loads the parser with the first formula, and a wrapper put in
+    their place there sees every call."""
 
     def __init__(self, text):
-        self.ast = parse_expression(text)
+        self.ast = bicheb.parse_expression(text)
 
     def __call__(self, x, y):
-        return eval_ast(self.ast, x, y)
+        return bicheb.eval_ast(self.ast, x, y)
 
 
 def _check_resolution(args, grids):
@@ -152,6 +157,9 @@ def _write_document(sparse, output):
 
 
 def cmd_approx(args):
+    # looked up in the package, which loads the builder before the clock starts
+    build_adaptive = bicheb.build_adaptive
+    parseval_indicator = bicheb.parseval_indicator
     started = time.perf_counter()
     c = build_adaptive(args.expression, args.tol, n0=args.n0, max_n=args.max_n,
                        domain=args.domain, relative=args.relative_tol)
@@ -323,8 +331,8 @@ def cmd_integrate(args):
     if args.input is not None:
         c = to_cheb2(load(args.input))
     else:
-        c = build_adaptive(args.expr, args.tol, n0=args.n0, max_n=args.max_n,
-                           domain=args.domain, relative=args.relative_tol)
+        c = bicheb.build_adaptive(args.expr, args.tol, n0=args.n0, max_n=args.max_n,
+                                  domain=args.domain, relative=args.relative_tol)
     print("%.17g" % integrate(c))
     return EXIT_OK
 

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from bicheb.errors import (
     ValidationError,
 )
 
-from bicheb import chebcore
+from bicheb import builder, chebcore
 
 from conftest import f_cosxy, f_example2
 
@@ -354,7 +355,7 @@ class TestBuildAdaptive:
             blocks.append(transform(values))
             return blocks[-1].copy()  # the builder trims its block in place
 
-        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
         bc.build_adaptive(runge, 1e-14, relative=True)
         assert degrees == [8, 16, 32, 64, 128, 256]
         for n, block in zip(degrees, blocks):
@@ -375,12 +376,28 @@ class TestBuildAdaptive:
 
         bc.build_adaptive(recorder, 1e-15)
         assert len(set(points)) == len(points)
-        check = chebcore._CHECK_NODES.tolist()
+        check = builder._CHECK_NODES.tolist()
         on_grid = {x for x, _ in points} - set(check)
         final = chebcore.lobatto_nodes(len(on_grid) - 1).tolist()
         assert set(points) == ({(x, y) for x in final for y in final}
                                | {(x, y) for x in check for y in check})
         assert len(points) == len(final) ** 2 + len(check) ** 2
+
+    def test_overflow_stops_at_the_first_pass(self):
+        # finite samples whose transform overflows: one ValidationError after
+        # the first grid's one call of f, and no numpy warning
+        shapes = []
+
+        def f(x, y):
+            shapes.append(np.broadcast(x, y).shape)
+            return np.full(shapes[-1], 1e308)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="transform overflowed at degree bound 8"):
+                bc.build_adaptive(f, 1e-15)
+        assert shapes == [(9, 9)]
 
     def test_error_on_arrays_is_not_retried_per_node(self):
         calls = []
@@ -418,7 +435,7 @@ class TestBuildAdaptive:
             bc.build_adaptive(narrow_bump, 1e-10, max_n=16)
 
     def test_check_points_are_off_every_power_of_two_grid(self):
-        check = chebcore._CHECK_NODES
+        check = builder._CHECK_NODES
         assert check.size == 32
         for k in range(1, 14):
             nodes = chebcore.lobatto_nodes(2 ** k)
@@ -458,7 +475,7 @@ class TestBuildAdaptive:
             charged.append(entries)
             check(what, entries, error)
 
-        monkeypatch.setattr(chebcore, "_check_grid_budget", recording)
+        monkeypatch.setattr(builder, "_check_grid_budget", recording)
         tracemalloc.start()
         try:
             c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
@@ -486,7 +503,7 @@ class TestBuildAdaptive:
             degrees.append(len(values) - 1)
             return transform(values)
 
-        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
         with pytest.raises(ConvergenceError,
                            match=r"degree bound 1024 needs .* over the budget.*"
                                  r"coefficient tail .* at degree bound 512") as info:
@@ -562,13 +579,13 @@ def two_bumps(x, y):
 def recording_rank_tests(monkeypatch):
     """The results of build_adaptive's rank tests, one per call."""
     results = []
-    rank_test = chebcore._rank_test
+    rank_test = builder._rank_test
 
     def recording(values, threshold):
         results.append(rank_test(values, threshold))
         return results[-1]
 
-    monkeypatch.setattr(chebcore, "_rank_test", recording)
+    monkeypatch.setattr(builder, "_rank_test", recording)
     return results
 
 
@@ -585,21 +602,21 @@ def decaying_factors(rng, r, rows, cols):
 def recording_expansions(monkeypatch):
     """The (rows, columns) of every product _expand computes."""
     shapes = []
-    expand = chebcore._expand
+    expand = builder._expand
 
     def recording(left, right):
         shapes.append((left.shape[1], right.shape[1]))
         return expand(left, right)
 
-    monkeypatch.setattr(chebcore, "_expand", recording)
+    monkeypatch.setattr(builder, "_expand", recording)
     return shapes
 
 
 def assert_same_trim(left, right, threshold):
     """_trimmed_product equals the trim of the whole product, bit for bit."""
-    block = chebcore._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
-    full = chebcore._trimmed(chebcore._expand(left, right), threshold,
-                             bc.UNIT_SQUARE)
+    block = builder._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
+    full = builder._trimmed(builder._expand(left, right), threshold,
+                            bc.UNIT_SQUARE)
     assert block.coeffs.shape == full.coeffs.shape
     assert np.array_equal(block.coeffs, full.coeffs) and block.tol == full.tol
     return block
@@ -657,7 +674,7 @@ class TestLowRankPhase:
             degrees.append(len(values) - 1)
             return transform(values)
 
-        monkeypatch.setattr(chebcore, "_lobatto_coeffs", recording)
+        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
         with pytest.raises(ConvergenceError,
                            match=r"coefficient tail .* at degree bound 1024$"):
             bc.build_adaptive(lambda x, y: np.abs(x) + np.abs(y), 1e-15,
@@ -712,7 +729,7 @@ class TestLowRankPhase:
                 refused.append(what)
             check(what, entries, error)
 
-        monkeypatch.setattr(chebcore, "_check_grid_budget", recording)
+        monkeypatch.setattr(builder, "_check_grid_budget", recording)
         tracemalloc.start()
         try:
             with pytest.raises(ConvergenceError,
@@ -738,7 +755,7 @@ class TestLowRankPhase:
         assert c.coeffs.shape == (659, 683)
         assert peak < 8 * 1025 ** 2
 
-    @pytest.mark.parametrize("r", range(1, chebcore._MAX_RANK + 1))
+    @pytest.mark.parametrize("r", range(1, builder._MAX_RANK + 1))
     def test_block_equals_the_full_expansion(self, monkeypatch, r):
         left, right = decaying_factors(np.random.default_rng(r), r, 300, 280)
         shapes = recording_expansions(monkeypatch)
@@ -825,7 +842,8 @@ class TestOwnedBlock:
         left, right, threshold, shape = OWNED_CASES[case]
         # chunks of one row, of a few rows, and of the whole block
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
-        expected = trimmed_by_masks(chebcore._expand(left, right), threshold)
+        monkeypatch.setattr(builder, "_CHUNK_ENTRIES", chunk)
+        expected = trimmed_by_masks(builder._expand(left, right), threshold)
         c = assert_same_trim(left, right, threshold)
         assert shape is None or c.coeffs.shape == shape
         assert c.coeffs.shape == expected.shape
@@ -835,23 +853,24 @@ class TestOwnedBlock:
     def test_nan_is_not_finite(self, monkeypatch, chunk):
         # a NaN bound keeps its row and the trim keeps the NaN
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
+        monkeypatch.setattr(builder, "_CHUNK_ENTRIES", chunk)
         left, right = rank_one([2, np.nan, 2, 0.3, 0.3], [2] * 5 + [0.3] * 2)
         with pytest.raises(ValidationError, match="coefficients must be finite"):
-            chebcore._trimmed_product(left, right, 1.0, bc.UNIT_SQUARE)
+            builder._trimmed_product(left, right, 1.0, bc.UNIT_SQUARE)
         with pytest.raises(ValidationError, match="coefficients must be finite"):
-            chebcore._trimmed(chebcore._expand(left, right), 1.0, bc.UNIT_SQUARE)
+            builder._trimmed(builder._expand(left, right), 1.0, bc.UNIT_SQUARE)
 
     def test_result_is_the_block_itself(self, monkeypatch):
         blocks = []
-        expand = chebcore._expand
+        expand = builder._expand
 
         def recording(left, right):
             blocks.append(expand(left, right))
             return blocks[-1]
 
-        monkeypatch.setattr(chebcore, "_expand", recording)
+        monkeypatch.setattr(builder, "_expand", recording)
         left, right, threshold, _ = OWNED_CASES["both"]
-        c = chebcore._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
+        c = builder._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
         assert c.coeffs.shape == (7, 5) and blocks[0].shape == (9, 7)
         assert np.shares_memory(c.coeffs, blocks[0])
         assert c.coeffs.flags.c_contiguous and not c.coeffs.flags.writeable
@@ -901,10 +920,10 @@ class TestSharedRefinement:
         # f is called once at each node of xs x ys that coarse_xs x coarse_ys
         # lacks, and the grid is _sample_on's over xs x ys, bit for bit
         previous = chebcore._sample_on(smooth, coarse_xs, coarse_ys)
-        grid = chebcore._spread(previous, grow_x, grow_y)
+        grid = builder._spread(previous, grow_x, grow_y)
         points = []
-        chebcore._sample_new(recording(smooth, points), grid, xs, ys,
-                             grow_x, grow_y)
+        builder._sample_new(recording(smooth, points), grid, xs, ys,
+                            grow_x, grow_y)
         old = {(x, y) for x in coarse_xs.tolist() for y in coarse_ys.tolist()}
         new = {(x, y) for x in xs.tolist() for y in ys.tolist()} - old
         assert len(points) == len(set(points)) and set(points) == new
@@ -936,9 +955,9 @@ class TestSharedRefinement:
 
     def test_an_axis_that_keeps_its_bound_is_copied(self):
         previous = chebcore._sample_on(smooth, np.arange(3.0), np.arange(4.0))
-        grid = chebcore._spread(previous, False, False)
-        chebcore._sample_new(lambda x, y: pytest.fail("f called"), grid,
-                             np.arange(3.0), np.arange(4.0), False, False)
+        grid = builder._spread(previous, False, False)
+        builder._sample_new(lambda x, y: pytest.fail("f called"), grid,
+                            np.arange(3.0), np.arange(4.0), False, False)
         assert np.array_equal(grid, previous)
 
     def test_phase_two_threshold_covers_every_sample(self):
@@ -953,7 +972,7 @@ class TestSharedRefinement:
 
         c = bc.build_adaptive(f, 1e-14, relative=True)
         x, y, values = np.concatenate([s.reshape(3, -1) for s in samples], axis=1)
-        checks, nodes = chebcore._CHECK_NODES, chebcore.lobatto_nodes(256)
+        checks, nodes = builder._CHECK_NODES, chebcore.lobatto_nodes(256)
         check = np.isin(x, checks) & np.isin(y, checks)
         grid = np.isin(x, nodes) & np.isin(y, nodes)
         assert check.sum() == 32 * 32 and grid.sum() == 257 ** 2
@@ -966,12 +985,12 @@ class TestSharedRefinement:
         ((0.5, 1.0), [False, True]), ((0.99, 1.0), [False, True])])
     def test_tail_test(self, tails, grows):
         # a tail equal to the threshold fails it
-        (tail_x, tail_y), got = chebcore._tail_test(
+        (tail_x, tail_y), got = builder._tail_test(
             np.full((2, 3), -tails[0]), np.full((3, 2), tails[1]), 1.0)
         assert (tail_x, tail_y) == tails and got == grows
         # a zero tail passes a zero threshold
         zeros = np.zeros((2, 2))
-        assert chebcore._tail_test(zeros, zeros, 0.0)[1] == [False, False]
+        assert builder._tail_test(zeros, zeros, 0.0)[1] == [False, False]
 
 
 class TestTrim:
@@ -1415,11 +1434,13 @@ class TestPersistence:
         finally:
             tracemalloc.stop()
         text = path.read_text()
-        assert charged == [max(len(text), (len(text) + 7) // 8
+        # the read's charge, two bytes per byte of the file, then the parse's
+        assert charged == [(len(text) + 3) // 4,
+                           max(len(text), (len(text) + 7) // 8
                                + 32 * (text.count("[") + text.count("{"))
                                + 8 * (text.count(",") + text.count(":")
                                       + text.count('"')))]
-        assert peak <= 8 * charged[0]
+        assert peak <= 8 * charged[1]
 
     @pytest.mark.parametrize("document", [
         # one-digit values and no spaces: the entries' Python objects, about
@@ -1459,7 +1480,7 @@ class TestPersistence:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * charged[0]
+        assert peak <= 8 * charged[1]  # the parse's charge, after the read's
 
     def test_malformed_document_reports_location(self):
         with pytest.raises(ParseError) as info:

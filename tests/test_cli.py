@@ -1,10 +1,13 @@
 """End-to-end tests of the command-line interface (run in-process)."""
 
+import io
+import json
 import os
 import signal
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -113,18 +116,33 @@ class TestApprox:
                            "-o", str(tmp_path / "x.json"))
         assert code == EXIT_CONVERGENCE
 
+    @pytest.mark.parametrize("argv, message", [
+        (["approx", "1e308", "--max-n", "16"],
+         "the transform overflowed at degree bound 8: samples up to 1.000e+308 "
+         "in magnitude give coefficients that are not finite"),
+        (["interp", "1e308*x", "-n", "4", "-m", "4"], "coefficients must be finite"),
+    ], ids=["approx", "interp"])
+    def test_overflow_in_the_transform_exits_4(self, tmp_path, argv, message):
+        # finite samples, whose transform overflows: the process writes one
+        # error line and no numpy warning, and no document
+        result = _cli_process(*argv, "-o", "o.json", cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert result.returncode == EXIT_VALIDATION and result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+        assert not (tmp_path / "o.json").exists()
+
     def test_indicator_over_budget_is_skipped(self, capsys, tmp_path, monkeypatch):
         # the budget cut after the build, so that only the indicator is over it
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "approx", "cos(x*y)", "-o", str(first))[0] == EXIT_OK
-        build = cli.build_adaptive
+        build = bc.build_adaptive
 
         def build_then_shrink_budget(*args, **kwargs):
             c = build(*args, **kwargs)
             monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
             return c
 
-        monkeypatch.setattr(cli, "build_adaptive", build_then_shrink_budget)
+        monkeypatch.setattr(bc, "build_adaptive", build_then_shrink_budget)
         code, out, err = run(capsys, "approx", "cos(x*y)", "-o", str(second))
         assert code == EXIT_OK and err == ""
         assert second.read_bytes() == first.read_bytes()
@@ -292,6 +310,42 @@ class TestEval:
         assert "parsing the 400000-character points file needs 4000032 bytes" in err
         assert not parsed
         assert peak <= 2 * 400_000 + 2 ** 17
+
+    @pytest.mark.parametrize("what", ["coefficient document", "points file"])
+    def test_file_over_budget_is_refused_unread(self, capsys, cos_file, tmp_path,
+                                                monkeypatch, what):
+        # the file's size is charged before it is read, two bytes per byte:
+        # one byte under that, the command exits 4 and never reads the file;
+        # at that, it reads it and refuses the parse's larger charge
+        pts = tmp_path / "pts.txt"
+        pts.write_text("0.5,0.5\n" * 100)
+        if what == "points file":
+            path, argv = pts, ["--points-file", str(pts)]
+        else:
+            path, argv = cos_file, ["--point", "0,0"]
+        size = path.stat().st_size
+        need = 8 * ((size + 3) // 4)
+        reads = []
+
+        class Recording(io.TextIOWrapper):
+            def read(self, *args):
+                reads.append(self.buffer.name)
+                return super().read(*args)
+
+        def opening(file, mode, encoding):
+            return Recording(open(file, "rb"), encoding=encoding)
+
+        monkeypatch.setattr(chebcore, "open", opening, raising=False)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", need - 1)
+        code, out, err = run(capsys, "eval", str(cos_file), *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"reading the {size}-byte {what} needs {need} bytes" in err
+        assert reads == []
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", need)
+        code, out, err = run(capsys, "eval", str(cos_file), *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"parsing the {size}-character {what} needs" in err
+        assert reads == [str(path)]
 
     def test_round_trip_matches_in_process_build(self, capsys, cos_file):
         c = bc.build_adaptive(f_cosxy, 1e-15)
@@ -599,13 +653,13 @@ class TestInterp:
         monkeypatch.setattr(chebcore, "_GRID_BUDGET",
                             8 * (513 * 9 + chebcore._transform_entries(513, 9)))
         calls = []
-        evaluate = cli.eval_ast
+        evaluate = bc.eval_ast
 
         def counting(*args):
             calls.append(args)
             return evaluate(*args)
 
-        monkeypatch.setattr(cli, "eval_ast", counting)
+        monkeypatch.setattr(bc, "eval_ast", counting)
         path = tmp_path / "i.json"
         argv = ("interp", "cos(x*y)", "-n", "512", "-m", "8", "-o", str(path))
         code, out, err = run(capsys, *argv, "--verify")
@@ -1176,14 +1230,19 @@ class TestOptions:
         assert not dst.exists()
 
 
-def _cli_process(*args, env=None, **kwargs):
-    """python -m bicheb.cli ARGS in a fresh interpreter that imports this
-    checkout's bicheb."""
+def _python(*args, env=None, **kwargs):
+    """python ARGS in a fresh interpreter that imports this checkout's
+    bicheb."""
     env = dict(os.environ if env is None else env)
     src = str(Path(bc.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "bicheb.cli", *args], env=env,
-                          timeout=60, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
+
+
+def _cli_process(*args, **kwargs):
+    """python -m bicheb.cli ARGS in a fresh interpreter that imports this
+    checkout's bicheb."""
+    return _python("-m", "bicheb.cli", *args, **kwargs)
 
 
 class TestEntryPoint:
@@ -1255,6 +1314,56 @@ class TestImports:
                                 capture_output=True, text=True, check=True,
                                 timeout=60)
         assert result.stdout.strip() == "[]"
+
+    # the modules of the package, the CLI, and the documents and their
+    # calculus, which every command loads
+    COMMON = ["bicheb", "bicheb.calculus", "bicheb.chebcore", "bicheb.cli",
+              "bicheb.errors"]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["integrate", "k.json"], []),
+        (["diff", "k.json", "--axis", "x", "-o", "d.json"], []),
+        (["eval", "k.json", "--point", "0,0"], []),
+        (["export", "k.json", "--resolution", "3", "-o", "g.csv"], []),
+        (["eval", "k.json", "--point", "0,0", "--compare-expr", "x*y"],
+         ["bicheb.exprparse"]),
+        (["export", "k.json", "--resolution", "3", "-o", "g.csv",
+          "--compare-expr", "x*y"], ["bicheb.exprparse"]),
+        (["interp", "x*y", "-n", "2", "-m", "2", "-o", "i.json"],
+         ["bicheb.exprparse"]),
+        (["approx", "x*y", "-o", "a.json"], ["bicheb.builder", "bicheb.exprparse"]),
+        (["integrate", "--expr", "x*y"], ["bicheb.builder", "bicheb.exprparse"]),
+    ], ids=["integrate", "diff", "eval", "export", "eval-compare",
+            "export-compare", "interp", "approx", "integrate-expr"])
+    def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, loaded):
+        # a fresh interpreter runs the command, then prints its code and the
+        # bicheb modules loaded; the parser and the builder load on first use
+        bc.save(bc.trim([[1.0, 0.5], [0.25, 0.0]], 0.0), tmp_path / "k.json")
+        script = ("import json, sys; from bicheb import cli; "
+                  "code = cli.main(sys.argv[1:]); "
+                  "print(json.dumps([code, sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'bicheb')]))")
+        result = _python("-c", script, *argv, cwd=tmp_path, capture_output=True,
+                         text=True, check=True)
+        code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == EXIT_OK and result.stderr == ""
+        assert modules == sorted(self.COMMON + loaded)
+
+    def test_bare_import_loads_no_submodule(self):
+        script = ("import sys, bicheb; "
+                  "print([m for m in sys.modules if m.split('.')[0] == 'bicheb'])")
+        result = _python("-c", script, capture_output=True, text=True, check=True)
+        assert result.stdout == "['bicheb']\n"
+
+    def test_star_import_binds_the_public_names(self):
+        # the names TestPackage.test_public_names lists, 30 of them
+        public = sorted(name for name in dir(bc) if not name.startswith("_")
+                        and not isinstance(getattr(bc, name), types.ModuleType))
+        namespace = {}
+        exec("from bicheb import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == public
+        assert len(public) == 30
+        assert all(namespace[name] is getattr(bc, name) for name in public)
 
     def test_oracles_live_only_in_paper(self):
         for name in self.ORACLES + ("SampleGrid", "UnsupportedSizeError"):
