@@ -34,11 +34,11 @@ entry the trim can keep is expanded.  Its entries are computed as the whole
 product's are, so the trimmed block is the trimmed dense matrix bit for bit;
 it is checked off the grid as a tensor pass is, and if an axis would pass
 max_n or the check fails, the tensor passes resume.  The block is trimmed
-in place, its kept corner is moved to the head of its own buffer, and the
-Cheb2 takes that buffer without a copy, so the step's one dense array is
-the block.  Each step is charged against the budget before it samples: the
-tested grid, the slices and three dense grids, since the block can be the
-whole matrix; the charge leaves two grids to spare.  The bounds and the
+in place and the Cheb2 holds its kept corner as a view, without a copy, so
+the step's one dense array is the block.  Each step is charged against the
+budget before it samples: the tested grid, the slices and three dense
+grids, since the block can be the whole matrix; the charge leaves two
+grids to spare.  The bounds and the
 expansion are elementwise numpy, not a BLAS product, so they too give the
 same bytes on any number of CPUs.
 
@@ -63,7 +63,6 @@ import numpy as np
 
 from .chebcore import (
     UNIT_SQUARE,
-    _CHUNK_ENTRIES,
     Cheb2,
     Domain2,
     _check_grid_budget,
@@ -152,17 +151,6 @@ def _sample_new(f, grid, xs, ys, grow_x, grow_y):
         _sample_on(f, xs[:: 1 + grow_x], ys[1::2], grid[:: 1 + grow_x, 1::2])
 
 
-def _trimmed(coeffs, threshold, domain):
-    """The builder's Cheb2 of coeffs trimmed in place (_trim_in_place),
-    trailing all-zero rows and columns dropped; all zero gives a single zero
-    coefficient.  Cheb2 copies the kept block, so coeffs, a pass's grid of
-    coefficients, often several times its size, is not held by the
-    result."""
-    rows, cols = _trim_in_place(coeffs, threshold)
-    kept = coeffs[:rows, :cols] if rows else np.zeros((1, 1))
-    return Cheb2(kept, domain=domain, tol=threshold)
-
-
 def _rank_test(values, threshold):
     """The (row, column) pivots, in order, of Gaussian elimination with
     complete pivoting on values, which stops once no residual entry is at or
@@ -193,9 +181,9 @@ def _expand(left, right):
 
 
 def _trimmed_product(left, right, threshold, domain):
-    """_trimmed(_expand(left, right), threshold, domain) bit for bit, with
-    only the leading block of the product that the trim can keep expanded,
-    and that block's buffer kept as the Cheb2's array.
+    """The Cheb2 of _expand(left, right) trimmed (_trim_in_place), bit for
+    bit, with only the leading block of the product that the trim can keep
+    expanded, and the kept corner of that block held as the Cheb2's array.
 
     Row i of the product is at most sum_k |left[k, i]| max |right[k]| in
     magnitude, column j sum_k |right[k, j]| max |left[k]|.  The bounds are
@@ -211,11 +199,12 @@ def _trimmed_product(left, right, threshold, domain):
     columns, so it keeps the same matrix from the block as from the whole
     product.
 
-    The block is trimmed in place and its kept corner moved to the head of
-    its buffer, a chunk of rows at a time; the Cheb2 takes that head with no
-    copy, so the step holds one dense array, and the result keeps the
-    block's buffer, a few rows and columns more than it needs (666 x 692
-    for the bump's 659 x 683).
+    The block is trimmed in place and the Cheb2 takes its kept corner as a
+    view, with no copy, so the step holds one dense array, and the result
+    keeps the block's buffer, a few rows and columns more than it needs
+    (666 x 692 for the bump's 659 x 683).  The view is not C-contiguous
+    unless the trim kept every column; the evaluators, the calculus and
+    to_sparse give the same bytes for it as for its copy.
     """
     cut = 0.5 * threshold
     row_peaks = np.abs(right).max(axis=1)
@@ -231,19 +220,7 @@ def _trimmed_product(left, right, threshold, domain):
     nr = rows[-1] + 1 if rows.size else 1
     nc = cols[-1] + 1 if cols.size else 1
     block = _expand(left[:, :nr], right[:, :nc])
-    rows, cols = _trim_in_place(block, threshold)
-    if not rows:
-        return Cheb2._owning(np.zeros((1, 1)), domain, threshold)
-    # move the kept corner to the head of the block's own (C-ordered) buffer
-    # in forward chunks of rows: a chunk's destination ends before the next
-    # chunk's rows begin, and numpy buffers a chunk that overlaps its own
-    flat = block.reshape(-1)
-    if cols < nc:
-        step = max(1, _CHUNK_ENTRIES // cols)
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            flat[lo * cols:hi * cols].reshape(hi - lo, cols)[...] = block[lo:hi, :cols]
-    return Cheb2._owning(flat[:rows * cols].reshape(rows, cols), domain, threshold)
+    return Cheb2._owning(_trim_in_place(block, threshold), domain, threshold)
 
 
 def _skeleton(along_x, along_y, core):
@@ -285,9 +262,9 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     against the budget first: the phase-1 grid, which stays held for phase
     1 to resume from, the slices with their transforms, and three grids for
     the dense matrix.  The step holds one: the expanded block, which at
-    worst is the whole product of _expand, and which is trimmed and
-    compacted in place into the Cheb2's array.  So the charge leaves two
-    grids to spare.
+    worst is the whole product of _expand, and which is trimmed in place
+    and held, as a view of its kept corner, by the Cheb2.  So the charge
+    leaves two grids to spare.
     """
     rows_i, cols_j = np.array(pivots).T
     r = rows_i.size
@@ -481,7 +458,9 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         tail = max(tail_x, tail_y)
         tails_failed = grow_x or grow_y
         if not tails_failed:
-            c = _trimmed(coeffs, threshold, domain)
+            # Cheb2 copies the kept block, so the pass's grid of
+            # coefficients, often several times its size, is let go
+            c = Cheb2(_trim_in_place(coeffs, threshold), domain, threshold)
             why = rejection(c, nx, ny)
             if why is None:
                 return c
@@ -524,19 +503,28 @@ def parseval_indicator(c, f):
     Rounding can make the result slightly negative; it is returned
     unmodified.  ValidationError, before f is sampled, if the samples and
     f's own result would exceed the grid budget; the squares overwrite the
-    samples.
+    samples.  ValidationError too, with no numpy warning, if the result is
+    not finite: the squares or their sums overflowed.
     """
     a = c.coeffs
-    mass = a[0, 0] ** 2
-    mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
-    mass += 0.25 * np.sum(a[1:, 1:] ** 2)
     n = 1 << (2 * c.degree_x + 1).bit_length()
     m = 1 << (2 * c.degree_y + 1).bit_length()
     _check_grid_budget(f"the Parseval indicator's {n + 1} x {m + 1} grid",
                        2 * (n + 1) * (m + 1))
     values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),
                         c.domain.y_from_unit(lobatto_nodes(m)))
-    squares = np.square(values, out=values)
-    rows = 0.5 * (squares[:, 0] + squares[:, -1]) + squares[:, 1:-1].sum(axis=1)
-    total = 0.5 * (rows[0] + rows[-1]) + rows[1:-1].sum()
-    return float(total / (n * m) - mass)
+    peak = max(values.max(), -values.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = a[0, 0] ** 2
+        mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)
+        mass += 0.25 * np.sum(a[1:, 1:] ** 2)
+        squares = np.square(values, out=values)
+        rows = 0.5 * (squares[:, 0] + squares[:, -1]) + squares[:, 1:-1].sum(axis=1)
+        total = 0.5 * (rows[0] + rows[-1]) + rows[1:-1].sum()
+        indicator = float(total / (n * m) - mass)
+    if not math.isfinite(indicator):
+        raise ValidationError(
+            f"the Parseval indicator overflowed on its {n + 1} x {m + 1} grid: "
+            f"the squares or sums of samples up to {peak:.3e} in magnitude, or "
+            "of the coefficients, are not finite")
+    return indicator

@@ -9,9 +9,12 @@ basis integrals: over [-1, 1], T_k integrates to 2 / (1 - k^2) for even k
 and to 0 for odd k.
 """
 
+import math
+
 import numpy as np
 
 from .chebcore import Cheb2, _check_grid_budget
+from .errors import ValidationError
 
 
 def _derivative(c, axis):
@@ -67,7 +70,8 @@ def integrate(c):
     over a contiguous copy of the even-indexed quarter of the matrix: a
     strided view's product rounds differently in the last bit.  The matrix
     and that copy are charged to the grid budget before the copy is made;
-    over it, ValidationError.
+    over it, ValidationError.  ValidationError too, with no numpy warning,
+    if the sum or its product with the Jacobian overflows.
     """
     a = c.coeffs
     _check_grid_budget(
@@ -77,6 +81,12 @@ def integrate(c):
     js = np.arange(0, a.shape[1], 2)
     wk = 1.0 / (1.0 - ks.astype(float) ** 2)
     wj = 1.0 / (1.0 - js.astype(float) ** 2)
-    unit = 4.0 * float(wk @ np.ascontiguousarray(a[::2, ::2]) @ wj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = 4.0 * float(wk @ np.ascontiguousarray(a[::2, ::2]) @ wj)
     jacobian = (c.domain.xhi - c.domain.xlo) * (c.domain.yhi - c.domain.ylo) / 4.0
-    return unit * jacobian
+    value = unit * jacobian if unit else unit  # 0 times an infinite Jacobian is 0
+    if not math.isfinite(value):
+        raise ValidationError(
+            f"the integral overflowed: {unit:.3e} on the unit square times the "
+            f"Jacobian {jacobian:.3e} is not finite")
+    return value

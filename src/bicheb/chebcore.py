@@ -30,17 +30,19 @@ maps its point as the kernel does.  The basis matrices grow with the
 degrees, not with the points' arrays: _basis_entries gives their size,
 which the CLI charges against the grid budget before it evaluates.
 
-Coefficients are trimmed by one rule, the builder's (``_trim_in_place``).
-A builder pass copies the kept block into a Cheb2, phase 2 keeps its own
-block, and ``trim`` and the CLI's ``diff`` trim a matrix of their own in
-place and turn its nonzeros into a document (``_sparse_trimmed``,
-``to_sparse``), with no second copy.
+Coefficients are trimmed by one rule, the builder's (``_trim_in_place``),
+which zeroes a matrix in place and returns its kept block as a view.  A
+builder pass copies that block into a Cheb2, phase 2's Cheb2 holds the view
+of its own expanded block, and ``trim`` and the CLI's ``diff`` trim a
+matrix of their own and turn the view's nonzeros into a document
+(``_sparse_trimmed``, ``to_sparse``), with no second copy.
 """
 
 import json
 import math
 import os
 import reprlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,11 @@ _EVAL_BLOCK = 1024
 # _CHUNK_ENTRIES entries (256 KiB).
 _CHUNK_ENTRIES = 2 ** 15
 
+# The largest magnitude of a domain bound.  Within it the affine maps'
+# intermediates, up to 2 xhi - xlo, stay finite for every point of the
+# rectangle.
+_DOMAIN_LIMIT = sys.float_info.max / 4
+
 # Bytes the float64 arrays of one grid may take: an evaluation, export or
 # interpolation grid, a document's dense coefficient matrix, or one pass of
 # the builder.  A larger grid is refused before any of them is allocated.
@@ -70,7 +77,8 @@ _GRID_BUDGET = 2 ** 30
 
 @dataclass(frozen=True)
 class Domain2:
-    """Axis-aligned rectangle [xlo, xhi] x [ylo, yhi]."""
+    """Axis-aligned rectangle [xlo, xhi] x [ylo, yhi], each bound at most
+    _DOMAIN_LIMIT (about 4.494e307) in magnitude."""
 
     xlo: float = -1.0
     xhi: float = 1.0
@@ -81,6 +89,10 @@ class Domain2:
         bounds = (self.xlo, self.xhi, self.ylo, self.yhi)
         if not all(math.isfinite(b) for b in bounds):
             raise ValidationError("domain bounds must be finite")
+        if not all(abs(b) <= _DOMAIN_LIMIT for b in bounds):
+            raise ValidationError(
+                f"domain bounds must be at most {_DOMAIN_LIMIT:.4g} in magnitude, "
+                f"got [{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
         if not (self.xlo < self.xhi and self.ylo < self.yhi):
             raise ValidationError(
                 "domain must satisfy xlo < xhi and ylo < yhi, got "
@@ -452,19 +464,20 @@ def lagrange_cheb_coeffs(f, n, m, domain=UNIT_SQUARE):
 
 def _trim_in_place(a, threshold):
     """The trim rule: zero the entries of a with |value| < threshold, in
-    place, and return the (rows, cols) of the leading block that holds every
-    entry left nonzero, (0, 0) if none.  NaN counts as nonzero, -0.0 as
-    zero.  The entries are zeroed in chunks of about _CHUNK_ENTRIES, a few
-    rows each, so the masks take a chunk, not a grid."""
+    place, and return the leading block of a that holds every entry left
+    nonzero, as a view of a, or a new 1 x 1 zero if none is.  NaN counts as
+    nonzero, -0.0 as zero.  The entries are zeroed in chunks of about
+    _CHUNK_ENTRIES, a few rows each, so the masks take a chunk, not a
+    grid."""
     step = max(1, _CHUNK_ENTRIES // max(1, a.shape[1]))
     for lo in range(0, a.shape[0], step):
         chunk = a[lo:lo + step]
         np.copyto(chunk, 0.0, where=(chunk < threshold) & (chunk > -threshold))
     rows = np.flatnonzero(a.any(axis=1))
     if rows.size == 0:
-        return 0, 0
+        return np.zeros((1, 1))
     cols = np.flatnonzero(a[: rows[-1] + 1].any(axis=0))
-    return int(rows[-1]) + 1, int(cols[-1]) + 1
+    return a[: rows[-1] + 1, : cols[-1] + 1]
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):
@@ -480,11 +493,9 @@ def trim(coeffs, tol, domain=UNIT_SQUARE):
 
 def _sparse_trimmed(a, tol, domain):
     """to_sparse of a, a float64 matrix its caller gives up, trimmed in
-    place by the builder's rule (_trim_in_place) and held by a Cheb2 with no
-    copy; the zero document if no entry is kept."""
-    if _trim_in_place(a, tol) == (0, 0):
-        return SparseCoeffs(0, 0, domain, tol, ())
-    return to_sparse(Cheb2._owning(a, domain, tol))
+    place by the builder's rule (_trim_in_place), whose kept block a Cheb2
+    holds with no copy; the zero document if no entry is kept."""
+    return to_sparse(Cheb2._owning(_trim_in_place(a, tol), domain, tol))
 
 
 def to_sparse(c):
@@ -529,11 +540,13 @@ def _unit_points(c, x, y):
 
     x and y are arrays that broadcast against each other; a scalar is a
     one-point array.  The first point (x, y) of the broadcast, in row-major
-    order, that lies further out or is not finite raises DomainError.
+    order, that lies further out or is not finite raises DomainError, with
+    no numpy warning for a far point whose map overflows.
     """
     x, y = np.atleast_1d(x, y)  # a 0-d map gives a scalar, which out= refuses
-    u = c.domain.unit_from_x(x)
-    v = c.domain.unit_from_y(y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = c.domain.unit_from_x(x)
+        v = c.domain.unit_from_y(y)
     bad_u = ~(np.abs(u) <= 1.0 + _OVERSHOOT)
     bad_v = ~(np.abs(v) <= 1.0 + _OVERSHOOT)
     if bad_u.any() or bad_v.any():

@@ -10,7 +10,8 @@ inputs, and failures map to documented exit codes:
        exceed the memory budget
     4  validation failure (inconsistent document, bad option values or
        usage, a grid, a file or a document's declared degrees over the
-       memory budget, samples whose transform overflows)
+       memory budget, samples whose transform overflows, a domain bound
+       above max / 4 in magnitude, an integral that overflows)
     5  I/O failure, or stdout cannot be flushed
     6  evaluation failure (outside domain, non-finite sample)
 
@@ -165,7 +166,7 @@ def cmd_approx(args):
                        domain=args.domain, relative=args.relative_tol)
     try:
         indicator = "%.17g" % parseval_indicator(c, args.expression)
-    except ValidationError as exc:  # its grid is over the budget; c is not
+    except ValidationError as exc:  # over the budget, or overflowed; c is fine
         indicator = f"skipped ({exc})"
     elapsed = time.perf_counter() - started
     _write_document(to_sparse(c), args.output)

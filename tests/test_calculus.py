@@ -6,6 +6,7 @@ import pytest
 import bicheb as bc
 import bicheb.paper as bp
 from bicheb import diff_x, diff_y, integrate
+from bicheb.errors import ValidationError
 
 from conftest import f_cosxy, f_example2
 
@@ -126,6 +127,17 @@ class TestIntegrate:
     def test_domain_jacobian(self):
         c = bc.Cheb2(np.array([[1.0]]), bc.Domain2(0.0, 2.0, -1.0, 3.0))
         assert integrate(c) == pytest.approx(8.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_refused(self):
+        # the area, 6.4e615, is beyond the largest double
+        big = bc.Domain2(-4e307, 4e307, -4e307, 4e307)
+        with pytest.raises(ValidationError, match="the integral overflowed"):
+            integrate(bc.Cheb2(np.array([[1.0]]), big))
+        # so is a unit-square value beyond it, from coefficients of 1e308
+        with pytest.raises(ValidationError, match="the integral overflowed"):
+            integrate(bc.Cheb2(np.full((1, 3), 1e308)))
+        assert integrate(bc.Cheb2(np.zeros((1, 1)), big)) == 0.0
 
     def test_cosxy(self, cosxy):
         assert abs(integrate(cosxy) - FOUR_SI_ONE) <= 1e-4

@@ -615,8 +615,8 @@ def recording_expansions(monkeypatch):
 def assert_same_trim(left, right, threshold):
     """_trimmed_product equals the trim of the whole product, bit for bit."""
     block = builder._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
-    full = builder._trimmed(builder._expand(left, right), threshold,
-                            bc.UNIT_SQUARE)
+    full = bc.Cheb2(chebcore._trim_in_place(builder._expand(left, right), threshold),
+                    bc.UNIT_SQUARE, threshold)
     assert block.coeffs.shape == full.coeffs.shape
     assert np.array_equal(block.coeffs, full.coeffs) and block.tol == full.tol
     return block
@@ -833,8 +833,8 @@ OWNED_CASES = {
 
 
 class TestOwnedBlock:
-    """Phase 2 trims its expanded block in place and moves the kept corner
-    to the head of the block's buffer, which the Cheb2 takes without a copy."""
+    """Phase 2 trims its expanded block in place, and the Cheb2 takes the
+    kept corner as a view of the block, without a copy."""
 
     @pytest.mark.parametrize("chunk", [1, 16, 2 ** 15], ids=["row", "rows", "default"])
     @pytest.mark.parametrize("case", OWNED_CASES)
@@ -842,7 +842,6 @@ class TestOwnedBlock:
         left, right, threshold, shape = OWNED_CASES[case]
         # chunks of one row, of a few rows, and of the whole block
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
-        monkeypatch.setattr(builder, "_CHUNK_ENTRIES", chunk)
         expected = trimmed_by_masks(builder._expand(left, right), threshold)
         c = assert_same_trim(left, right, threshold)
         assert shape is None or c.coeffs.shape == shape
@@ -853,12 +852,12 @@ class TestOwnedBlock:
     def test_nan_is_not_finite(self, monkeypatch, chunk):
         # a NaN bound keeps its row and the trim keeps the NaN
         monkeypatch.setattr(chebcore, "_CHUNK_ENTRIES", chunk)
-        monkeypatch.setattr(builder, "_CHUNK_ENTRIES", chunk)
         left, right = rank_one([2, np.nan, 2, 0.3, 0.3], [2] * 5 + [0.3] * 2)
         with pytest.raises(ValidationError, match="coefficients must be finite"):
             builder._trimmed_product(left, right, 1.0, bc.UNIT_SQUARE)
         with pytest.raises(ValidationError, match="coefficients must be finite"):
-            builder._trimmed(builder._expand(left, right), 1.0, bc.UNIT_SQUARE)
+            bc.Cheb2(chebcore._trim_in_place(builder._expand(left, right), 1.0),
+                     bc.UNIT_SQUARE, 1.0)
 
     def test_result_is_the_block_itself(self, monkeypatch):
         blocks = []
@@ -873,7 +872,7 @@ class TestOwnedBlock:
         c = builder._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
         assert c.coeffs.shape == (7, 5) and blocks[0].shape == (9, 7)
         assert np.shares_memory(c.coeffs, blocks[0])
-        assert c.coeffs.flags.c_contiguous and not c.coeffs.flags.writeable
+        assert c.coeffs.strides == blocks[0].strides and not c.coeffs.flags.writeable
         with pytest.raises(ValueError):
             c.coeffs[0, 0] = 1.0
 
@@ -883,6 +882,48 @@ class TestOwnedBlock:
         a[0, 0] = 5.0
         assert c.coeffs[0, 0] == 1.0 and a.flags.writeable
         assert not np.shares_memory(c.coeffs, a)
+
+    def test_bump_result_is_a_view_of_its_block(self, monkeypatch):
+        # the trim keeps 659 x 683 of the 666 x 692 block, in place
+        blocks = []
+        expand = builder._expand
+
+        def recording(left, right):
+            blocks.append(expand(left, right))
+            return blocks[-1]
+
+        monkeypatch.setattr(builder, "_expand", recording)
+        c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        block = blocks[-1]
+        assert c.coeffs.shape == (659, 683) and block.shape == (666, 692)
+        assert np.shares_memory(c.coeffs, block) and c.coeffs.strides == block.strides
+        assert not c.coeffs.flags.c_contiguous
+
+    def test_view_evaluates_as_its_copy(self):
+        # the bump's coefficients as a strided view inside a larger zero
+        # buffer, as phase 2 holds them, and as a C-ordered copy
+        c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        buffer = np.zeros((666, 692))
+        buffer[:659, :683] = c.coeffs
+        view = bc.Cheb2._owning(buffer[:659, :683], c.domain, c.tol)
+        copy = bc.Cheb2(buffer[:659, :683].copy(), c.domain, c.tol)
+        assert not view.coeffs.flags.c_contiguous and copy.coeffs.flags.c_contiguous
+        for k in (32, 200, 300):
+            g = np.linspace(-1.0, 1.0, k)
+            assert (bc.evaluate_grid(view, g, g).tobytes()
+                    == bc.evaluate_grid(copy, g, g).tobytes())
+        rng = np.random.default_rng(11)
+        for size in (1, 7, 2500):
+            x, y = rng.uniform(-1.0, 1.0, (2, size))
+            assert (bc.evaluate_matrix(view, x, y).tobytes()
+                    == bc.evaluate_matrix(copy, x, y).tobytes())
+        assert bc.integrate(view) == bc.integrate(copy)
+        assert (bc.parseval_indicator(view, narrow_bump)
+                == bc.parseval_indicator(copy, narrow_bump))
+        for diff in (bc.diff_x, bc.diff_y):
+            assert diff(view).coeffs.tobytes() == diff(copy).coeffs.tobytes()
+        assert (bc.document_text(bc.to_sparse(view))
+                == bc.document_text(bc.to_sparse(copy)))
 
     def test_bump_holds_one_block_and_a_half(self):
         # the 659 x 683 block, beside the 257 x 257 grid and the slices
@@ -1235,6 +1276,46 @@ class TestEvaluate:
                     bc.evaluate_matrix(cosxy, x, y), abs=1e-14)
 
 
+LIMIT = sys.float_info.max / 4
+PAST = float(np.nextafter(LIMIT, np.inf))
+
+
+class TestDomainLimit:
+    """Bounds of at most max / 4 in magnitude keep the affine maps finite."""
+
+    def test_bounds_at_the_limit_map_every_node(self):
+        d = bc.Domain2(-LIMIT, LIMIT, -LIMIT, LIMIT)
+        u = chebcore.lobatto_nodes(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for there, back in ((d.x_from_unit, d.unit_from_x),
+                                (d.y_from_unit, d.unit_from_y)):
+                x = there(u)
+                assert np.isfinite(x).all()
+                assert np.abs(back(x)).max() <= 1.0
+
+    @pytest.mark.parametrize("bounds", [(0.5 * LIMIT, LIMIT, -LIMIT, -0.5 * LIMIT),
+                                        (-LIMIT, 0.0, 0.0, LIMIT)],
+                             ids=["one-sided", "half"])
+    def test_asymmetric_rectangles_evaluate_at_their_corners(self, bounds):
+        d = bc.Domain2(*bounds)
+        c = bc.Cheb2(np.ones((3, 3)), d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for there in (d.x_from_unit, d.y_from_unit):
+                assert np.isfinite(there(chebcore.lobatto_nodes(64))).all()
+            values = bc.evaluate_matrix(c, np.array(bounds[:2]), np.array(bounds[2:]))
+        assert np.isfinite(values).all()
+
+    @pytest.mark.parametrize("bounds", [
+        (-PAST, 0.0, -1.0, 1.0), (0.0, PAST, -1.0, 1.0),
+        (-1.0, 1.0, -PAST, 0.0), (-1.0, 1.0, 0.0, PAST),
+    ], ids=["xlo", "xhi", "ylo", "yhi"])
+    def test_bound_past_the_limit_is_refused(self, bounds):
+        with pytest.raises(ValidationError, match=r"at most 4\.494e\+307 in magnitude"):
+            bc.Domain2(*bounds)
+
+
 class TestParsevalIndicator:
     def test_exactly_representable_function(self):
         a = np.zeros((2, 2))
@@ -1272,6 +1353,16 @@ class TestParsevalIndicator:
         with pytest.raises(ValidationError, match="8193 x 5 grid needs .* budget"):
             bc.parseval_indicator(c, lambda x, y: calls.append(1) or x * y)
         assert calls == []
+
+    def test_overflow_is_refused_without_a_warning(self):
+        # f = 1e307 x y is built exactly, but its squares overflow
+        c = bc.build_adaptive(lambda x, y: 1e307 * x * y, 1e-15, relative=True)
+        assert c.coeffs.shape == (2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match=r"overflowed on its 5 x 5 grid.* 1\.000e\+307"):
+                bc.parseval_indicator(c, lambda x, y: 1e307 * x * y)
 
     @pytest.mark.parametrize("case", ["example2", "runge", "random"])
     def test_quadrature_equals_constant_coefficient(self, case, example2):
@@ -1576,6 +1667,12 @@ class TestPersistence:
         text = ('{"degree_x": 2, "degree_y": 2, "domain": [-1, 1, -1, 1], '
                 f'"tol": 0, "entries": [[{index}, 0, 1.0]]}}')
         with pytest.raises(ValidationError, match="must be an integer"):
+            bc.load(io.StringIO(text))
+
+    def test_domain_past_the_limit_is_invalid(self):
+        text = ('{"degree_x": 0, "degree_y": 0, "domain": [-1e308, 1e308, -1, 1], '
+                '"tol": 0, "entries": []}')
+        with pytest.raises(ValidationError, match=r"at most 4\.494e\+307"):
             bc.load(io.StringIO(text))
 
     def test_bad_domain_is_invalid(self):

@@ -149,6 +149,17 @@ class TestApprox:
         assert ("parseval indicator: skipped (the Parseval indicator's 33 x 33 "
                 "grid needs") in out and "over the budget" in out
 
+    def test_indicator_overflow_is_skipped_quietly(self, tmp_path):
+        # f = 1e307 x y is built exactly, but the indicator's squares overflow
+        result = _cli_process("approx", "1e307*x*y", "--relative-tol", "-o", "o.json",
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert result.returncode == EXIT_OK and result.stderr == ""
+        assert ("parseval indicator: skipped (the Parseval indicator overflowed "
+                "on its 5 x 5 grid") in result.stdout
+        c = bc.build_adaptive(lambda x, y: 1e307 * x * y, 1e-15, relative=True)
+        assert (tmp_path / "o.json").read_text() == bc.document_text(bc.to_sparse(c))
+        assert bc.load(tmp_path / "o.json").entries == ((1, 1, 1e307),)
+
     def test_zero_function_with_relative_tolerance(self, capsys, tmp_path):
         path = tmp_path / "z.json"
         code, _, err = run(capsys, "approx", "0*x", "--relative-tol",
@@ -178,6 +189,14 @@ class TestEval:
         path = tmp_path / "cos.json"
         assert run(capsys, "approx", "cos(x*y)", "-o", str(path))[0] == EXIT_OK
         return path
+
+    def test_far_point_is_refused_without_a_warning(self, cos_file):
+        # the point's map overflows: one error line and no numpy warning
+        result = _cli_process("eval", str(cos_file), "--point", "1e308,0",
+                              capture_output=True, text=True)
+        assert result.returncode == EXIT_EVAL and result.stdout == ""
+        assert result.stderr == ("error: point (1e+308, 0.0) lies outside the "
+                                 "domain rectangle [-1.0, 1.0] x [-1.0, 1.0]\n")
 
     def test_single_point(self, capsys, cos_file):
         code, out, _ = run(capsys, "eval", str(cos_file), "--point", "0,0")
@@ -1228,6 +1247,50 @@ class TestOptions:
         assert code == EXIT_VALIDATION
         assert "resolution" in err
         assert not dst.exists()
+
+
+def _document(domain, entries):
+    return ('{"degree_x": 1, "degree_y": 0, "domain": %s, "tol": 0, "entries": %s}'
+            % (domain, entries))
+
+
+class TestDomainLimit:
+    """A bound past max / 4 in magnitude, from an option or a document, and
+    an integral that overflows within that limit exit 4 with one error line
+    and no numpy warning."""
+
+    DOCUMENTS = {
+        # f = x on rectangles whose maps overflow
+        "x.json": _document("[-1e308, 1e308, -1, 1]", "[[1, 0, 1e308]]"),
+        "wide.json": _document("[-8e307, 8e307, -1, 1]", "[[1, 0, 8e307]]"),
+        # the constant 1 on a square the limit accepts, of area 6.4e615
+        "one.json": _document("[-4e307, 4e307, -4e307, 4e307]", "[[0, 0, 1]]"),
+        "unit.json": _document("[-1, 1, -1, 1]", "[[1, 0, 1]]"),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "x.json"], "domain bounds must be at most 4.494e+307"),
+        (["diff", "x.json", "--axis", "x", "-o", "d.json"],
+         "domain bounds must be at most 4.494e+307"),
+        (["eval", "wide.json", "--point", "7e307,0"],
+         "domain bounds must be at most 4.494e+307"),
+        (["approx", "x", "--domain=1e308,1.5e308,0,1", "-o", "a.json"],
+         "domain bounds must be at most 4.494e+307"),
+        (["eval", "unit.json", "--grid-domain=-1e308,1e308,0,1"],
+         "domain bounds must be at most 4.494e+307"),
+        (["integrate", "one.json"], "the integral overflowed: 4.000e+00 on the "
+         "unit square times the Jacobian inf is not finite"),
+    ], ids=["integrate", "diff", "eval-point", "approx", "grid-domain",
+            "integral-overflow"])
+    def test_exits_4(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name, text in self.DOCUMENTS.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "d.json").exists() and not (tmp_path / "a.json").exists()
 
 
 def _python(*args, env=None, **kwargs):
