@@ -28,21 +28,29 @@ def _derivative(c, axis):
     parity of k, a running sum of the terms 2 (k + 1) a[k + 1] from the top,
     which np.cumsum adds in the order of the paper's backward loop
     (``bicheb.paper._diff_first_axis``), so the bits are the loop's.  Then
-    b[0] = a[1] + b[2] / 2.
+    b[0] = a[1] + b[2] / 2.  A term that overflows but is then overwritten,
+    as 2 a[1] by b[0], warns nothing; ValidationError, with no numpy
+    warning, if the derivative itself overflows.
     """
     a = np.moveaxis(c.coeffs, axis, 0)
     n = a.shape[0] - 1
     if n == 0:
         return np.zeros((1, 1))
-    b = np.multiply(np.arange(2.0, 2 * n + 1, 2.0)[:, None], a[1:])
-    top_down = b[::-1]
-    for rows in (top_down[0::2], top_down[1::2]):
-        np.cumsum(rows, axis=0, out=rows)
-    b[0] = a[1]
-    if n >= 3:
-        b[0] += 0.5 * b[2]
     lo, hi = (c.domain.xlo, c.domain.xhi) if axis == 0 else (c.domain.ylo, c.domain.yhi)
-    b *= 2.0 / (hi - lo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.multiply(np.arange(2.0, 2 * n + 1, 2.0)[:, None], a[1:])
+        top_down = b[::-1]
+        for rows in (top_down[0::2], top_down[1::2]):
+            np.cumsum(rows, axis=0, out=rows)
+        b[0] = a[1]
+        if n >= 3:
+            b[0] += 0.5 * b[2]
+        b *= 2.0 / (hi - lo)
+    if not (math.isfinite(b.min()) and math.isfinite(b.max())):
+        raise ValidationError(
+            f"the derivative in {'xy'[axis]} overflowed: coefficients up to "
+            f"{np.max(np.abs(a)):.3e} in magnitude on [{lo}, {hi}] give a "
+            "derivative that is not finite")
     return np.moveaxis(b, 0, axis)
 
 
@@ -52,6 +60,8 @@ def diff_x(c):
     A degree-0 first variable yields the zero function.  On a non-unit
     domain every coefficient carries the chain-rule factor of the affine
     map, 2 / (xhi - xlo).  The result holds the one matrix it computes.
+    ValidationError, with no numpy warning, if a coefficient of the
+    derivative overflows.
     """
     return Cheb2._owning(_derivative(c, 0), c.domain, c.tol)
 

@@ -78,7 +78,10 @@ _GRID_BUDGET = 2 ** 30
 @dataclass(frozen=True)
 class Domain2:
     """Axis-aligned rectangle [xlo, xhi] x [ylo, yhi], each bound at most
-    _DOMAIN_LIMIT (about 4.494e307) in magnitude."""
+    _DOMAIN_LIMIT (about 4.494e307) in magnitude, and its width and height
+    at least the smallest normal double, sys.float_info.min (about
+    2.225e-308): the affine maps of a narrower side would round in
+    subnormals, and the derivative's factor 2 / (xhi - xlo) overflow."""
 
     xlo: float = -1.0
     xhi: float = 1.0
@@ -97,6 +100,10 @@ class Domain2:
             raise ValidationError(
                 "domain must satisfy xlo < xhi and ylo < yhi, got "
                 f"[{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
+        if min(self.xhi - self.xlo, self.yhi - self.ylo) < sys.float_info.min:
+            raise ValidationError(
+                f"domain width and height must be at least {sys.float_info.min:.4g}, "
+                f"got [{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
 
     def x_from_unit(self, u):
         return 0.5 * (self.xlo + self.xhi) + 0.5 * (self.xhi - self.xlo) * u

@@ -11,7 +11,8 @@ inputs, and failures map to documented exit codes:
     4  validation failure (inconsistent document, bad option values or
        usage, a grid, a file or a document's declared degrees over the
        memory budget, samples whose transform overflows, a domain bound
-       above max / 4 in magnitude, an integral that overflows)
+       above max / 4 in magnitude, a rectangle narrower than the smallest
+       normal double, an integral or a derivative that overflows)
     5  I/O failure, or stdout cannot be flushed
     6  evaluation failure (outside domain, non-finite sample)
 

@@ -15,6 +15,7 @@ any NaN/Inf intermediate is reported as an error naming the subexpression.
 """
 
 import math
+import operator
 import re
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ from .errors import EvalError, ParseError
 
 
 class Token(NamedTuple):
-    kind: str  # number | identifier | operator | paren | comma
+    kind: str  # number | identifier | operator | paren | comma | end
     text: str
     position: int
 
@@ -65,11 +66,16 @@ FUNCTIONS = {
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # Parsing, evaluating and printing recurse: ``parse`` rejects formulas
-# nested deeper (brackets, calls, powers, negations; about five parser frames
-# each) or with a taller tree (a sum of k terms is k high) than Python's
+# nested deeper (brackets, calls, powers, negations; at most five parser
+# frames each) or with a taller tree (a sum of k terms is k high) than Python's
 # default recursion limit of 1000 frames allows.
 _MAX_NESTING = 128
 _MAX_HEIGHT = 500
+
+# How tightly each operator that expression() reads binds: '+' and '-' at
+# level 0, '*' and '/' at level 1.  '^' binds tighter still, in power().
+_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}
+_TIGHTEST = 1
 
 _TOKEN_RE = re.compile(r"""
     (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
@@ -99,53 +105,39 @@ def tokenize(source):
 class _Parser:
     def __init__(self, tokens):
         self.tokens = list(tokens)
+        last = self.tokens[-1] if self.tokens else Token("end", "", 0)
+        self.tokens.append(Token("end", "", last.position + len(last.text)))
         self.index = 0
         self.nesting = 0
 
-    def _end_position(self):
-        if not self.tokens:
-            return 0
-        last = self.tokens[-1]
-        return last.position + len(last.text)
-
     def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def advance(self):
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input", self._end_position())
-        self.index += 1
-        return token
+        return self.tokens[self.index]
 
     def accept(self, kind, *texts):
         """Consume and return the next token if it is of `kind` and its text
         equals one of `texts`; otherwise consume nothing and return None."""
-        token = self.peek()
-        if token is None or token.kind != kind or token.text not in texts:
-            return None
-        self.index += 1
-        return token
+        if (token := self.peek()).kind == kind and token.text in texts:
+            self.index += 1
+            return token
+        return None
 
     def expect(self, kind, text):
         if self.accept(kind, text) is None:
             token = self.peek()
-            found = "end of input" if token is None else repr(token.text)
-            pos = self._end_position() if token is None else token.position
-            raise ParseError(f"expected {text!r}, found {found}", pos)
+            found = "end of input" if token.kind == "end" else repr(token.text)
+            raise ParseError(f"expected {text!r}, found {found}", token.position)
 
-    def expression(self):
-        node = self.term()
-        while token := self.accept("operator", "+", "-"):
-            node = BinOp(token.text, node, self.term())
-        return node
-
-    def term(self):
+    def expression(self, level=0):
+        """Factors joined by the operators of `level` or a tighter one, left
+        associative.  An operator's right operand takes only tighter ones,
+        and is a bare factor after one of the tightest level: no frame
+        stands between two levels."""
         node = self.factor()
-        while token := self.accept("operator", "*", "/"):
-            node = BinOp(token.text, node, self.factor())
+        while _LEVEL.get((token := self.peek()).text, -1) >= level:
+            self.index += 1
+            tighter = _LEVEL[token.text] + 1
+            node = BinOp(token.text, node,
+                         self.factor() if tighter > _TIGHTEST else self.expression(tighter))
         return node
 
     def factor(self):
@@ -167,7 +159,8 @@ class _Parser:
         return base
 
     def atom(self):
-        token = self.advance()
+        token = self.peek()
+        self.index += 1
         if token.kind == "number":
             return Num(float(token.text))
         if token.kind == "paren" and token.text == "(":
@@ -182,7 +175,7 @@ class _Parser:
             if token.text in CONSTANTS:
                 return Num(CONSTANTS[token.text])
             raise ParseError(f"unknown identifier {token.text!r}", token.position)
-        raise ParseError(f"unexpected token {token.text!r}", token.position)
+        raise _unexpected(token)
 
     def call(self, name_token):
         name = name_token.text
@@ -199,15 +192,20 @@ class _Parser:
         return Call(name, tuple(args))
 
 
+def _unexpected(token):
+    if token.kind == "end":
+        return ParseError("unexpected end of input", token.position)
+    return ParseError(f"unexpected token {token.text!r}", token.position)
+
+
 def parse(tokens):
     """Parse a token list into an expression tree."""
     parser = _Parser(tokens)
-    if parser.peek() is None:
+    if parser.peek().kind == "end":
         raise ParseError("empty expression", 0)
     node = parser.expression()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(f"unexpected token {trailing.text!r}", trailing.position)
+    if parser.peek().kind != "end":
+        raise _unexpected(parser.peek())
     if _height(node) > _MAX_HEIGHT:
         raise ParseError(f"expression tree higher than {_MAX_HEIGHT} levels", 0)
     return node
@@ -261,39 +259,45 @@ def pretty_print(node):
 
 _MAX_EXACT_EXPONENT = 16
 
-_UNARY_NUMPY = {
-    "sin": np.sin, "cos": np.cos, "tan": np.tan,
-    "exp": np.exp, "abs": np.abs,
+
+def _exact(exponent):
+    """exponent as an int if it is a scalar integer of at most
+    _MAX_EXACT_EXPONENT in magnitude, else None."""
+    if (np.ndim(exponent) == 0 and float(exponent).is_integer()
+            and abs(exponent) <= _MAX_EXACT_EXPONENT):
+        return int(exponent)
+    return None
+
+
+def _power(base, exponent):
+    """base ^ exponent: by repeated multiplication, which keeps small
+    integer powers exact, for an exponent that _exact accepts."""
+    n = _exact(exponent)
+    if n is None:
+        return np.power(base, exponent)
+    # a numpy scalar divides by an underflowed 0 as the arrays do, to inf
+    result = np.ones_like(base, dtype=float) if isinstance(base, np.ndarray) else np.float64(1.0)
+    for _ in range(abs(n)):
+        result = result * base
+    return 1.0 / result if n < 0 else result
+
+
+_OPERATIONS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": _power, "pow": _power, "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
 
-
-def _check_finite(value, node):
-    if not np.all(np.isfinite(value)):
-        raise EvalError("non-finite value", pretty_print(node))
-    return value
-
-
-def _int_power(base, exponent, node):
-    # repeated multiplication keeps small integer powers exact
-    result = np.ones_like(np.asarray(base, dtype=float)) if isinstance(base, np.ndarray) else 1.0
-    for _ in range(abs(exponent)):
-        result = result * base
-    if exponent < 0:
-        if np.any(base == 0):
-            raise EvalError("zero raised to a negative power", pretty_print(node))
-        result = 1.0 / result
-    return result
-
-
-def _power(base, exponent, node):
-    scalar_exponent = None
-    if np.ndim(exponent) == 0:
-        as_float = float(exponent)
-        if as_float.is_integer() and abs(as_float) <= _MAX_EXACT_EXPONENT:
-            scalar_exponent = int(as_float)
-    if scalar_exponent is not None:
-        return _int_power(base, scalar_exponent, node)
-    return np.power(base, exponent)
+# The operands that an operation refuses before it runs, and the fault
+# named; any other value that is not finite is refused after it.
+_REFUSED = {
+    "/": ("division by zero", lambda left, right: np.any(right == 0)),
+    "log": ("log of a nonpositive value", lambda a: np.any(a <= 0)),
+    "sqrt": ("sqrt of a negative value", lambda a: np.any(a < 0)),
+    "^": ("zero raised to a negative power",
+          lambda base, exponent: (_exact(exponent) or 0) < 0 and np.any(base == 0)),
+}
+_REFUSED["pow"] = _REFUSED["^"]
 
 
 def _eval(node, x, y):
@@ -304,37 +308,18 @@ def _eval(node, x, y):
     if isinstance(node, Neg):
         return -_eval(node.operand, x, y)
     if isinstance(node, BinOp):
-        left = _eval(node.left, x, y)
-        right = _eval(node.right, x, y)
-        if node.op == "+":
-            value = left + right
-        elif node.op == "-":
-            value = left - right
-        elif node.op == "*":
-            value = left * right
-        elif node.op == "/":
-            if np.any(right == 0):
-                raise EvalError("division by zero", pretty_print(node))
-            value = left / right
-        else:
-            value = _power(left, right, node)
-        return _check_finite(value, node)
-    if isinstance(node, Call):
-        args = [_eval(a, x, y) for a in node.args]
-        if node.func == "log":
-            if np.any(args[0] <= 0):
-                raise EvalError("log of a nonpositive value", pretty_print(node))
-            value = np.log(args[0])
-        elif node.func == "sqrt":
-            if np.any(args[0] < 0):
-                raise EvalError("sqrt of a negative value", pretty_print(node))
-            value = np.sqrt(args[0])
-        elif node.func == "pow":
-            value = _power(args[0], args[1], node)
-        else:
-            value = _UNARY_NUMPY[node.func](args[0])
-        return _check_finite(value, node)
-    raise TypeError(f"not an expression node: {node!r}")
+        name, args = node.op, (_eval(node.left, x, y), _eval(node.right, x, y))
+    elif isinstance(node, Call):
+        name, args = node.func, [_eval(a, x, y) for a in node.args]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    fault, refused = _REFUSED.get(name, (None, None))
+    if refused is not None and refused(*args):
+        raise EvalError(fault, pretty_print(node))
+    value = _OPERATIONS[name](*args)
+    if not np.all(np.isfinite(value)):
+        raise EvalError("non-finite value", pretty_print(node))
+    return value
 
 
 # Points in a block of eval_ast's rows: a formula holds the temporaries of

@@ -115,6 +115,28 @@ class TestDiff:
                   - bc.evaluate_matrix(cosxy, x - h, y)) / (2 * h)
             assert bc.evaluate_matrix(d, x, y) == pytest.approx(fd, abs=1e-6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_discarded_overflow_warns_nothing(self):
+        # 2 a[1] = 2e308 overflows, but b[0] is a[1] itself: d/dx T1 = T0
+        assert diff_x(bc.Cheb2(np.array([[0.0], [1e308]]))).coeffs.tolist() == [[1e308]]
+        assert diff_y(bc.Cheb2(np.array([[0.0, 1e308]]))).coeffs.tolist() == [[1e308]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_overflow_is_refused(self, axis):
+        # d/dx T2 = 4 T1, and 4e308 is beyond the largest double
+        t2 = np.array([[0.0], [0.0], [1e308]])
+        # T1 on a rectangle 1e-300 wide: the chain-rule factor 2e300 overflows
+        t1 = np.array([[0.0], [1e10]])
+        narrow = bc.Domain2(0.0, 1e-300, 0.0, 1e-300)
+        diff = diff_x if axis == "x" else diff_y
+        for a, domain in ((t2, bc.UNIT_SQUARE), (t1, narrow)):
+            a = a if axis == "x" else a.T
+            with pytest.raises(ValidationError,
+                               match=f"^the derivative in {axis} overflowed: "
+                                     r"coefficients up to 1\.000e\+(308|10) in magnitude"):
+                diff(bc.Cheb2(a, domain))
+
 
 class TestIntegrate:
     def test_unit_constant(self):

@@ -1315,6 +1315,26 @@ class TestDomainLimit:
         with pytest.raises(ValidationError, match=r"at most 4\.494e\+307 in magnitude"):
             bc.Domain2(*bounds)
 
+    @pytest.mark.parametrize("bounds, shown", [
+        ((0.0, 1e-310, -1.0, 1.0), "[0.0, 1e-310] x [-1.0, 1.0]"),
+        ((-1.0, 1.0, -5e-324, 5e-324), "[-1.0, 1.0] x [-5e-324, 5e-324]"),
+    ], ids=["width", "height"])
+    def test_side_below_the_smallest_normal_is_refused(self, bounds, shown):
+        with pytest.raises(ValidationError) as info:
+            bc.Domain2(*bounds)
+        assert str(info.value) == ("domain width and height must be at least "
+                                   f"2.225e-308, got {shown}")
+
+    def test_side_of_the_smallest_normal_is_accepted(self):
+        tiny = sys.float_info.min
+        d = bc.Domain2(0.0, tiny, -tiny, 0.0)
+        assert (d.xhi - d.xlo, d.yhi - d.ylo) == (tiny, tiny)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d.unit_from_x(tiny / 2) == 0.0
+            # the derivative's factor 2 / tiny is finite
+            assert np.isfinite(bc.diff_x(bc.Cheb2(np.array([[0.0], [1.0]]), d)).coeffs).all()
+
 
 class TestParsevalIndicator:
     def test_exactly_representable_function(self):

@@ -618,6 +618,15 @@ class TestDiff:
         exact = -np.sin(x * y) - x * y * np.cos(x * y)
         assert bc.evaluate_matrix(c, x, y) == pytest.approx(exact, abs=1e-7)
 
+    @pytest.mark.filterwarnings("error")
+    def test_discarded_overflow_warns_nothing(self, capsys, tmp_path, monkeypatch):
+        # f = 1e308 T1(x): the term 2e308 that overflows is replaced by 1e308
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "u.json").write_text(_document("[-1, 1, -1, 1]", "[[1, 0, 1e308]]"))
+        code, _, err = run(capsys, "diff", "u.json", "--axis", "x", "-o", "d.json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads((tmp_path / "d.json").read_text())["entries"] == [[0, 0, 1e308]]
+
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_diff_budget_covers_what_it_allocates(self, capsys, tmp_path,
                                                   monkeypatch, axis):
@@ -1249,23 +1258,28 @@ class TestOptions:
         assert not dst.exists()
 
 
-def _document(domain, entries):
-    return ('{"degree_x": 1, "degree_y": 0, "domain": %s, "tol": 0, "entries": %s}'
-            % (domain, entries))
+def _document(domain, entries, degree_x=1):
+    return ('{"degree_x": %d, "degree_y": 0, "domain": %s, "tol": 0, "entries": %s}'
+            % (degree_x, domain, entries))
 
 
 class TestDomainLimit:
-    """A bound past max / 4 in magnitude, from an option or a document, and
-    an integral that overflows within that limit exit 4 with one error line
-    and no numpy warning."""
+    """A bound past max / 4 in magnitude or a side narrower than the
+    smallest normal double, from an option or a document, and an integral
+    or a derivative that overflows within those limits exit 4 with one
+    error line and no numpy warning."""
 
     DOCUMENTS = {
+        # T1 on a rectangle 1e-310 wide, whose map rounds in subnormals
+        "narrow.json": _document("[0, 1e-310, -1, 1]", "[[1, 0, 1]]"),
         # f = x on rectangles whose maps overflow
         "x.json": _document("[-1e308, 1e308, -1, 1]", "[[1, 0, 1e308]]"),
         "wide.json": _document("[-8e307, 8e307, -1, 1]", "[[1, 0, 8e307]]"),
         # the constant 1 on a square the limit accepts, of area 6.4e615
         "one.json": _document("[-4e307, 4e307, -4e307, 4e307]", "[[0, 0, 1]]"),
         "unit.json": _document("[-1, 1, -1, 1]", "[[1, 0, 1]]"),
+        # f = 1e308 T2(x), whose derivative 4e308 T1(x) overflows
+        "t2.json": _document("[-1, 1, -1, 1]", "[[2, 0, 1e308]]", degree_x=2),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -1281,8 +1295,17 @@ class TestDomainLimit:
          "domain bounds must be at most 4.494e+307"),
         (["integrate", "one.json"], "the integral overflowed: 4.000e+00 on the "
          "unit square times the Jacobian inf is not finite"),
+        (["eval", "narrow.json", "--point", "5e-311,0"],
+         "domain width and height must be at least 2.225e-308, "
+         "got [0.0, 1e-310] x [-1.0, 1.0]"),
+        (["approx", "x", "--domain=0,1,0,1e-310", "-o", "a.json"],
+         "domain width and height must be at least 2.225e-308, "
+         "got [0.0, 1.0] x [0.0, 1e-310]"),
+        (["diff", "t2.json", "--axis", "x", "-o", "d.json"],
+         "the derivative in x overflowed: coefficients up to 1.000e+308 in "
+         "magnitude on [-1.0, 1.0] give a derivative that is not finite\n"),
     ], ids=["integrate", "diff", "eval-point", "approx", "grid-domain",
-            "integral-overflow"])
+            "integral-overflow", "narrow-eval", "narrow-approx", "derivative-overflow"])
     def test_exits_4(self, capsys, tmp_path, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         for name, text in self.DOCUMENTS.items():

@@ -1,6 +1,7 @@
 """Tests for the formula tokenizer, parser and evaluator."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,12 @@ class TestParse:
         ("--x+", "unexpected end of input (at position 4)"),
         ("1.5e", "unexpected token 'e' (at position 3)"),
         ("x$y", "illegal character '$' (at position 1)"),
+        # the end of input is placed just past the last token, not at the
+        # end of the trailing whitespace
+        ("   ", "empty expression (at position 0)"),
+        ("(x  ", "expected ')', found end of input (at position 2)"),
+        ("x  +  ", "unexpected end of input (at position 4)"),
+        ("pow(x,  ", "unexpected end of input (at position 6)"),
         ("-" * 200 + "x", "expression nested deeper than 128 levels (at position 127)"),
     ])
     def test_rejection_messages(self, source, message):
@@ -134,6 +141,26 @@ class TestParse:
         assert eval_ast(parse_expression("+".join(["x"] * 200)), 0.5, 0.0) == 100.0
         nested = parse_expression("(" * 100 + "x" + ")" * 100)
         assert eval_ast(nested, 0.25, 0.0) == 0.25
+
+    @pytest.mark.parametrize("opening, frames", [("(", 4), ("x+x*(", 5), ("sin(", 5)])
+    def test_nesting_fits_five_frames_a_level(self, opening, frames):
+        # 127 levels of a bracket, of a bracket after '+' and '*', or of a
+        # call need `frames` parser frames a level: at 5, about 640 in all,
+        # within 700 of the caller's depth
+        source = opening * 127 + "x" + ")" * 127
+        frame, caller_depth = sys._getframe(), 0
+        while frame is not None:
+            frame, caller_depth = frame.f_back, caller_depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(caller_depth + 127 * frames + 65)
+        try:
+            node = parse_expression(source)
+            value = eval_ast(node, 0.25, 0.0)
+            printed = pretty_print(node)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert printed.count("x") == source.count("x")
+        assert math.isfinite(value)
 
 
 class TestEval:
@@ -194,6 +221,33 @@ class TestEval:
     def test_zero_to_negative_power(self):
         with pytest.raises(EvalError):
             eval_ast(parse_expression("x^-1"), 0.0, 0.0)
+
+    @pytest.mark.parametrize("source, x, y, message", [
+        ("1/x", 0.0, 1.0, "division by zero in '(1.0 / x)'"),
+        ("x/y", np.array([1.0, 2.0]), np.array([3.0, 0.0]),
+         "division by zero in '(x / y)'"),
+        ("pow(x,-1)", 0.0, 1.0, "zero raised to a negative power in 'pow(x, (-1.0))'"),
+        ("x^-16", np.array([1.0, 0.0]), 1.0,
+         "zero raised to a negative power in '(x ^ (-16.0))'"),
+        # not an exact power: np.power gives inf
+        ("x^-17", 0.0, 1.0, "non-finite value in '(x ^ (-17.0))'"),
+        ("x^-0.5", 0.0, 1.0, "non-finite value in '(x ^ (-0.5))'"),
+        ("x^0.5", -2.0, 1.0, "non-finite value in '(x ^ 0.5)'"),
+        ("log(x)", 0.0, 1.0, "log of a nonpositive value in 'log(x)'"),
+        ("log(x)", np.array([1.0, -1.0]), 1.0, "log of a nonpositive value in 'log(x)'"),
+        ("sqrt(x-1)", 0.5, 1.0, "sqrt of a negative value in 'sqrt((x - 1.0))'"),
+        ("exp(x)", 1000.0, 1.0, "non-finite value in 'exp(x)'"),
+        ("x*y*1e300", 1e10, 1.0, "non-finite value in '((x * y) * 1e+300)'"),
+        ("-tan(x)+y", 1.0, np.inf, "non-finite value in '((-tan(x)) + y)'"),
+        # x * x underflows to 0, whose reciprocal is inf, for a plain float too
+        ("x^-2", 1e-200, 1.0, "non-finite value in '(x ^ (-2.0))'"),
+        ("x^-2", np.float64(1e-200), 1.0, "non-finite value in '(x ^ (-2.0))'"),
+        ("x^-2", np.array([1e-200]), 1.0, "non-finite value in '(x ^ (-2.0))'"),
+    ])
+    def test_eval_error_messages(self, source, x, y, message):
+        with pytest.raises(EvalError) as info:
+            eval_ast(parse_expression(source), x, y)
+        assert str(info.value) == message
 
 
 def _random_ast(rng, depth):
