@@ -50,7 +50,9 @@ with no grid of magnitudes.  f's own result for the new nodes and a
 trimmed copy of the coefficients are the only other large arrays.  The
 budget charges the samples, the previous samples and the transform's two
 grids plus its chunk buffers (_transform_entries), so it covers what a
-pass holds with a grid to spare.
+pass holds with a grid to spare, and the basis matrices of the off-grid
+check at the pass's bounds (_basis_entries), which outgrow the grid when
+one bound is large.
 
 The transform, the sampling, the trim rule and the grid budget are
 ``bicheb.chebcore``'s.  The package loads this module on the first lookup
@@ -65,6 +67,7 @@ from .chebcore import (
     UNIT_SQUARE,
     Cheb2,
     Domain2,
+    _basis_entries,
     _check_grid_budget,
     _dct_rows,
     _index,
@@ -434,10 +437,13 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     tail = math.nan
     tested = False  # the rank test runs at most once per build
     while True:
-        # the samples, the previous samples and the transform's arrays,
-        # checked before any of them is allocated
+        # the samples, the previous samples, the transform's arrays and the
+        # basis matrices of the off-grid check at these bounds, which
+        # outgrow the grid when one bound is large, checked before any of
+        # them is allocated
         held = ((nx + 1) * (ny + 1) + (0 if values is None else values.size)
-                + _transform_entries(nx + 1, ny + 1))
+                + _transform_entries(nx + 1, ny + 1)
+                + _basis_entries(nx, ny, 2 * _CHECK_NODES.size))
         _check_grid_budget(f"the pass at {_bounds(nx, ny)}", held, refused)
         xs = domain.x_from_unit(lobatto_nodes(nx))
         ys = domain.y_from_unit(lobatto_nodes(ny))
@@ -495,11 +501,13 @@ def parseval_indicator(c, f):
     The weighted integral of f^2 is estimated by the Gauss-Chebyshev-Lobatto
     rule, weights 1/2, 1, ..., 1, 1/2 over n on each axis (Mason and
     Handscomb, Chebyshev Polynomials, 2003, sec. 4.6), on the Lobatto grid
-    whose degree n on each axis is the smallest power of two at least twice
-    that axis' stored degree plus one.  The rule is the constant coefficient
-    of the interpolant of f^2 on that grid, so it integrates f^2 exactly
-    when f is the stored polynomial.  It is summed with numpy reductions and
-    no BLAS product, so the result does not depend on the number of CPUs.
+    whose degree n on each axis is the smallest power of two above that
+    axis' stored degree d.  The rule is the constant coefficient of the
+    interpolant of f^2 on that grid.  On n + 1 nodes it is exact up to
+    degree 2 n - 1, so from n >= d + 1 it integrates f^2 exactly when f is
+    the stored polynomial, whose square has degree 2 d.  It is summed with
+    numpy reductions and no BLAS product, so the result does not depend on
+    the number of CPUs.
     Rounding can make the result slightly negative; it is returned
     unmodified.  ValidationError, before f is sampled, if the samples and
     f's own result would exceed the grid budget; the squares overwrite the
@@ -507,8 +515,8 @@ def parseval_indicator(c, f):
     not finite: the squares or their sums overflowed.
     """
     a = c.coeffs
-    n = 1 << (2 * c.degree_x + 1).bit_length()
-    m = 1 << (2 * c.degree_y + 1).bit_length()
+    n = 1 << c.degree_x.bit_length()
+    m = 1 << c.degree_y.bit_length()
     _check_grid_budget(f"the Parseval indicator's {n + 1} x {m + 1} grid",
                        2 * (n + 1) * (m + 1))
     values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),

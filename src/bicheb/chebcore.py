@@ -36,14 +36,20 @@ builder pass copies that block into a Cheb2, phase 2's Cheb2 holds the view
 of its own expanded block, and ``trim`` and the CLI's ``diff`` trim a
 matrix of their own and turn the view's nonzeros into a document
 (``_sparse_trimmed``, ``to_sparse``), with no second copy.
+
+A document, SparseCoeffs, holds its entries as three arrays, which
+``to_sparse`` takes from np.nonzero and ``to_cheb2`` scatters with one
+indexed assignment; its constructor checks the [row, col, value] triples
+that ``load`` parses in one pass, which fills the three arrays.  The value
+types are plain classes with __slots__, not dataclasses, and ``load``
+imports json when it runs: a start-up of the CLI loads neither module
+(_Record).
 """
 
-import json
 import math
 import os
 import reprlib
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,35 +81,78 @@ _GRID_BUDGET = 2 ** 30
 # domain types
 
 
-@dataclass(frozen=True)
-class Domain2:
+class _Record:
+    """Base of the value types, plain classes with their fields in
+    __slots__: three frozen dataclasses and the dataclasses module took
+    about 2 ms of every start of a process.  Each class checks its
+    arguments in __new__, which makes the record with _of; then assignment
+    and deletion raise AttributeError.  repr, == and hash are those of the
+    tuple of _FIELDS, the constructor's arguments, which a copy or a pickle
+    passes to it again; two records of different classes are not equal."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, *values):
+        """A record of the fields of __slots__, in that order, unchecked; an
+        array among them is made read-only."""
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(record, name, value)
+        return record
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._FIELDS, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class Domain2(_Record):
     """Axis-aligned rectangle [xlo, xhi] x [ylo, yhi], each bound at most
     _DOMAIN_LIMIT (about 4.494e307) in magnitude, and its width and height
     at least the smallest normal double, sys.float_info.min (about
     2.225e-308): the affine maps of a narrower side would round in
     subnormals, and the derivative's factor 2 / (xhi - xlo) overflow."""
 
-    xlo: float = -1.0
-    xhi: float = 1.0
-    ylo: float = -1.0
-    yhi: float = 1.0
+    __slots__ = _FIELDS = ("xlo", "xhi", "ylo", "yhi")
 
-    def __post_init__(self):
-        bounds = (self.xlo, self.xhi, self.ylo, self.yhi)
+    def __new__(cls, xlo=-1.0, xhi=1.0, ylo=-1.0, yhi=1.0):
+        bounds = (xlo, xhi, ylo, yhi)
         if not all(math.isfinite(b) for b in bounds):
             raise ValidationError("domain bounds must be finite")
         if not all(abs(b) <= _DOMAIN_LIMIT for b in bounds):
             raise ValidationError(
                 f"domain bounds must be at most {_DOMAIN_LIMIT:.4g} in magnitude, "
-                f"got [{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
-        if not (self.xlo < self.xhi and self.ylo < self.yhi):
+                f"got [{xlo}, {xhi}] x [{ylo}, {yhi}]")
+        if not (xlo < xhi and ylo < yhi):
             raise ValidationError(
                 "domain must satisfy xlo < xhi and ylo < yhi, got "
-                f"[{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
-        if min(self.xhi - self.xlo, self.yhi - self.ylo) < sys.float_info.min:
+                f"[{xlo}, {xhi}] x [{ylo}, {yhi}]")
+        if min(xhi - xlo, yhi - ylo) < sys.float_info.min:
             raise ValidationError(
                 f"domain width and height must be at least {sys.float_info.min:.4g}, "
-                f"got [{self.xlo}, {self.xhi}] x [{self.ylo}, {self.yhi}]")
+                f"got [{xlo}, {xhi}] x [{ylo}, {yhi}]")
+        return cls._of(*bounds)
 
     def x_from_unit(self, u):
         return 0.5 * (self.xlo + self.xhi) + 0.5 * (self.xhi - self.xlo) * u
@@ -121,48 +170,45 @@ class Domain2:
 UNIT_SQUARE = Domain2()
 
 
-@dataclass(frozen=True)
-class Cheb2:
+class Cheb2(_Record):
     """Dense bivariate Chebyshev approximant on a rectangle.
 
     coeffs has shape (degree_x + 1, degree_y + 1); tol records the trim
     threshold that produced it (entries below tol are stored as exact
     zeros).  Instances are immutable and safe to share across threads.
+    Two are equal when their domains and tols are and their coefficients
+    are np.array_equal; a Cheb2 is unhashable, as its array is.
     """
 
-    coeffs: np.ndarray
-    domain: Domain2 = UNIT_SQUARE
-    tol: float = 0.0
+    __slots__ = _FIELDS = ("coeffs", "domain", "tol")
 
-    def __post_init__(self):
-        self._adopt(np.array(self.coeffs, dtype=float))
+    def __new__(cls, coeffs, domain=UNIT_SQUARE, tol=0.0):
+        return cls._owning(np.array(coeffs, dtype=float), domain, tol)
 
     @classmethod
     def _owning(cls, a, domain, tol):
         """Cheb2 of a, a float64 array that nothing else will write, without
-        the constructor's copy: the same checks, and a is made read-only."""
-        c = object.__new__(cls)
-        object.__setattr__(c, "domain", domain)
-        object.__setattr__(c, "tol", tol)
-        c._adopt(a)
-        return c
-
-    def _adopt(self, a):
-        """Check a, tol and domain, and store a, read-only, as coeffs."""
+        the constructor's copy: a, tol and domain are checked, and a is made
+        read-only."""
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise ValidationError(
                 f"coefficients must form a 2-D matrix, got shape {a.shape!r}")
         # min and max propagate NaN: no grid-sized mask beside the copy
         if not (math.isfinite(a.min()) and math.isfinite(a.max())):
             raise ValidationError("coefficients must be finite")
-        tol = _require_real(self.tol, "tol")
+        tol = _require_real(tol, "tol")
         if not (math.isfinite(tol) and tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
-        if not isinstance(self.domain, Domain2):
-            raise ValidationError(f"domain must be a Domain2, got {self.domain!r}")
-        a.setflags(write=False)
-        object.__setattr__(self, "coeffs", a)
-        object.__setattr__(self, "tol", tol)
+        if not isinstance(domain, Domain2):
+            raise ValidationError(f"domain must be a Domain2, got {domain!r}")
+        return cls._of(a, domain, tol)
+
+    def __eq__(self, other):
+        return (type(other) is type(self)
+                and (self.domain, self.tol) == (other.domain, other.tol)
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    __hash__ = None
 
     @property
     def degree_x(self):
@@ -173,65 +219,76 @@ class Cheb2:
         return self.coeffs.shape[1] - 1
 
 
-@dataclass(frozen=True)
-class SparseCoeffs:
-    """Trimmed coefficients as sorted (row, col, value) triplets.
+class SparseCoeffs(_Record):
+    """Trimmed coefficients: the persistence form.
 
-    This is the persistence form: no zero values, integer indices within the
-    degree bounds (below 2^63), strictly increasing lexicographic order.
-    load checks a document's fields with this constructor.
+    The entries are three read-only arrays, rows and cols (int64) and
+    values (float64): no zero or non-finite value, indices within the
+    degree bounds (below 2^63), and (row, col) in strictly increasing
+    lexicographic order.  The constructor takes them as a list or tuple of
+    [row, col, value] triples, as load reads them, and checks them one at a
+    time as it fills the arrays (_entry_arrays); ``entries`` builds the
+    triples again, of ints and floats, on each call.  load checks a
+    document's fields with this constructor.
     """
 
-    degree_x: int
-    degree_y: int
-    domain: Domain2
-    tol: float
-    entries: tuple
+    __slots__ = ("degree_x", "degree_y", "domain", "tol", "rows", "cols", "values")
+    _FIELDS = ("degree_x", "degree_y", "domain", "tol", "entries")
 
-    def __post_init__(self):
-        degree_x = _index(self.degree_x, "degree_x")
-        degree_y = _index(self.degree_y, "degree_y")
+    def __new__(cls, degree_x, degree_y, domain, tol, entries):
+        degree_x, degree_y = _index(degree_x, "degree_x"), _index(degree_y, "degree_y")
         if degree_x < 0 or degree_y < 0:
             raise ValidationError("degrees must be nonnegative")
         if max(degree_x, degree_y) >= 2 ** 63:  # keeps the budget's arithmetic in range
             raise ValidationError("degrees must be below 2^63")
-        if not isinstance(self.domain, Domain2):
-            raise ValidationError(f"domain must be a Domain2, got {self.domain!r}")
-        tol = _require_real(self.tol, "tol")
+        if not isinstance(domain, Domain2):
+            raise ValidationError(f"domain must be a Domain2, got {domain!r}")
+        tol = _require_real(tol, "tol")
         if not (math.isfinite(tol) and tol >= 0):
             raise ValidationError("tol must be finite and >= 0")
-        if not isinstance(self.entries, (list, tuple)):
+        if not isinstance(entries, (list, tuple)):
             raise ValidationError("entries must be a list or tuple, got "
-                                  f"{type(self.entries).__name__}")
-        normalized = []
-        previous = None
-        for entry in self.entries:
-            # type() tests cost less per entry than isinstance
-            if type(entry) is not tuple and type(entry) is not list or len(entry) != 3:
-                raise ValidationError(
-                    f"each entry must be [row, col, value], got {reprlib.repr(entry)}")
-            i, j, v = entry
-            # plain ints and floats, as trim and load give, skip the calls
-            if not (type(i) is int and type(j) is int):
-                i, j = _index(i, "entry row"), _index(j, "entry column")
-            if type(v) is not float:
-                v = _require_real(v, f"entry ({i}, {j}) value")
-            if not (0 <= i <= degree_x and 0 <= j <= degree_y):
-                raise ValidationError(
-                    f"entry index ({i}, {j}) outside degree bounds "
-                    f"({degree_x}, {degree_y})")
-            if v == 0.0 or not math.isfinite(v):
-                raise ValidationError(
-                    f"entry ({i}, {j}) has invalid value {v!r}")
-            if previous is not None and (i, j) <= previous:
-                raise ValidationError(
-                    f"entries not strictly increasing at ({i}, {j})")
-            previous = (i, j)
-            normalized.append((i, j, v))
-        object.__setattr__(self, "degree_x", degree_x)
-        object.__setattr__(self, "degree_y", degree_y)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "entries", tuple(normalized))
+                                  f"{type(entries).__name__}")
+        return cls._of(degree_x, degree_y, domain, tol,
+                       *_entry_arrays(entries, degree_x, degree_y))
+
+    @property
+    def entries(self):
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
+
+
+def _entry_arrays(entries, degree_x, degree_y):
+    """The rows, cols and values arrays of [row, col, value] entries, each
+    checked in order: the first bad one raises ValidationError naming it.
+    Indices are bounded before their int64 conversion; numpy integer
+    indices, int values and float subclasses pass as ints and floats."""
+    rows, cols, values = [], [], []
+    # the previous index pair, below every valid one
+    pi, pj = -1, 0
+    for entry in entries:
+        # type() tests cost less per entry than isinstance
+        if type(entry) is not tuple and type(entry) is not list or len(entry) != 3:
+            raise ValidationError(
+                f"each entry must be [row, col, value], got {reprlib.repr(entry)}")
+        i, j, v = entry
+        # plain ints and floats, as load gives, skip the calls
+        if not (type(i) is int and type(j) is int):
+            i, j = _index(i, "entry row"), _index(j, "entry column")
+        if type(v) is not float:
+            v = _require_real(v, f"entry ({i}, {j}) value")
+        if not (0 <= i <= degree_x and 0 <= j <= degree_y):
+            raise ValidationError(f"entry index ({i}, {j}) outside degree bounds "
+                                  f"({degree_x}, {degree_y})")
+        if v == 0.0 or not math.isfinite(v):
+            raise ValidationError(f"entry ({i}, {j}) has invalid value {v!r}")
+        if i < pi or i == pi and j <= pj:
+            raise ValidationError(f"entries not strictly increasing at ({i}, {j})")
+        pi, pj = i, j
+        rows.append(i)
+        cols.append(j)
+        values.append(v)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(values, dtype=float))
 
 
 def _index(v, what):
@@ -506,12 +563,12 @@ def _sparse_trimmed(a, tol, domain):
 
 
 def to_sparse(c):
-    """SparseCoeffs carrying every stored nonzero of a Cheb2."""
+    """SparseCoeffs carrying every stored nonzero of a Cheb2: the arrays of
+    np.nonzero and the values they index, which hold the invariants by
+    construction, with no check and no copy."""
     rows, cols = np.nonzero(c.coeffs)
-    if rows.size == 0:
-        return SparseCoeffs(0, 0, c.domain, c.tol, ())
-    entries = tuple(zip(rows.tolist(), cols.tolist(), c.coeffs[rows, cols].tolist()))
-    return SparseCoeffs(int(rows.max()), int(cols.max()), c.domain, c.tol, entries)
+    return SparseCoeffs._of(int(rows.max(initial=0)), int(cols.max(initial=0)),
+                            c.domain, c.tol, rows, cols, c.coeffs[rows, cols])
 
 
 def to_cheb2(sparse):
@@ -522,8 +579,7 @@ def to_cheb2(sparse):
         f"a dense {sparse.degree_x + 1} x {sparse.degree_y + 1} coefficient matrix",
         (sparse.degree_x + 1) * (sparse.degree_y + 1))
     coeffs = np.zeros((sparse.degree_x + 1, sparse.degree_y + 1))
-    for i, j, v in sparse.entries:
-        coeffs[i, j] = v
+    coeffs[sparse.rows, sparse.cols] = sparse.values
     return Cheb2._owning(coeffs, sparse.domain, sparse.tol)
 
 
@@ -632,29 +688,35 @@ def evaluate_grid(c, xs, ys):
 
 _DOC_KEYS = ("degree_x", "degree_y", "domain", "tol", "entries")
 
+# Entries that document_text formats at a time: the Python ints and floats
+# of one block are alive at once, not the whole document's.
+_DOC_BLOCK = 4096
+
 
 def document_text(sparse):
     """JSON text of a sparse coefficient document, one entry per line.
 
     Reals are written with 17 significant digits so that save/load is an
-    exact round trip and repeated saves are byte-identical.
+    exact round trip and repeated saves are byte-identical.  The entries
+    are formatted _DOC_BLOCK at a time and the blocks joined once, so the
+    text is held twice, and a save to a file encodes a third copy.  Three
+    copies of the longest line, 80 bytes, are charged per entry before
+    any is formatted: over the grid budget, ValidationError.
     """
+    n = sparse.values.size
+    _check_grid_budget(f"the text of a {n}-entry coefficient document", 30 * n)
     d = sparse.domain
-    lines = [
-        "{",
-        f'  "degree_x": {sparse.degree_x},',
-        f'  "degree_y": {sparse.degree_y},',
-        '  "domain": [%.17g, %.17g, %.17g, %.17g],' % (d.xlo, d.xhi, d.ylo, d.yhi),
-        '  "tol": %.17g,' % sparse.tol,
-    ]
-    if sparse.entries:
-        lines.append('  "entries": [')
-        lines.append(",\n".join("    [%d, %d, %.17g]" % entry for entry in sparse.entries))
-        lines.append("  ]")
-    else:
-        lines.append('  "entries": []')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    parts = ['{\n  "degree_x": %d,\n  "degree_y": %d,\n'
+             '  "domain": [%.17g, %.17g, %.17g, %.17g],\n  "tol": %.17g,\n  "entries": ['
+             % (sparse.degree_x, sparse.degree_y, d.xlo, d.xhi, d.ylo, d.yhi, sparse.tol)]
+    entry = "    [%d, %d, %.17g]".__mod__
+    for lo in range(0, n, _DOC_BLOCK):
+        block = slice(lo, lo + _DOC_BLOCK)
+        lines = map(entry, zip(sparse.rows[block].tolist(), sparse.cols[block].tolist(),
+                               sparse.values[block].tolist()))
+        parts += (",\n" if lo else "\n", ",\n".join(lines))
+    parts.append("\n  ]\n}\n" if n else "]\n}\n")
+    return "".join(parts)
 
 
 def save(sparse, sink):
@@ -708,6 +770,8 @@ def load(source):
                        max(len(text), (len(text) + 7) // 8
                            + 32 * (text.count("[") + text.count("{"))
                            + 8 * (text.count(",") + text.count(":") + text.count('"'))))
+    import json  # here, not at the top: only load parses JSON
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

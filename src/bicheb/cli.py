@@ -23,10 +23,11 @@ commands that take it (approx, integrate, interp); the others ignore
 BICHEB_TOL.  So every command fails in one order: a bad argument first,
 then eval's --points-file, then the coefficient document, then the work.
 
-The parser's and the builder's functions are looked up in the package when
-they are first called, which loads their modules then: only a formula
-argument loads ``bicheb.exprparse``, and only ``approx`` and ``integrate
---expr`` load ``bicheb.builder``.
+The parser's, the builder's and the calculus' functions are looked up in
+the package when they are first called, which loads their modules then:
+only a formula argument loads ``bicheb.exprparse``, only ``approx`` and
+``integrate --expr`` load ``bicheb.builder``, and only ``integrate`` and
+``diff`` load ``bicheb.calculus``.
 
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
@@ -59,7 +60,6 @@ import numpy as np
 
 import bicheb
 
-from .calculus import _derivative, integrate
 from .chebcore import (
     Cheb2,
     Domain2,
@@ -155,7 +155,7 @@ def _write_document(sparse, output):
     save(sparse, output)
     print(f"wrote {output}")
     print(f"degrees: {sparse.degree_x} {sparse.degree_y}")
-    print(f"nonzero coefficients: {len(sparse.entries)}")
+    print(f"nonzero coefficients: {sparse.values.size}")
 
 
 def cmd_approx(args):
@@ -335,11 +335,13 @@ def cmd_integrate(args):
     else:
         c = bicheb.build_adaptive(args.expr, args.tol, n0=args.n0, max_n=args.max_n,
                                   domain=args.domain, relative=args.relative_tol)
-    print("%.17g" % integrate(c))
+    print("%.17g" % bicheb.integrate(c))
     return EXIT_OK
 
 
 def cmd_diff(args):
+    from .calculus import _derivative  # here, as only diff differentiates
+
     c = to_cheb2(load(args.input))
     # the input's dense matrix and its derivative's, which the trim zeroes
     # in place: the two matrices the command holds, charged before the second

@@ -1,8 +1,9 @@
 """Tests for approximant construction, evaluation, quality and persistence."""
 
-import dataclasses
+import copy
 import io
 import math
+import pickle
 import re
 import sys
 import threading
@@ -494,7 +495,8 @@ class TestBuildAdaptive:
 
     def test_pass_over_budget_refused_before_allocation(self, monkeypatch):
         # a budget that holds the pass at degree bound 512 but not at 1024
-        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+                + chebcore._basis_entries(512, 512, 2 * builder._CHECK_NODES.size))
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
         degrees = []
         transform = chebcore._lobatto_coeffs
@@ -719,7 +721,8 @@ class TestLowRankPhase:
         # the budget holds the tensor pass at degree bound 512 but not the
         # bump's 1025 x 1025 dense matrix: phase 2 stops before it, and
         # phase 1 refuses its own pass at 1024
-        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+                + chebcore._basis_entries(512, 512, 2 * builder._CHECK_NODES.size))
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
         refused = []
         check = chebcore._check_grid_budget
@@ -1354,7 +1357,7 @@ class TestParsevalIndicator:
         assert abs(value) <= 1e-12
 
     def test_grid_per_axis(self):
-        # degrees 5 and 0 need 16 and 2: the smallest powers of two >= 2 (d + 1)
+        # degrees 5 and 0 need 8 and 1: the smallest powers of two above d
         shapes = []
 
         def f(x, y):  # T_5(x)
@@ -1363,11 +1366,24 @@ class TestParsevalIndicator:
 
         c = bc.Cheb2([[0.0]] * 5 + [[1.0]])
         assert abs(bc.parseval_indicator(c, f)) <= 1e-14
-        assert shapes == [(17, 3)]
+        assert shapes == [(9, 2)]
+
+    def test_truncated_bump_is_flagged_on_the_smallest_exact_grid(self):
+        # the bump's degree-200 corner misses about 2.8e-7 of its mass, and
+        # the rule sees it on Lobatto(256), exact for the corner's square
+        c = bc.truncate(bc.build_adaptive(narrow_bump, 1e-14, relative=True), 200, 200)
+        shapes = []
+
+        def f(x, y):
+            shapes.append(np.broadcast(x, y).shape)
+            return narrow_bump(x, y)
+
+        assert bc.parseval_indicator(c, f) > 1e-7
+        assert shapes == [(257, 257)]
 
     def test_over_budget_refused_before_sampling(self, monkeypatch):
         # the samples and f's result: 2 x 8193 x 5 doubles, 0.66 MB
-        c = bc.Cheb2(np.ones((3000, 2)))
+        c = bc.Cheb2(np.ones((6000, 3)))
         calls = []
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 2 ** 19)
         with pytest.raises(ValidationError, match="8193 x 5 grid needs .* budget"):
@@ -1381,7 +1397,7 @@ class TestParsevalIndicator:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValidationError,
-                               match=r"overflowed on its 5 x 5 grid.* 1\.000e\+307"):
+                               match=r"overflowed on its 3 x 3 grid.* 1\.000e\+307"):
                 bc.parseval_indicator(c, lambda x, y: 1e307 * x * y)
 
     @pytest.mark.parametrize("case", ["example2", "runge", "random"])
@@ -1395,9 +1411,9 @@ class TestParsevalIndicator:
 
             c = bc.build_adaptive(f, 1e-14, relative=True)
         else:
-            # degrees 8 and 4 give the 33 x 17 grid of random samples
+            # degrees 16 and 8 give the 33 x 17 grid of random samples
             rng = np.random.default_rng(17)
-            c = bc.Cheb2(0.2 * rng.standard_normal((9, 5)))
+            c = bc.Cheb2(0.2 * rng.standard_normal((17, 9)))
             table = rng.standard_normal((33, 17))
             nodes_x, nodes_y = chebcore.lobatto_nodes(32), chebcore.lobatto_nodes(16)
 
@@ -1631,8 +1647,9 @@ class TestPersistence:
     def test_to_sparse_keeps_every_stored_nonzero(self, cosxy):
         c = bc.Cheb2(cosxy.coeffs, bc.Domain2(0.0, 2.0, -1.0, 3.0), 1e-15)
         sparse = bc.to_sparse(c)
-        assert sparse == dataclasses.replace(
-            bc.trim(c.coeffs, 0.0, c.domain), tol=1e-15)
+        trimmed = bc.trim(c.coeffs, 0.0, c.domain)
+        assert sparse == bc.SparseCoeffs(trimmed.degree_x, trimmed.degree_y,
+                                         c.domain, 1e-15, trimmed.entries)
         assert np.array_equal(bc.to_cheb2(sparse).coeffs, c.coeffs)
 
     @pytest.mark.parametrize("degrees, entry", [
@@ -1725,3 +1742,122 @@ class TestPersistence:
             bc.SparseCoeffs(0, 0, domain, 0.0, ())
         with pytest.raises(ValidationError, match="Domain2"):
             bc.Cheb2(np.ones((2, 2)), domain)
+
+
+class TestValueTypes:
+    """Domain2, Cheb2 and SparseCoeffs: immutable, with the fields, repr,
+    == and hash that they had as frozen dataclasses, apart from Cheb2's
+    ==, which compares arrays, and its hash, which it does not have."""
+
+    @staticmethod
+    def values():
+        domain = bc.Domain2(0.0, 2.0, -1.0, 3.0)
+        return [domain, bc.Cheb2([[1.0, 0.5], [0.25, 0.0]], domain, 1e-15),
+                bc.SparseCoeffs(1, 1, domain, 0.0, ((0, 0, 1.0), (1, 1, 2.0)))]
+
+    @pytest.mark.parametrize("kind", range(3), ids=["Domain2", "Cheb2", "SparseCoeffs"])
+    def test_fields_cannot_change(self, kind):
+        value = self.values()[kind]
+        for name in value._FIELDS:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) is before or name == "entries"
+        with pytest.raises(AttributeError):
+            value.other = 1
+
+    def test_repr(self):
+        domain, c, sparse = self.values()
+        assert repr(domain) == "Domain2(xlo=0.0, xhi=2.0, ylo=-1.0, yhi=3.0)"
+        assert repr(bc.UNIT_SQUARE) == "Domain2(xlo=-1.0, xhi=1.0, ylo=-1.0, yhi=1.0)"
+        assert repr(sparse) == (
+            "SparseCoeffs(degree_x=1, degree_y=1, domain=Domain2(xlo=0.0, xhi=2.0, "
+            "ylo=-1.0, yhi=3.0), tol=0.0, entries=((0, 0, 1.0), (1, 1, 2.0)))")
+        assert repr(c).startswith("Cheb2(coeffs=array([[1.  , 0.5 ],")
+
+    def test_domain_and_document_equality_and_hash(self):
+        domain, _, sparse = self.values()
+        same = bc.load(io.StringIO(bc.document_text(sparse)))
+        assert same == sparse and hash(same) == hash(sparse)
+        ints = bc.Domain2(0, 2, -1, 3)
+        assert ints == domain and hash(ints) == hash(domain)
+        assert {domain: 1}[bc.Domain2(0.0, 2.0, -1.0, 3.0)] == 1
+        assert domain != bc.UNIT_SQUARE and domain != (0.0, 2.0, -1.0, 3.0)
+        other = bc.SparseCoeffs(1, 1, domain, 0.0, ((0, 0, 1.0), (1, 1, 2.5)))
+        assert other != sparse and sparse != bc.SparseCoeffs(1, 1, domain, 1e-3,
+                                                             sparse.entries)
+
+    def test_cheb2_equality(self):
+        rng = np.random.default_rng(3)
+        big = rng.standard_normal((12, 15))
+        view = bc.Cheb2._owning(big[1::2, ::3], bc.UNIT_SQUARE, 1e-15)
+        assert not view.coeffs.flags.c_contiguous
+        copy = bc.Cheb2(view.coeffs.copy(), bc.UNIT_SQUARE, 1e-15)
+        assert view == copy and copy == view and not view != copy
+        assert view != bc.Cheb2(copy.coeffs, bc.UNIT_SQUARE, 0.0)
+        assert view != bc.Cheb2(copy.coeffs, bc.Domain2(-1.0, 1.0, -1.0, 2.0), 1e-15)
+        assert view != bc.Cheb2(copy.coeffs[:, :-1], bc.UNIT_SQUARE, 1e-15)
+        changed = copy.coeffs.copy()
+        changed[-1, -1] = np.nextafter(changed[-1, -1], np.inf)
+        assert view != bc.Cheb2(changed, bc.UNIT_SQUARE, 1e-15)
+        # array_equal: -0.0 equals 0.0
+        assert bc.Cheb2([[0.0, 1.0]]) == bc.Cheb2([[-0.0, 1.0]])
+        assert view != view.coeffs and view != 1.0
+
+    def test_cheb2_is_unhashable(self):
+        c = self.values()[1]
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(c)
+
+    @pytest.mark.parametrize("kind", range(3), ids=["Domain2", "Cheb2", "SparseCoeffs"])
+    def test_copy_and_pickle_rebuild_through_the_constructor(self, kind):
+        value = self.values()[kind]
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+
+    def test_document_stores_read_only_arrays(self, cosxy):
+        loaded = bc.load(io.StringIO(bc.document_text(bc.to_sparse(cosxy))))
+        built = bc.to_sparse(cosxy)
+        for sparse in (loaded, built):
+            assert [a.dtype for a in (sparse.rows, sparse.cols, sparse.values)] == \
+                [np.int64, np.int64, np.float64]
+            assert not any(a.flags.writeable for a in (sparse.rows, sparse.cols,
+                                                       sparse.values))
+        rows, cols = np.nonzero(cosxy.coeffs)
+        assert np.array_equal(built.rows, rows) and np.array_equal(built.cols, cols)
+        assert np.array_equal(built.values, cosxy.coeffs[rows, cols])
+        assert loaded == built
+
+    @pytest.mark.parametrize("entries, message", [
+        ([[0, 0, 1.0], [3, 0, 1.0], [0.5, 0, 1.0]],
+         r"entry index \(3, 0\) outside degree bounds \(2, 2\)"),
+        ([[0, 0, 1.0], [0.5, 0, 1.0], [3, 0, 1.0]], "entry row must be an integer"),
+        ([[0, 0, 1.0], [1, 1, 0.0], [1, 0, 1.0]], r"entry \(1, 1\) has invalid value 0\.0"),
+        ([[0, 0, 1.0], [1, 1, 1.0], [1, 0, 1.0], [2, 2, 0.0]],
+         r"entries not strictly increasing at \(1, 0\)"),
+        ([[0, 0, 1.0], [0, 0, 2.0]], r"entries not strictly increasing at \(0, 0\)"),
+        ([[0, 1, 1.0], [1, 0, 10 ** 400]],
+         r"entry \(1, 0\) value is too large for a double"),
+        ([[0, 0, 1.0], [1, 2 ** 64, 1.0]],
+         r"entry index \(1, 18446744073709551616\) outside degree bounds"),
+        ([[0, 0, 1.0], [-1, 0, 1.0]], r"entry index \(-1, 0\) outside degree bounds"),
+        ([[0, 0, float("nan")], [0, 1, 1.0, 5]], r"entry \(0, 0\) has invalid value nan"),
+        ([[0, 0, 1.0], [0, 1, 1.0, 5]], r"each entry must be \[row, col, value\], got "
+                                        r"\[0, 1, 1\.0, 5\]"),
+        ([[0, 0, 1.0], [1, 1, True]], r"entry \(1, 1\) value must be a number"),
+    ], ids=["bounds-before-type", "type-before-bounds", "zero", "order", "repeat",
+            "huge-value", "huge-index", "negative-index", "nan-before-shape", "shape",
+            "bool-value"])
+    def test_first_bad_entry_is_named(self, entries, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            bc.SparseCoeffs(2, 2, bc.UNIT_SQUARE, 0.0, entries)
+
+    def test_numpy_and_int_entries_are_stored_as_arrays(self):
+        sparse = bc.SparseCoeffs(3, 3, bc.UNIT_SQUARE, 0.0,
+                                 [[np.uint8(0), 1, 2], (1, np.int64(0), np.float64(0.5)),
+                                  [3, 3, 2 ** 64]])
+        assert sparse.entries == ((0, 1, 2.0), (1, 0, 0.5), (3, 3, 2.0 ** 64))
+        assert sparse.values.dtype == np.float64 and sparse.rows.dtype == np.int64

@@ -15,7 +15,7 @@ import pytest
 
 import bicheb as bc
 import bicheb.paper as bp
-from bicheb import calculus, chebcore, cli
+from bicheb import builder, calculus, chebcore, cli
 from bicheb.errors import ValidationError
 from bicheb.cli import (
     EXIT_CONVERGENCE,
@@ -132,21 +132,22 @@ class TestApprox:
         assert not (tmp_path / "o.json").exists()
 
     def test_indicator_over_budget_is_skipped(self, capsys, tmp_path, monkeypatch):
-        # the budget cut after the build, so that only the indicator is over it
+        # the budget cut while the indicator runs, so that only the indicator
+        # is over it: the build and the document's text are charged too
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, "approx", "cos(x*y)", "-o", str(first))[0] == EXIT_OK
-        build = bc.build_adaptive
+        indicator = bc.parseval_indicator
 
-        def build_then_shrink_budget(*args, **kwargs):
-            c = build(*args, **kwargs)
-            monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8)
-            return c
+        def indicator_on_a_cut_budget(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(chebcore, "_GRID_BUDGET", 8)
+                return indicator(*args)
 
-        monkeypatch.setattr(bc, "build_adaptive", build_then_shrink_budget)
+        monkeypatch.setattr(bc, "parseval_indicator", indicator_on_a_cut_budget)
         code, out, err = run(capsys, "approx", "cos(x*y)", "-o", str(second))
         assert code == EXIT_OK and err == ""
         assert second.read_bytes() == first.read_bytes()
-        assert ("parseval indicator: skipped (the Parseval indicator's 33 x 33 "
+        assert ("parseval indicator: skipped (the Parseval indicator's 17 x 17 "
                 "grid needs") in out and "over the budget" in out
 
     def test_indicator_overflow_is_skipped_quietly(self, tmp_path):
@@ -155,7 +156,7 @@ class TestApprox:
                               cwd=tmp_path, capture_output=True, text=True)
         assert result.returncode == EXIT_OK and result.stderr == ""
         assert ("parseval indicator: skipped (the Parseval indicator overflowed "
-                "on its 5 x 5 grid") in result.stdout
+                "on its 3 x 3 grid") in result.stdout
         c = bc.build_adaptive(lambda x, y: 1e307 * x * y, 1e-15, relative=True)
         assert (tmp_path / "o.json").read_text() == bc.document_text(bc.to_sparse(c))
         assert bc.load(tmp_path / "o.json").entries == ((1, 1, 1e307),)
@@ -562,8 +563,8 @@ class TestIntegrate:
         need = 8 * max(size, (size + 7) // 8 + 32 * (text.count("[") + text.count("{"))
                        + 8 * (text.count(",") + text.count(":") + text.count('"')))
         parsed = []
-        loads = chebcore.json.loads
-        monkeypatch.setattr(chebcore.json, "loads",
+        loads = json.loads  # load imports json when it runs
+        monkeypatch.setattr(json, "loads",
                             lambda text: parsed.append(text) or loads(text))
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", need - 1)
         with pytest.raises(ValidationError,
@@ -1401,14 +1402,13 @@ class TestImports:
                                 timeout=60)
         assert result.stdout.strip() == "[]"
 
-    # the modules of the package, the CLI, and the documents and their
-    # calculus, which every command loads
-    COMMON = ["bicheb", "bicheb.calculus", "bicheb.chebcore", "bicheb.cli",
-              "bicheb.errors"]
+    # the modules of the package, the CLI and the documents, which every
+    # command loads
+    COMMON = ["bicheb", "bicheb.chebcore", "bicheb.cli", "bicheb.errors"]
 
     @pytest.mark.parametrize("argv, loaded", [
-        (["integrate", "k.json"], []),
-        (["diff", "k.json", "--axis", "x", "-o", "d.json"], []),
+        (["integrate", "k.json"], ["bicheb.calculus"]),
+        (["diff", "k.json", "--axis", "x", "-o", "d.json"], ["bicheb.calculus"]),
         (["eval", "k.json", "--point", "0,0"], []),
         (["export", "k.json", "--resolution", "3", "-o", "g.csv"], []),
         (["eval", "k.json", "--point", "0,0", "--compare-expr", "x*y"],
@@ -1418,7 +1418,8 @@ class TestImports:
         (["interp", "x*y", "-n", "2", "-m", "2", "-o", "i.json"],
          ["bicheb.exprparse"]),
         (["approx", "x*y", "-o", "a.json"], ["bicheb.builder", "bicheb.exprparse"]),
-        (["integrate", "--expr", "x*y"], ["bicheb.builder", "bicheb.exprparse"]),
+        (["integrate", "--expr", "x*y"],
+         ["bicheb.builder", "bicheb.calculus", "bicheb.exprparse"]),
     ], ids=["integrate", "diff", "eval", "export", "eval-compare",
             "export-compare", "interp", "approx", "integrate-expr"])
     def test_each_command_loads_only_what_it_runs(self, tmp_path, argv, loaded):
@@ -1434,6 +1435,16 @@ class TestImports:
         code, modules = json.loads(result.stdout.splitlines()[-1])
         assert code == EXIT_OK and result.stderr == ""
         assert modules == sorted(self.COMMON + loaded)
+
+    def test_cli_import_adds_no_unused_module(self):
+        # after numpy, which every command needs: json only parses documents
+        # in load, the value types are not dataclasses, and the calculus is
+        # loaded by integrate and diff
+        script = ("import sys, numpy; before = set(sys.modules); import bicheb.cli; "
+                  "print(sorted({'json', 'dataclasses', 'bicheb.calculus'} "
+                  "& (set(sys.modules) - before)))")
+        result = _python("-c", script, capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
     def test_bare_import_loads_no_submodule(self):
         script = ("import sys, bicheb; "
@@ -1457,3 +1468,68 @@ class TestImports:
         for name in self.ORACLES:
             assert callable(getattr(bp, name)), name
         assert not hasattr(bp, "SampleGrid")
+
+
+BUMP = "exp(-5000*((x-0.31)^2+(y+0.17)^2))"
+
+
+class TestEveryCommandCharges:
+    """Each command, on a small, a large and a wide document, holds no more
+    than its largest charge to the grid budget, plus an allowance for Python
+    objects such as the parser's and one block of a document's text.  A
+    path that allocates before or without its charge fails here, whichever
+    command it is in: writing a document and the builder's off-grid check
+    did, on the bump and on cos(2000 x), before they were charged."""
+
+    ALLOWANCE = 2 ** 20
+
+    # each document's formula, the options that build it, and interp's
+    # degrees; the wide document is not built but written, one entry at
+    # degree 3000, and its formula has degree 4086 in x
+    DOCUMENTS = {
+        "cosxy": ("cos(x*y)", [], ["-n", "32", "-m", "32"]),
+        "bump": (BUMP, ["--tol", "1e-14", "--relative-tol"], ["-n", "512", "-m", "512"]),
+        "wide": ("cos(2000*x)", [], ["-n", "3000", "-m", "1"]),
+    }
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("charges")
+        for name, (formula, options, _) in self.DOCUMENTS.items():
+            if name != "wide":
+                assert main(["approx", formula, *options, "-o",
+                             str(folder / f"{name}.json")]) == EXIT_OK
+        TestOptions.write_one_entry(folder / "wide.json", 3000)
+        return folder
+
+    @pytest.mark.parametrize("document", sorted(DOCUMENTS))
+    @pytest.mark.parametrize("command", ["approx", "eval", "export", "interp",
+                                         "integrate", "diff"])
+    def test_peak_within_the_largest_charge(self, capsys, folder, monkeypatch,
+                                            document, command):
+        formula, options, degrees = self.DOCUMENTS[document]
+        path = str(folder / f"{document}.json")
+        out = str(folder / "out")
+        argv = {"approx": ["approx", formula, *options, "-o", out],
+                "eval": ["eval", path, "--compare-expr", formula, "-o", out],
+                "export": ["export", path, "--resolution", "200", "-o", out],
+                "interp": ["interp", formula, *degrees, "--verify", "-o", out],
+                "integrate": ["integrate", path],
+                "diff": ["diff", path, "--axis", "y", "-o", out]}[command]
+        charged = []
+        charge = chebcore._check_grid_budget
+
+        def record(what, entries, error=ValidationError):
+            charged.append(entries)
+            charge(what, entries, error)
+
+        for module in (builder, calculus, chebcore, cli):
+            monkeypatch.setattr(module, "_check_grid_budget", record)
+        tracemalloc.start()
+        try:
+            code = run(capsys, *argv)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 8 * max(charged) + self.ALLOWANCE
