@@ -14,7 +14,10 @@ its tensor passes and its slice passes share, one function per part:
   the new nodes only (_sample_new);
 - once both tails pass, the trimmed approximant must also match f at a
   fixed set of off-grid check points, within (nx + 1)(ny + 1) times the
-  threshold (build_adaptive's rejection).
+  threshold (build_adaptive's rejection); it is evaluated at the check
+  points' unit coordinates, whose Chebyshev bases every build in the
+  process reads from one table, filled as far as checks have needed
+  (_check_basis).
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
 overflows give a tail that is not finite, and the build stops there.
@@ -60,6 +63,7 @@ of ``bicheb.build_adaptive`` or ``bicheb.parseval_indicator``.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -73,11 +77,12 @@ from .chebcore import (
     _index,
     _is_power_of_two,
     _lobatto_coeffs,
+    _recurrence,
     _require_real,
     _sample_on,
     _transform_entries,
     _trim_in_place,
-    evaluate_grid,
+    cheb_basis,
     lobatto_nodes,
 )
 from .errors import ConvergenceError, ValidationError
@@ -86,6 +91,19 @@ from .errors import ConvergenceError, ValidationError
 # i = 0..32, without the centre i = 16.  (2i + 1) / 66 = j / 2^k forces
 # 2i + 1 = 33, so no other point is a node of a power-of-two Lobatto grid.
 _CHECK_NODES = np.delete(np.cos((np.arange(33) + 0.5) * np.pi / 33), 16)
+
+# Row k of _check_table is T_k(_CHECK_NODES), for k up to _CHECK_DEGREE, the
+# default max_n: one table for both axes of every build in the process.  It
+# is allocated once, 4097 x 32 doubles (about 1 MiB of address space).  Its
+# first _check_rows rows are filled, T_0 and T_1 here and the others under
+# _check_lock only as far as a check has needed (_check_basis); a filled
+# row is never written again.
+_CHECK_DEGREE = 4096
+_check_table = np.empty((_CHECK_DEGREE + 1, _CHECK_NODES.size))
+_check_table[0] = 1.0
+_check_table[1] = _CHECK_NODES
+_check_rows = 2
+_check_lock = threading.Lock()
 
 # The builder's rank test runs once, on the first pass that fails its tail
 # test and whose next grid would hold at least _RANK_ENTRIES entries (a
@@ -100,6 +118,23 @@ _MAX_RANK = 8
 def _bounds(nx, ny):
     """'degree bound N' for a square grid, 'degree bounds NX x NY' otherwise."""
     return f"degree bound {nx}" if nx == ny else f"degree bounds {nx} x {ny}"
+
+
+def _check_basis(degree):
+    """T_k(_CHECK_NODES) for k = 0..degree, one row per degree: the leading
+    rows of _check_table, filled first by the recurrence of cheb_basis if a
+    check has not yet needed them, so their bits are cheb_basis's.  Above
+    _CHECK_DEGREE, a new array from cheb_basis, which is not kept."""
+    global _check_rows
+    if degree > _CHECK_DEGREE:
+        return cheb_basis(degree, _CHECK_NODES).T
+    with _check_lock:
+        if degree >= _check_rows:
+            _recurrence(_check_table[_check_rows:degree + 1],
+                        _check_table[_check_rows - 2], _check_table[_check_rows - 1],
+                        _CHECK_NODES)
+            _check_rows = degree + 1
+    return _check_table[:degree + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +445,25 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     if not isinstance(domain, Domain2):
         raise ValidationError(f"domain must be a Domain2, got {domain!r}")
 
-    check_x = domain.x_from_unit(_CHECK_NODES)
-    check_y = domain.y_from_unit(_CHECK_NODES)
     reference = None  # f on the check grid, sampled at most once
 
     def rejection(c, nx, ny):
         """None if c, trimmed from the degree bounds (nx, ny), matches f at
         the check points within the bound, else the misfit against it.  The
-        trim drops at most (nx + 1)(ny + 1) entries, each below c.tol."""
+        trim drops at most (nx + 1)(ny + 1) entries, each below c.tol.
+
+        f is sampled at _CHECK_NODES mapped onto the domain, and c is
+        evaluated at _CHECK_NODES themselves, the unit points of those
+        samples, as evaluate_grid evaluates a tensor grid: the bases of the
+        two axes on either side of the coefficients.  The bases are rows
+        of the process's table (_check_basis), not a recurrence per call."""
         nonlocal reference
         if reference is None:
-            reference = _sample_on(f, check_x, check_y)
-        misfit = np.abs(evaluate_grid(c, check_x, check_y) - reference).max()
+            reference = _sample_on(f, domain.x_from_unit(_CHECK_NODES),
+                                   domain.y_from_unit(_CHECK_NODES))
+        basis = _check_basis(max(c.degree_x, c.degree_y))
+        values = basis[:c.degree_x + 1].T @ c.coeffs @ basis[:c.degree_y + 1]
+        misfit = np.abs(values - reference).max()
         bound = (nx + 1) * (ny + 1) * c.tol
         return (None if misfit <= bound
                 else f"off-grid misfit {misfit:.3e} above {bound:.3e}")

@@ -24,7 +24,10 @@ Evaluation has one kernel, the basis matrices of the points on either
 side of the coefficient matrix, both from one run of the Chebyshev
 recurrence over the points of the two axes: ``evaluate_matrix`` takes whole
 arrays of scattered points (in bounded blocks), ``evaluate_grid`` a tensor
-grid.  A scalar point goes through the same kernel as a one-point array.
+grid.  A scalar point goes through the same kernel as a one-point array,
+and the builder's off-grid check forms evaluate_grid's product from the
+bases in its process-wide table (``bicheb.builder._check_basis``), which
+the same recurrence fills.
 Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle, and
 maps its point as the kernel does.  The basis matrices grow with the
 degrees, not with the points' arrays: _basis_entries gives their size,
@@ -70,6 +73,11 @@ _CHUNK_ENTRIES = 2 ** 15
 # intermediates, up to 2 xhi - xlo, stay finite for every point of the
 # rectangle.
 _DOMAIN_LIMIT = sys.float_info.max / 4
+
+# The largest n whose Lobatto nodes the process keeps, the builder's
+# default max_n; _kept_nodes holds them from the first call that needs them.
+_NODES_KEPT = 4096
+_kept_nodes = None
 
 # Bytes the float64 arrays of one grid may take: an evaluation, export or
 # interpolation grid, a document's dense coefficient matrix, or one pass of
@@ -332,15 +340,23 @@ def cheb_basis(n, t):
     by_degree[0] = 1.0
     if n >= 1:
         by_degree[1] = t
+    _recurrence(by_degree[2:], by_degree[0], by_degree[min(n, 1)], t)
+    return np.ascontiguousarray(by_degree.T)
+
+
+def _recurrence(rows, older, old, t):
+    """Fill rows, in place, with T_k(t), T_(k+1)(t), ... from older =
+    T_(k-2)(t) and old = T_(k-1)(t): each row is 2 t old - older.  The one
+    recurrence of cheb_basis and of the builder's table of check bases.  A
+    row's bits depend only on the two rows before it, so a table extended
+    over several calls holds the bits of one run."""
     twice = 2.0 * t
     # the rows as views, taken one at a time as the loop walks them, which
-    # costs less than by_degree[k] and holds three, not one per degree
-    older, old = by_degree[0], by_degree[min(n, 1)]
-    for row in by_degree[2:]:
+    # costs less than rows[k] and holds three, not one per degree
+    for row in rows:
         np.multiply(twice, old, row)
         np.subtract(row, older, row)
         older, old = old, row
-    return np.ascontiguousarray(by_degree.T)
 
 
 def _basis_entries(degree_x, degree_y, points):
@@ -380,9 +396,29 @@ def _is_power_of_two(n):
 
 def lobatto_nodes(n):
     """cos(i pi / n) for i = 0..n, mirrored so node[n-i] equals -node[i]
-    bit-for-bit (an exact 0 in the middle when n is even)."""
+    bit-for-bit (an exact 0 in the middle when n is even).
+
+    For a power of two n up to _NODES_KEPT, the default max_n of the
+    builder, the nodes are a read-only view, every (_NODES_KEPT / n)-th
+    node, of the nodes of _NODES_KEPT, which the process computes on the
+    first such call and keeps (4097 doubles, about 32 KiB).
+    lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit, so the view
+    holds the bits computed for n.  Any other n gives a new array, which
+    is not kept."""
+    global _kept_nodes
     if n < 1:
         raise ValidationError("degenerate degree: need n >= 1")
+    if n <= _NODES_KEPT and _is_power_of_two(n):
+        if _kept_nodes is None:  # threads that race compute the same bits
+            nodes = _computed_nodes(_NODES_KEPT)
+            nodes.setflags(write=False)
+            _kept_nodes = nodes
+        return _kept_nodes[:: _NODES_KEPT // n]
+    return _computed_nodes(n)
+
+
+def _computed_nodes(n):
+    """lobatto_nodes(n) as a new array, n >= 1."""
     nodes = np.empty(n + 1)
     half = n // 2
     nodes[: half + 1] = np.cos(np.pi * np.arange(half + 1) / n)
@@ -756,7 +792,9 @@ def load(source):
     '[' or '{' and 64 per ',', ':' or '"', or 8 bytes per character if that
     is more, which covers the text, the parser's objects and the checked
     entries, whatever the length of their values, and any value under a
-    key that load ignores.
+    key that load ignores.  The parse runs with Python's cyclic garbage
+    collector paused, and load leaves the collector on or off as it found
+    it, whether it returns or raises.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -770,8 +808,15 @@ def load(source):
                        max(len(text), (len(text) + 7) // 8
                            + 32 * (text.count("[") + text.count("{"))
                            + 8 * (text.count(",") + text.count(":") + text.count('"'))))
-    import json  # here, not at the top: only load parses JSON
+    import gc  # here, not at the top: only load parses JSON
+    import json
 
+    # the cyclic collector, left on, walks the growing lists of entries again
+    # and again while they are parsed; the parse makes no cycles.  load of
+    # the bump's 13.3 MB document took ~265 ms with it, ~233 ms without
+    # (in-process medians of 7, 2 vCPUs)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -783,6 +828,9 @@ def load(source):
     except ValueError:  # an integer literal over Python's int-string limit
         raise ParseError("coefficient document holds an integer literal "
                          "too long to convert", 0) from None
+    finally:
+        if collecting:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ValidationError("document root must be an object")
     missing = [k for k in _DOC_KEYS if k not in doc]

@@ -1,15 +1,19 @@
 """Tests for approximant construction, evaluation, quality and persistence."""
 
 import copy
+import gc
 import io
 import math
+import os
 import pickle
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,22 @@ class TestChebBasis:
         assert np.array_equal(bp.cheb_vector(np.int64(3), 0.3), bp.cheb_vector(3, 0.3))
         assert np.array_equal(bc.cheb_basis(np.int64(3), [0.3]), bc.cheb_basis(3, [0.3]))
 
+    def test_leading_columns_are_the_lower_degree_basis(self):
+        # the builder's table of check bases rests on this: T_k's bits do not
+        # depend on how far the recurrence runs past k
+        t = np.concatenate(([-1.0, 0.0, 1.0], builder._CHECK_NODES,
+                            np.random.default_rng(5).uniform(-1.0, 1.0, 29)))
+        full = bc.cheb_basis(700, t)
+        for d in (0, 1, 2, 3, 64, 129, 699):
+            assert np.array_equal(full[:, :d + 1], bc.cheb_basis(d, t))
+
+    def test_check_table_rows_are_cheb_basis(self):
+        # rows filled now or by earlier builds, and the per-call basis
+        # above the table's last degree
+        for d in (0, 1, 5, 300, builder._CHECK_DEGREE, builder._CHECK_DEGREE + 3):
+            assert np.array_equal(builder._check_basis(d),
+                                  bc.cheb_basis(d, builder._CHECK_NODES).T)
+
 
 class TestSampleGrid:
     def test_constant(self):
@@ -242,6 +262,23 @@ class TestLobatto:
         for n in (1, 2, 3, 8, 100, 1024):
             assert np.array_equal(chebcore.lobatto_nodes(2 * n)[::2],
                                   chebcore.lobatto_nodes(n))
+
+    def test_power_of_two_nodes_are_kept_read_only(self):
+        for k in range(13):
+            nodes = chebcore.lobatto_nodes(2 ** k)
+            assert not nodes.flags.writeable
+            assert nodes.base is chebcore._kept_nodes
+            assert nodes.tobytes() == chebcore._computed_nodes(2 ** k).tobytes()
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+        assert chebcore._kept_nodes.nbytes <= 64 * 1024
+
+    @pytest.mark.parametrize("n", [3, 100, 1000, 8192])
+    def test_other_nodes_are_not_kept(self, n):
+        first, second = chebcore.lobatto_nodes(n), chebcore.lobatto_nodes(n)
+        assert first is not second and first.base is None and second.base is None
+        assert first.flags.writeable and np.array_equal(first, second)
+        assert chebcore._kept_nodes is None or chebcore._kept_nodes.size == 4097
 
     def test_second_axis_runs_in_place(self):
         # one grid besides the input, and one chunk's buffers of 256 KiB each
@@ -612,6 +649,91 @@ def recording_expansions(monkeypatch):
 
     monkeypatch.setattr(builder, "_expand", recording)
     return shapes
+
+
+# The six functions of the benchmark's builds, built in a fresh interpreter.
+# argv holds the steps, in order: a name builds that function and prints
+# its name and a digest of its Cheb2, "fill" fills the check table to its
+# last degree, and "threads" builds the six on four threads at once, each
+# in its own order, from frequent thread switches.
+SIX_BUILDS = """
+import hashlib, sys, threading
+import numpy as np
+from bicheb import builder
+
+CASES = {
+    "cosxy": (lambda x, y: np.cos(x * y), 1e-15, False),
+    "example2": (lambda x, y: np.cos(10.0 * x * y ** 2) + np.exp(-x ** 2), 1e-15, False),
+    "sin60cos50": (lambda x, y: np.sin(60.0 * x) * np.cos(50.0 * y), 1e-14, True),
+    "sin80": (lambda x, y: np.sin(80.0 * x) + 0.0 * y, 1e-14, True),
+    "runge": (lambda x, y: 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2)), 1e-14, True),
+    "bump": (lambda x, y: np.exp(-5000.0 * ((x - 0.31) ** 2 + (y + 0.17) ** 2)),
+             1e-14, True),
+}
+NAMES = list(CASES)
+
+def build(name):
+    f, tol, relative = CASES[name]
+    c = builder.build_adaptive(f, tol, relative=relative)
+    digest = hashlib.sha256(c.coeffs.tobytes()).hexdigest()
+    return f"{name} {c.coeffs.shape} {c.tol!r} {digest}"
+
+for step in sys.argv[1:]:
+    if step == "fill":
+        builder._check_basis(builder._CHECK_DEGREE)
+    elif step == "threads":
+        lines = []
+        orders = [NAMES[k:] + NAMES[:k] for k in range(4)]
+        workers = [threading.Thread(target=lambda order: lines.extend(map(build, order)),
+                                    args=(order,)) for order in orders]
+        sys.setswitchinterval(1e-6)
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(lines) == 4 * len(NAMES)
+        print("\\n".join(lines))
+    else:
+        print(build(step))
+"""
+
+
+def six_builds(*steps):
+    """The lines SIX_BUILDS prints for steps, in a fresh interpreter."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(bc.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", SIX_BUILDS, *steps], env=env,
+                            capture_output=True, text=True, timeout=300, check=True)
+    return result.stdout.splitlines()
+
+
+SIX = ("cosxy", "example2", "sin60cos50", "sin80", "runge", "bump")
+
+
+class TestCheckTable:
+    """The builder's process-wide tables leave no trace in its results."""
+
+    def test_builds_do_not_depend_on_the_tables_history(self):
+        # each function first in a fresh process, whose table it fills
+        fresh = [line for name in SIX for line in six_builds(name)]
+        assert [line.split()[0] for line in fresh] == list(SIX)
+        # the table grown build by build, filled past every degree by the
+        # bump first, or filled to its last degree before any build
+        assert six_builds(*SIX) == fresh
+        assert six_builds(*SIX[::-1]) == fresh[::-1]
+        assert six_builds("fill", *SIX) == fresh
+        # four threads at once that race to fill a new table
+        assert sorted(six_builds("threads")) == sorted(fresh * 4)
+
+    def test_build_above_the_table_leaves_it_as_it_was(self):
+        table, rows = builder._check_table, builder._check_rows
+        c = bc.build_adaptive(lambda x, y: np.sin(6000.0 * x) + 0.0 * y, 1e-13,
+                              max_n=8192)
+        assert c.degree_x > builder._CHECK_DEGREE
+        assert builder._check_table is table and table.shape == (4097, 32)
+        assert builder._check_rows == rows <= 4097
 
 
 def assert_same_trim(left, right, threshold):
@@ -1517,6 +1639,25 @@ class TestPersistence:
         bc.save(sparse, buffer)
         loaded = bc.load(io.StringIO(buffer.getvalue()))
         assert loaded == sparse
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_load_leaves_the_collector_as_it_found_it(self, cosxy, collecting):
+        # load pauses the cyclic collector while it parses, and restores it
+        # whether the parse or the checks after it succeed or fail
+        good = bc.document_text(bc.to_sparse(cosxy))
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert bc.load(io.StringIO(good)) == bc.to_sparse(cosxy)
+            assert gc.isenabled() == collecting
+            with pytest.raises(ParseError):
+                bc.load(io.StringIO(good[:-3]))
+            assert gc.isenabled() == collecting
+            with pytest.raises(ValidationError):
+                bc.load(io.StringIO(good.replace('"tol"', '"tolerance"')))
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
 
     def test_round_trip_through_file(self, cosxy, tmp_path):
         sparse = bc.to_sparse(cosxy)
