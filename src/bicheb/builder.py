@@ -3,10 +3,17 @@
 The builder keeps a degree bound per axis and refines by one rule, which
 its tensor passes and its slice passes share, one function per part:
 - the threshold is tol, or with a relative tol, tol times the largest |f|
-  sampled so far (_threshold);
+  sampled so far (_peak);
 - an axis' tail is the largest entry of the last two rows (x) or columns
   (y) of the coefficients, and the axis grows unless its tail is below the
-  threshold or 0 (_tail_test);
+  threshold or 0 (_tail_test).  A tensor pass of 129 x 129 entries or more
+  first estimates its tails from the samples: per axis, one product with
+  two fixed rows of the DCT-I, then the DCT-I of the other axis on the
+  two rows it gives (_tail_rows).  If the estimates prove that
+  the pass fails, by a margin that covers their rounding, the pass takes
+  no 2-D transform: a failing pass reads nothing else of the coefficients
+  (_proven_failure).  A pass that may converge is transformed, and the
+  transform's own tails decide, so the estimates never accept a pass;
 - a growing axis doubles its bound, unless that would pass max_n
   (_doubled);
 - a doubled axis' even-indexed nodes are the previous grid's nodes bit for
@@ -20,7 +27,10 @@ its tensor passes and its slice passes share, one function per part:
   (_check_basis).
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
-overflows give a tail that is not finite, and the build stops there.
+overflows give a tail that is not finite, and the build stops there; a pass
+whose samples could overflow the transform's sums takes no estimate.  If
+the build stops after a pass that skipped its transform, the error takes
+it then for the exact tail it reports.
 
 Most functions worth a large grid have low numerical rank, so the builder
 has a second phase, the construction of Chebfun2 (Townsend and Trefethen,
@@ -48,14 +58,16 @@ same bytes on any number of CPUs.
 A pass holds about two grid-sized arrays: the samples, which f's values
 are written into directly (the previous samples are let go once copied
 in), and one transform array, whose second axis is transformed in place.
-The relative threshold and the trim read and zero the arrays in place,
-with no grid of magnitudes.  f's own result for the new nodes and a
-trimmed copy of the coefficients are the only other large arrays.  The
-budget charges the samples, the previous samples and the transform's two
-grids plus its chunk buffers (_transform_entries), so it covers what a
-pass holds with a grid to spare, and the basis matrices of the off-grid
-check at the pass's bounds (_basis_entries), which outgrow the grid when
-one bound is large.
+A pass proven to fail holds no transform array, only its tail estimates,
+4 (n + m + 2) doubles.  The relative threshold and the trim read and zero
+the arrays in place, with no grid of magnitudes.  f's own result for the
+new nodes and a trimmed copy of the coefficients are the only other large
+arrays.  The budget charges the samples, the previous samples and the
+transform's two grids plus its chunk buffers (_transform_entries), so it
+covers what a pass holds with a grid to spare.  Above _CHECK_DEGREE it
+also charges the basis matrices of the off-grid check at the pass's
+bounds (_basis_entries), which outgrow the grid when one bound is large;
+up to it, the check reads its bases from the process's table.
 
 The transform, the sampling, the trim rule and the grid budget are
 ``bicheb.chebcore``'s.  The package loads this module on the first lookup
@@ -114,6 +126,18 @@ _check_lock = threading.Lock()
 _RANK_ENTRIES = 513 * 513
 _MAX_RANK = 8
 
+# A tensor pass whose grid holds at least _SKIP_ENTRIES entries estimates
+# its tails before it transforms (_proven_failure).  One axis' estimate took
+# 20 us against the transform's 300 us at 129 x 129, 32 against 1,190 at
+# 257 x 257, but 18 against 70 at 65 x 65, where a pass that converges
+# would pay a quarter of a transform for it (best of 5 x 200 calls, 2
+# vCPUs, BLAS at one thread).
+# An estimate decides an axis only by a margin of _ESTIMATE_SLACK times the
+# pass's largest |f|: on random and smooth grids of 129 x 129 to
+# 2049 x 2049 it was within 0.36 eps times that of the transform's tail.
+_SKIP_ENTRIES = 129 * 129
+_ESTIMATE_SLACK = 8 * np.finfo(float).eps
+
 
 def _bounds(nx, ny):
     """'degree bound N' for a square grid, 'degree bounds NX x NY' otherwise."""
@@ -141,13 +165,13 @@ def _check_basis(degree):
 # the refinement rule, shared by the builder's tensor passes and slice passes
 
 
-def _threshold(tol, relative, *samples):
-    """The trim threshold: tol, or with relative tol times the largest |f|
-    in samples, found with no array of magnitudes.  The 0.0 first makes the
-    threshold of samples that are all -0.0 0.0, as their largest |f| is."""
-    if not relative:
-        return tol
-    return tol * max(0.0, *(m for s in samples for m in (s.max(), -s.min())))
+def _peak(*samples):
+    """The largest |f| in samples, found with no array of magnitudes: with
+    a relative tol, the trim threshold is tol times the largest |f| sampled
+    so far.  The 0.0 first makes the peak of samples that are all -0.0 0.0.
+    Python's max of the same doubles is exact, so peaks taken apart and
+    then compared are the peak of all of them."""
+    return float(max(0.0, *(m for s in samples for m in (s.max(), -s.min()))))
 
 
 def _tail_test(last_rows, last_cols, threshold):
@@ -157,6 +181,62 @@ def _tail_test(last_rows, last_cols, threshold):
     even a zero threshold (f zero on the grid)."""
     tails = np.abs(last_rows).max(), np.abs(last_cols).max()
     return tails, [not (t < threshold or t == 0.0) for t in tails]
+
+
+def _failure(tails, grows, threshold, square):
+    """Why a pass whose tails `tails` (x, y) failed the tail test: the
+    larger tail against the threshold, or with unequal bounds (not square)
+    the tail of each axis that grows."""
+    if square:
+        told = f"{max(tails):.3e}"
+    else:
+        told = " and ".join(f"{t:.3e} in {axis}"
+                            for axis, t, grow in zip("xy", tails, grows) if grow)
+    return f"coefficient tail {told} still at or above {threshold:.3e}"
+
+
+def _tail_rows(values, axis):
+    """The last two rows (axis 0) or columns (axis 1, as two rows) of
+    _lobatto_coeffs(values), without the 2-D transform, whose tails they
+    estimate.  Rows n and n - 1 of the DCT-I of n + 1 points are
+    (1/n) w_i (-1)^i and (2/n) w_i (-1)^i x_i, w = (1/2, 1, ..., 1, 1/2)
+    and x = lobatto_nodes(n), as cos((n - 1) i pi / n) = (-1)^i x_i.  The
+    two lines times the samples are the axis' last two rows before the
+    other axis is transformed, and _dct_rows transforms those rows alone.
+    Equal to the transform's tail in exact arithmetic; the two round
+    differently."""
+    grid = values if axis == 0 else values.T
+    n = grid.shape[0] - 1
+    lines = np.empty((2, n + 1))
+    lines[1, ::2] = 1.0 / n
+    lines[1, 1::2] = -1.0 / n
+    lines[1, ::n] *= 0.5
+    np.multiply(lines[1], lobatto_nodes(n), out=lines[0])
+    lines[0] *= 2.0
+    tails = lines @ grid
+    _dct_rows(tails, tails)
+    return tails
+
+
+def _proven_failure(values, threshold, slack, y_first):
+    """[grow_x, grow_y] if tail estimates prove that the pass fails its tail
+    test, else None.  An estimate t clearly fails if t - slack is at or
+    above the threshold and above 0, and clearly passes if t + slack is
+    below the threshold; a tail within slack of the estimate then takes the
+    same decision.  The first axis probed (y if y_first) must clearly fail
+    and the other be decided either way: the first probe that is undecided
+    or passes ends the estimates, so a pass that may converge pays for one
+    and decides on the transform's own tails."""
+    verdicts = []
+    for axis in (1, 0) if y_first else (0, 1):
+        t = np.abs(_tail_rows(values, axis)).max()
+        if t - slack >= threshold and t - slack > 0.0:
+            verdicts.append(True)
+        elif verdicts and t + slack < threshold:
+            verdicts.append(False)
+        else:
+            return None
+    return verdicts[::-1] if y_first else verdicts
 
 
 def _doubled(nx, ny, grow_x, grow_y, max_n, error):
@@ -282,18 +362,20 @@ class _Refused(Exception):
     decides."""
 
 
-def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
-    """Phase 2 of build_adaptive on the phase-1 grid `values` with the pivots
-    (I, J) of _rank_test: the trimmed Cheb2 and its degree bounds (nx, ny),
-    or None if an axis would pass max_n or a step the grid budget.  The
-    Cheb2 is expanded from the block of the rank-r coefficients that the
-    trim can keep (_trimmed_product), and equals the trimmed dense matrix.
+def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
+    """Phase 2 of build_adaptive on the phase-1 grid `values`, whose largest
+    |f| is peak, with the pivots (I, J) of _rank_test: the trimmed Cheb2
+    and its degree bounds (nx, ny), or None if an axis would pass max_n or
+    a step the grid budget.  The Cheb2 is expanded from the block of the
+    rank-r coefficients that the trim can keep (_trimmed_product), and
+    equals the trimmed dense matrix.
 
     The slices refine by the tensor passes' rule.  The threshold covers
-    every sample in hand, the grid's and both slices' (_threshold).  The
-    tails are the last two rows and columns of the rank-r coefficients
-    (_skeleton), and each axis doubles on its own (_tail_test, _doubled,
-    which raises _Refused at max_n).  The slices f(x, y_J), (nx + 1) x r,
+    every sample in hand, the grid's and both slices' (_peak); the grid
+    does not change, so its peak is taken once, by phase 1.  The tails are
+    the last two rows and columns of the rank-r coefficients (_skeleton),
+    and each axis doubles on its own (_tail_test, _doubled, which raises
+    _Refused at max_n).  The slices f(x, y_J), (nx + 1) x r,
     and f(x_I, y), r x (ny + 1), are tensor grids with one refined axis
     each, so a doubled axis samples f at the new nodes of its r slices
     only (_spread, _sample_new).  Each step is charged
@@ -323,7 +405,7 @@ def _slice_phase(f, values, pivots, tol, relative, max_n, domain):
     try:
         charge(nx, ny)
         while True:
-            threshold = _threshold(tol, relative, values, along_x, along_y)
+            threshold = tol * max(peak, _peak(along_x, along_y)) if relative else tol
             cx, cy = np.empty((r, nx + 1)), np.empty((r, ny + 1))
             _dct_rows(along_x.T, cx)
             _dct_rows(along_y, cy)
@@ -354,12 +436,23 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     _sample_new), and the interpolant's coefficients on it are computed.
     The x tail is the largest entry of the last two rows, the y tail that
     of the last two columns; each axis whose tail is at or above the
-    threshold (_threshold) doubles its bound, and the other keeps it
+    threshold (_peak) doubles its bound, and the other keeps it
     (_tail_test, _doubled).  When both tails are below the threshold the
     entries below it are trimmed, and the pass converges if the
     approximant matches f within (nx + 1)(ny + 1) times the threshold at
     32 x 32 fixed check points that are nodes of no power-of-two Lobatto
     grid (rejection); otherwise both bounds double.
+
+    A pass of 129 x 129 entries or more first estimates its tails, each
+    from two fixed rows of the DCT-I times the samples (_tail_rows), the
+    axis the last pass doubled first.  If that axis' estimate fails the
+    threshold by more than a margin of 8 eps times the pass's largest |f|
+    and the other axis' is decided by that margin either way, the pass is
+    proven to fail: it computes no coefficients, and the axes double as
+    the transform's tails would have them (_proven_failure).  Otherwise
+    the pass transforms and its tails decide as above, so an estimate
+    never accepts a pass.  The Runge function's 129 x 129 pass and the
+    bump's 129 x 129 and 257 x 257 passes are proven to fail.
 
     Phase 2: the first pass whose tails fail and whose next grid would hold
     at least 513 x 513 entries runs the rank test, once per build: Gaussian
@@ -426,7 +519,8 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         (or the largest power of two reached from n0).  The message gives
         the tail, and the axis when the bounds differ, against the
         threshold, or the off-grid misfit and its bound when both tails
-        passed; ``tail_magnitude`` is the larger of that pass's two tails.
+        passed; ``tail_magnitude`` is the larger of that pass's two tails,
+        from its transform, which a pass proven to fail takes then.
         Also before a tensor pass whose arrays would exceed the 1 GiB grid
         budget (a phase-2 step over it lets the tensor passes resume):
         the message names its degree bounds and bytes, then why the pass
@@ -469,66 +563,81 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
                 else f"off-grid misfit {misfit:.3e} above {bound:.3e}")
 
     def refused(*message):
-        # the budget's message, if any, then why the last pass failed
+        # the budget's message, if any, then why the last pass failed; a
+        # pass that skipped its transform takes it here, within its charge
+        nonlocal why, tail
         if values is not None:
+            if why is None:
+                coeffs = _lobatto_coeffs(values)
+                tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
+                tail = max(tails)
+                why = _failure(tails, grows, threshold,
+                               values.shape[0] == values.shape[1])
             message += (f"{why} at {_bounds(*(s - 1 for s in values.shape))}",)
         return ConvergenceError("; ".join(message), float(tail))
 
     nx = ny = n0
     values = None
     tail = math.nan
+    grow_x = grow_y = True  # the axes the last pass doubled
     tested = False  # the rank test runs at most once per build
     while True:
-        # the samples, the previous samples, the transform's arrays and the
-        # basis matrices of the off-grid check at these bounds, which
-        # outgrow the grid when one bound is large, checked before any of
-        # them is allocated
+        # the samples, the previous samples and the transform's arrays,
+        # checked before any of them is allocated, and above _CHECK_DEGREE
+        # the basis matrices of the off-grid check, which outgrow the grid
+        # when one bound is large
         held = ((nx + 1) * (ny + 1) + (0 if values is None else values.size)
-                + _transform_entries(nx + 1, ny + 1)
-                + _basis_entries(nx, ny, 2 * _CHECK_NODES.size))
+                + _transform_entries(nx + 1, ny + 1))
+        if max(nx, ny) > _CHECK_DEGREE:
+            held += _basis_entries(nx, ny, 2 * _CHECK_NODES.size)
         _check_grid_budget(f"the pass at {_bounds(nx, ny)}", held, refused)
         xs = domain.x_from_unit(lobatto_nodes(nx))
         ys = domain.y_from_unit(lobatto_nodes(ny))
         if values is None:
             values = _sample_on(f, xs, ys)
-        else:  # grow_x and grow_y name the axes the last pass doubled
+        else:
             values = _spread(values, grow_x, grow_y)
             _sample_new(f, values, xs, ys, grow_x, grow_y)
-        coeffs = _lobatto_coeffs(values)
-        threshold = _threshold(tol, relative, values)
-        (tail_x, tail_y), (grow_x, grow_y) = _tail_test(
-            coeffs[-2:, :], coeffs[:, -2:], threshold)
-        if not (math.isfinite(tail_x) and math.isfinite(tail_y)):
-            peak = max(values.max(), -values.min())
-            raise ValidationError(
-                f"the transform overflowed at {_bounds(nx, ny)}: samples up to "
-                f"{peak:.3e} in magnitude give coefficients that are not finite")
-        tail = max(tail_x, tail_y)
-        tails_failed = grow_x or grow_y
-        if not tails_failed:
-            # Cheb2 copies the kept block, so the pass's grid of
-            # coefficients, often several times its size, is let go
-            c = Cheb2(_trim_in_place(coeffs, threshold), domain, threshold)
-            why = rejection(c, nx, ny)
-            if why is None:
-                return c
-            why += (f" although the coefficient tail {tail:.3e} passed "
-                    f"against {threshold:.3e}")
-            grow_x = grow_y = True
-        elif nx == ny:
-            why = f"coefficient tail {tail:.3e} still at or above {threshold:.3e}"
+        # one scan for the relative threshold, the estimates' margin and
+        # the guard that keeps estimates off samples whose sums overflow
+        large = values.size >= _SKIP_ENTRIES
+        peak = _peak(values) if relative or large else None
+        threshold = tol * peak if relative else tol
+        grows = None
+        if large and math.isfinite(4 * peak * values.size):
+            grows = _proven_failure(values, threshold, _ESTIMATE_SLACK * peak,
+                                    grow_y and not grow_x)
+        if grows is not None:
+            why = None  # refused finds it, if the build stops here
         else:
-            failed = [f"{t:.3e} in {axis}" for axis, t, grow in
-                      (("x", tail_x, grow_x), ("y", tail_y, grow_y)) if grow]
-            why = (f"coefficient tail {' and '.join(failed)} still at or "
-                   f"above {threshold:.3e}")
+            coeffs = _lobatto_coeffs(values)
+            tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
+            if not (math.isfinite(tails[0]) and math.isfinite(tails[1])):
+                raise ValidationError(
+                    f"the transform overflowed at {_bounds(nx, ny)}: samples up "
+                    f"to {_peak(values):.3e} in magnitude give coefficients "
+                    "that are not finite")
+            tail = max(tails)
+            if grows[0] or grows[1]:
+                why = _failure(tails, grows, threshold, nx == ny)
+            else:
+                # Cheb2 copies the kept block, so the pass's grid of
+                # coefficients, often several times its size, is let go
+                c = Cheb2(_trim_in_place(coeffs, threshold), domain, threshold)
+                why = rejection(c, nx, ny)
+                if why is None:
+                    return c
+                why += (f" although the coefficient tail {tail:.3e} passed "
+                        f"against {threshold:.3e}")
+            del coeffs  # only the samples stay: the rank test holds two grids
+        tails_failed = grows[0] or grows[1]
+        grow_x, grow_y = grows if tails_failed else (True, True)
         nx, ny = _doubled(nx, ny, grow_x, grow_y, max_n, refused)
         if tails_failed and not tested and (nx + 1) * (ny + 1) >= _RANK_ENTRIES:
             tested = True
-            del coeffs  # the rank test holds two grids besides the samples
             pivots = _rank_test(values, threshold)
-            found = pivots and _slice_phase(f, values, pivots, tol, relative,
-                                            max_n, domain)
+            found = pivots and _slice_phase(f, values, peak, pivots, tol,
+                                            relative, max_n, domain)
             if found and rejection(*found) is None:
                 return found[0]
 

@@ -379,24 +379,21 @@ class TestBuildAdaptive:
 
     def test_coefficients_match_paper_transform(self, monkeypatch):
         # on every Lobatto grid of degree N the builder samples, the leading
-        # N x N block of its coefficients is that of the paper's radix-2 FFT
-        # over the periodicized grid of m = 2N points
+        # N x N block of the transform's coefficients is that of the paper's
+        # radix-2 FFT over the periodicized grid of m = 2N points
         def runge(x, y):
             return 1.0 / (1.0 + 25.0 * (x ** 2 + y ** 2))
 
-        transform = chebcore._lobatto_coeffs
-        degrees = []
-        blocks = []
-
-        def recording(values):
-            degrees.append(len(values) - 1)
-            blocks.append(transform(values))
-            return blocks[-1].copy()  # the builder trims its block in place
-
-        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
+        grids = recording_grids(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
         bc.build_adaptive(runge, 1e-14, relative=True)
+        degrees = [len(values) - 1 for values in grids]
         assert degrees == [8, 16, 32, 64, 128, 256]
-        for n, block in zip(degrees, blocks):
+        # the tail estimates prove that the 129 x 129 pass fails: it takes
+        # no transform
+        assert transformed == [8, 16, 32, 64, 256]
+        for n, values in zip(degrees, grids):
+            block = chebcore._lobatto_coeffs(values)
             assert block.shape == (n + 1, n + 1)
             paper = bp.coeffs_from_samples(bp.sample_grid(runge, 2 * n), n - 1)
             assert np.abs(block[:n, :n] - paper).max() <= 1e-15
@@ -531,18 +528,11 @@ class TestBuildAdaptive:
             bc.build_adaptive(f, 1e-15, n0=8, max_n=8, relative=True)
 
     def test_pass_over_budget_refused_before_allocation(self, monkeypatch):
-        # a budget that holds the pass at degree bound 512 but not at 1024
-        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
-                + chebcore._basis_entries(512, 512, 2 * builder._CHECK_NODES.size))
+        # a budget that holds the pass at degree bound 512 but not at 1024;
+        # the check's bases at degree 512 are rows of the process's table
+        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
-        degrees = []
-        transform = chebcore._lobatto_coeffs
-
-        def recording(values):
-            degrees.append(len(values) - 1)
-            return transform(values)
-
-        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
+        degrees = recording_transforms(monkeypatch)
         with pytest.raises(ConvergenceError,
                            match=r"degree bound 1024 needs .* over the budget.*"
                                  r"coefficient tail .* at degree bound 512") as info:
@@ -608,6 +598,62 @@ class TestBuildAdaptive:
     def test_domain_must_be_a_domain2(self):
         with pytest.raises(ValidationError, match="Domain2"):
             bc.build_adaptive(f_cosxy, 1e-15, domain="nope")
+
+
+def recording_transforms(monkeypatch):
+    """The degree x of every grid the builder transforms, in order."""
+    degrees = []
+    transform = chebcore._lobatto_coeffs
+
+    def recording(values):
+        degrees.append(len(values) - 1)
+        return transform(values)
+
+    monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
+    return degrees
+
+
+def recording_grids(monkeypatch):
+    """A copy of every tensor pass's samples, in order, as _peak sees them
+    once per pass; a relative tol makes it look at every pass."""
+    grids = []
+    peak = builder._peak
+
+    def recording(*samples):
+        if len(samples) == 1:  # a slice pass passes two
+            grids.append(samples[0].copy())
+        return peak(*samples)
+
+    monkeypatch.setattr(builder, "_peak", recording)
+    return grids
+
+
+def recording_estimates(monkeypatch):
+    """(degree x, whether the pass skipped its transform) for every pass
+    that estimated its tails, in order."""
+    estimates = []
+    proven_failure = builder._proven_failure
+
+    def recording(values, *args):
+        grows = proven_failure(values, *args)
+        estimates.append((len(values) - 1, grows is not None))
+        return grows
+
+    monkeypatch.setattr(builder, "_proven_failure", recording)
+    return estimates
+
+
+def recording_probes(monkeypatch):
+    """(grid shape, axis) of every tail estimate, in order."""
+    probes = []
+    tail_rows = builder._tail_rows
+
+    def recording(values, axis):
+        probes.append((values.shape, axis))
+        return tail_rows(values, axis)
+
+    monkeypatch.setattr(builder, "_tail_rows", recording)
+    return probes
 
 
 def two_bumps(x, y):
@@ -791,20 +837,17 @@ class TestLowRankPhase:
         # |x| + |y| has rank 2, but no slice resolves; phase 1 resumes from
         # its 257 x 257 grid and stops at max_n itself
         ranks = recording_rank_tests(monkeypatch)
-        degrees = []
-        transform = chebcore._lobatto_coeffs
-
-        def recording(values):
-            degrees.append(len(values) - 1)
-            return transform(values)
-
-        monkeypatch.setattr(builder, "_lobatto_coeffs", recording)
+        estimates = recording_estimates(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
         with pytest.raises(ConvergenceError,
                            match=r"coefficient tail .* at degree bound 1024$"):
             bc.build_adaptive(lambda x, y: np.abs(x) + np.abs(y), 1e-15,
                               max_n=1024)
         assert [len(p) for p in ranks] == [2]
-        assert degrees[-3:] == [256, 512, 1024]
+        # every pass from 128 on is proven to fail, the 1024 pass too: its
+        # transform is taken for the error's tail
+        assert estimates == [(128, True), (256, True), (512, True), (1024, True)]
+        assert transformed == [8, 16, 32, 64, 1024]
 
     def test_narrower_bump_is_found_on_the_whole_grid(self, monkeypatch):
         # ten times narrower than narrow_bump: below the threshold at every
@@ -843,8 +886,7 @@ class TestLowRankPhase:
         # the budget holds the tensor pass at degree bound 512 but not the
         # bump's 1025 x 1025 dense matrix: phase 2 stops before it, and
         # phase 1 refuses its own pass at 1024
-        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
-                + chebcore._basis_entries(512, 512, 2 * builder._CHECK_NODES.size))
+        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
         refused = []
         check = chebcore._check_grid_budget
@@ -1077,8 +1119,8 @@ def recording(f, points):
 
 class TestSharedRefinement:
     """The tensor passes and the slice passes refine by the same functions:
-    _spread and _sample_new for the samples, _threshold, _tail_test and
-    _doubled for the decision."""
+    _spread and _sample_new for the samples, _peak, _tail_test and _doubled
+    for the decision."""
 
     DOMAIN = bc.Domain2(-0.5, 2.0, 1.0, 1.5)
 
@@ -1157,6 +1199,172 @@ class TestSharedRefinement:
         # a zero tail passes a zero threshold
         zeros = np.zeros((2, 2))
         assert builder._tail_test(zeros, zeros, 0.0)[1] == [False, False]
+
+
+# Builds through grids of 9 x 9 to 2049 x 2049, whose passes fail in x, in
+# y or in both, with values large, small, offset or of a narrow feature,
+# each at an absolute tol of 1e-15, a relative one of 1e-14 and an absolute
+# one of 1e-10, max_n 2048.
+SWEEP = {
+    "runge100": lambda x, y: 1.0 / (1.0 + 100.0 * (x ** 2 + y ** 2)),
+    "exp-cos": lambda x, y: np.exp(x) * np.cos(y),
+    "sin80x-cos": lambda x, y: np.sin(80.0 * x) * np.cos(y / 2.0),
+    "sin80y": lambda x, y: np.sin(80.0 * y) + 0.0 * x,
+    "bump": narrow_bump,
+    "two-bumps": two_bumps,
+    "abs-x-plus-abs-y": lambda x, y: np.abs(x) + np.abs(y),
+    "abs-x": lambda x, y: np.abs(x) + 0.0 * y,
+    "cos2000x": lambda x, y: np.cos(2000.0 * x) + 0.0 * y,
+    "tanh": lambda x, y: np.tanh(20.0 * (x + y)),
+    "100cos": lambda x, y: 100.0 * np.cos(x * y),
+    "cos-plus-50": lambda x, y: np.cos(x * y) + 50.0,
+    "1000exp": lambda x, y: 1000.0 * np.exp(x + y),
+    "gaussian": lambda x, y: np.exp(-20.0 * (x ** 2 + y ** 2)),
+    "1e300cos": lambda x, y: 1e300 * np.cos(40.0 * x * y),
+    "sin20-sin200": lambda x, y: np.sin(20.0 * x) * np.sin(200.0 * y),
+}
+SWEEP_TOLS = [(1e-15, False), (1e-14, True), (1e-10, False)]
+
+
+def undecided(monkeypatch):
+    """Every pass transforms, as if no estimate decided."""
+    monkeypatch.setattr(builder, "_proven_failure", lambda *args: None)
+
+
+def outcome(f, tol, relative, **bounds):
+    """The Cheb2 of a build, or its ConvergenceError or ValidationError."""
+    try:
+        return bc.build_adaptive(f, tol, relative=relative, **bounds)
+    except (ConvergenceError, ValidationError) as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected):
+    """The same Cheb2 byte for byte, or the same error, message and tail."""
+    assert type(got) is type(expected)
+    if isinstance(expected, Exception):
+        assert str(got) == str(expected)
+        assert (repr(getattr(got, "tail_magnitude", None))
+                == repr(getattr(expected, "tail_magnitude", None)))
+    else:
+        assert (got.coeffs.shape, got.domain, repr(got.tol)) == (
+            expected.coeffs.shape, expected.domain, repr(expected.tol))
+        assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+
+
+class TestSkippedTransform:
+    """A pass whose tail estimates prove that it fails skips its transform,
+    and changes nothing the build returns or reports."""
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_same_as_every_pass_transformed(self, monkeypatch, name):
+        got = [outcome(SWEEP[name], tol, relative, max_n=2048)
+               for tol, relative in SWEEP_TOLS]
+        undecided(monkeypatch)
+        for (tol, relative), result in zip(SWEEP_TOLS, got):
+            assert_same_outcome(result, outcome(SWEEP[name], tol, relative,
+                                                max_n=2048))
+
+    @pytest.mark.parametrize("x_tail, y_tail, y_first, grows", [
+        (1.0, 1.0, False, [True, True]),
+        (1.0, 0.5e-3, False, [True, False]),
+        (1.0, 1e-3, False, None),            # y within the margin
+        (1e-3, 1.0, False, None),            # x, probed first, within it
+        (0.5e-3, 1.0, False, None),          # x, probed first, passes
+        (0.5e-3, 1.0, True, [False, True]),
+        (1.0, 0.5e-3, True, None),
+        (0.0, 1.0, True, [False, True]),
+    ])
+    def test_decisions(self, x_tail, y_tail, y_first, grows):
+        # a T_128(x) + b T_256(y) on its Lobatto grid: T_n is (-1)^i at
+        # the nodes, and the x tail is a, the y tail b, to rounding; the
+        # threshold is 1e-3 and the margin 1e-6
+        signs_x = (-1.0) ** np.arange(129)
+        signs_y = (-1.0) ** np.arange(257)
+        values = x_tail * signs_x[:, None] + y_tail * signs_y[None, :]
+        assert builder._proven_failure(values, 1e-3, 1e-6, y_first) == grows
+        # a zero tail passes even a zero threshold, so it never clearly fails
+        zeros = np.zeros((129, 257))
+        assert builder._proven_failure(zeros, 0.0, 0.0, y_first) is None
+
+    def test_max_n_reports_the_skipped_pass_tail(self, monkeypatch):
+        # the 1024 pass of |x| + |y| skips its transform, and max_n ends the
+        # build there: the error holds that pass's exact tail
+        def f(x, y):
+            return np.abs(x) + np.abs(y)
+
+        estimates = recording_estimates(monkeypatch)
+        got = outcome(f, 1e-15, False, max_n=1024)
+        assert estimates[-1] == (1024, True)
+        undecided(monkeypatch)
+        expected = outcome(f, 1e-15, False, max_n=1024)
+        assert isinstance(expected, ConvergenceError)
+        assert str(expected).endswith("at degree bound 1024")
+        assert_same_outcome(got, expected)
+
+    def test_budget_refusal_reports_the_skipped_pass_tail(self, monkeypatch):
+        # a budget that holds the pass at degree bound 512 but not at 1024:
+        # the 512 pass skips its transform, and the refusal of the next pass
+        # takes it, within the 512 pass's charge, for the tail it reports
+        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
+
+        def f(x, y):
+            return np.abs(x) + np.abs(y)
+
+        estimates = recording_estimates(monkeypatch)
+        tracemalloc.start()
+        try:
+            got = outcome(f, 1e-15, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimates[-1] == (512, True)
+        assert peak <= 8 * held
+        undecided(monkeypatch)
+        expected = outcome(f, 1e-15, False)
+        assert re.fullmatch(r"the pass at degree bound 1024 needs .* over the "
+                            r"budget .*; coefficient tail \S+ still at or above "
+                            r"1.000e-15 at degree bound 512", str(expected))
+        assert_same_outcome(got, expected)
+
+    def test_samples_that_may_overflow_are_transformed(self, monkeypatch):
+        # 1e306 T_128(x) T_128(y): its 65 x 65 grid transforms, and its
+        # 129 x 129 grid's sums overflow.  That pass takes no estimate,
+        # which would overflow too, and stops as a transform that overflows
+        def f(x, y):
+            return 1e306 * np.cos(128.0 * np.arccos(x)) * np.cos(128.0 * np.arccos(y))
+
+        estimates = recording_estimates(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError,
+                               match="transform overflowed at degree bound 128"):
+                bc.build_adaptive(f, 1e-15)
+        assert estimates == []
+
+    def test_a_pass_that_may_converge_pays_one_estimate(self, monkeypatch):
+        # sin(60 x) cos(50 y) converges on its 129 x 129 grid: the x tail,
+        # probed first, does not clearly fail, and the pass transforms
+        probes = recording_probes(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
+        c = bc.build_adaptive(lambda x, y: np.sin(60.0 * x) * np.cos(50.0 * y),
+                              1e-14, relative=True)
+        assert (c.degree_x, c.degree_y) == (99, 86)
+        assert probes == [((129, 129), 0)]
+        assert transformed[-1] == 128
+
+    def test_the_axis_the_last_pass_doubled_is_probed_first(self, monkeypatch):
+        # sin(20 x) sin(200 y): the 65 x 257 pass follows a pass that
+        # doubled y alone; its y tail is probed first, fails clearly, and
+        # the x tail clearly passes
+        estimates = recording_estimates(monkeypatch)
+        probes = recording_probes(monkeypatch)
+        c = bc.build_adaptive(lambda x, y: np.sin(20.0 * x) * np.sin(200.0 * y),
+                              1e-14, relative=True)
+        assert (c.degree_x, c.degree_y) == (47, 257)
+        assert probes[:2] == [((65, 257), 1), ((65, 257), 0)]
+        assert estimates[0] == (64, True)
 
 
 class TestTrim:
