@@ -13,7 +13,10 @@ its tensor passes and its slice passes share, one function per part:
   the pass fails, by a margin that covers their rounding, the pass takes
   no 2-D transform: a failing pass reads nothing else of the coefficients
   (_proven_failure).  A pass that may converge is transformed, and the
-  transform's own tails decide, so the estimates never accept a pass;
+  transform's own tails decide, so the estimates never accept a pass.  Nor
+  may a pass after which the build could stop, at max_n or at the budget,
+  skip: one with a bound at max_n, or whose next pass, with both bounds
+  doubled, would exceed the budget;
 - a growing axis doubles its bound, unless that would pass max_n
   (_doubled);
 - a doubled axis' even-indexed nodes are the previous grid's nodes bit for
@@ -28,9 +31,8 @@ its tensor passes and its slice passes share, one function per part:
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
 overflows give a tail that is not finite, and the build stops there; a pass
-whose samples could overflow the transform's sums takes no estimate.  If
-the build stops after a pass that skipped its transform, the error takes
-it then for the exact tail it reports.
+whose samples could overflow the transform's sums takes no estimate.  Every
+error follows a pass that was transformed, and reports that pass's tail.
 
 Most functions worth a large grid have low numerical rank, so the builder
 has a second phase, the construction of Chebfun2 (Townsend and Trefethen,
@@ -63,11 +65,12 @@ A pass proven to fail holds no transform array, only its tail estimates,
 the arrays in place, with no grid of magnitudes.  f's own result for the
 new nodes and a trimmed copy of the coefficients are the only other large
 arrays.  The budget charges the samples, the previous samples and the
-transform's two grids plus its chunk buffers (_transform_entries), so it
-covers what a pass holds with a grid to spare.  Above _CHECK_DEGREE it
-also charges the basis matrices of the off-grid check at the pass's
-bounds (_basis_entries), which outgrow the grid when one bound is large;
-up to it, the check reads its bases from the process's table.
+transform's two grids plus its chunk buffers (_pass_entries,
+_transform_entries), so it covers what a pass holds with a grid to spare.
+Above _CHECK_DEGREE it also charges the basis matrices of the off-grid
+check at the pass's bounds (_basis_entries), which outgrow the grid when
+one bound is large; up to it, the check reads its bases from the
+process's table.
 
 The transform, the sampling, the trim rule and the grid budget are
 ``bicheb.chebcore``'s.  The package loads this module on the first lookup
@@ -79,8 +82,10 @@ import threading
 
 import numpy as np
 
+from . import chebcore
 from .chebcore import (
     UNIT_SQUARE,
+    _MAX_N,
     Cheb2,
     Domain2,
     _basis_entries,
@@ -110,7 +115,7 @@ _CHECK_NODES = np.delete(np.cos((np.arange(33) + 0.5) * np.pi / 33), 16)
 # first _check_rows rows are filled, T_0 and T_1 here and the others under
 # _check_lock only as far as a check has needed (_check_basis); a filled
 # row is never written again.
-_CHECK_DEGREE = 4096
+_CHECK_DEGREE = _MAX_N
 _check_table = np.empty((_CHECK_DEGREE + 1, _CHECK_NODES.size))
 _check_table[0] = 1.0
 _check_table[1] = _CHECK_NODES
@@ -237,6 +242,18 @@ def _proven_failure(values, threshold, slack, y_first):
         else:
             return None
     return verdicts[::-1] if y_first else verdicts
+
+
+def _pass_entries(nx, ny, previous):
+    """Float64 entries charged for a tensor pass at degree bounds (nx, ny)
+    while `previous` entries of the last pass's samples are held: the
+    samples, the previous samples and the transform's arrays, and above
+    _CHECK_DEGREE the basis matrices of the off-grid check, which outgrow
+    the grid when one bound is large."""
+    entries = (nx + 1) * (ny + 1) + previous + _transform_entries(nx + 1, ny + 1)
+    if max(nx, ny) > _CHECK_DEGREE:
+        entries += _basis_entries(nx, ny, 2 * _CHECK_NODES.size)
+    return entries
 
 
 def _doubled(nx, ny, grow_x, grow_y, max_n, error):
@@ -427,7 +444,7 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
     return _trimmed_product(left, right, threshold, domain), nx, ny
 
 
-def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
+def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
                    relative=False):
     """Construct a Cheb2 for f, doubling each degree until its tail is negligible.
 
@@ -451,8 +468,10 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     proven to fail: it computes no coefficients, and the axes double as
     the transform's tails would have them (_proven_failure).  Otherwise
     the pass transforms and its tails decide as above, so an estimate
-    never accepts a pass.  The Runge function's 129 x 129 pass and the
-    bump's 129 x 129 and 257 x 257 passes are proven to fail.
+    never accepts a pass.  Only a pass with both bounds below max_n, whose
+    next pass would fit the grid budget with both bounds doubled, takes
+    the estimates.  The Runge function's 129 x 129 pass and the bump's
+    129 x 129 and 257 x 257 passes are proven to fail.
 
     Phase 2: the first pass whose tails fail and whose next grid would hold
     at least 513 x 513 entries runs the rank test, once per build: Gaussian
@@ -495,9 +514,10 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         passes; the off-grid check then decides.
     n0, max_n : int
         Degree bound of the first grid on each axis, and the largest either
-        axis may reach, both powers of two.  The default max_n, 4096, is
-        the largest square pass the 1 GiB grid budget allows; with a larger
-        one the build stops before the pass at 8192 x 8192 (see Raises).
+        axis may reach, both powers of two.  The default max_n,
+        chebcore._MAX_N, is the largest square pass the 1 GiB grid budget
+        allows; with a larger one the build stops before the pass at
+        8192 x 8192 (see Raises).
     domain : Domain2
         Rectangle on which f is approximated.
 
@@ -520,7 +540,7 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         the tail, and the axis when the bounds differ, against the
         threshold, or the off-grid misfit and its bound when both tails
         passed; ``tail_magnitude`` is the larger of that pass's two tails,
-        from its transform, which a pass proven to fail takes then.
+        from its transform: a pass that could end the build never skips it.
         Also before a tensor pass whose arrays would exceed the 1 GiB grid
         budget (a phase-2 step over it lets the tensor passes resume):
         the message names its degree bounds and bytes, then why the pass
@@ -563,16 +583,9 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
                 else f"off-grid misfit {misfit:.3e} above {bound:.3e}")
 
     def refused(*message):
-        # the budget's message, if any, then why the last pass failed; a
-        # pass that skipped its transform takes it here, within its charge
-        nonlocal why, tail
+        # the budget's message, if any, then why the last pass, which was
+        # transformed, failed
         if values is not None:
-            if why is None:
-                coeffs = _lobatto_coeffs(values)
-                tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
-                tail = max(tails)
-                why = _failure(tails, grows, threshold,
-                               values.shape[0] == values.shape[1])
             message += (f"{why} at {_bounds(*(s - 1 for s in values.shape))}",)
         return ConvergenceError("; ".join(message), float(tail))
 
@@ -582,15 +595,10 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
     grow_x = grow_y = True  # the axes the last pass doubled
     tested = False  # the rank test runs at most once per build
     while True:
-        # the samples, the previous samples and the transform's arrays,
-        # checked before any of them is allocated, and above _CHECK_DEGREE
-        # the basis matrices of the off-grid check, which outgrow the grid
-        # when one bound is large
-        held = ((nx + 1) * (ny + 1) + (0 if values is None else values.size)
-                + _transform_entries(nx + 1, ny + 1))
-        if max(nx, ny) > _CHECK_DEGREE:
-            held += _basis_entries(nx, ny, 2 * _CHECK_NODES.size)
-        _check_grid_budget(f"the pass at {_bounds(nx, ny)}", held, refused)
+        # checked before any of the pass's arrays is allocated
+        _check_grid_budget(f"the pass at {_bounds(nx, ny)}",
+                           _pass_entries(nx, ny, 0 if values is None else values.size),
+                           refused)
         xs = domain.x_from_unit(lobatto_nodes(nx))
         ys = domain.y_from_unit(lobatto_nodes(ny))
         if values is None:
@@ -604,12 +612,16 @@ def build_adaptive(f, tol, n0=8, max_n=4096, domain=UNIT_SQUARE,
         peak = _peak(values) if relative or large else None
         threshold = tol * peak if relative else tol
         grows = None
-        if large and math.isfinite(4 * peak * values.size):
+        # a pass may skip its transform only if the build cannot stop right
+        # after it, at max_n or at the budget (not a charge: the next pass
+        # is charged when it comes), so every error follows a transformed
+        # pass and reports that pass's own tail
+        if (large and math.isfinite(4 * peak * values.size) and max(nx, ny) < max_n
+                and 8 * _pass_entries(2 * nx, 2 * ny, values.size)
+                <= chebcore._GRID_BUDGET):
             grows = _proven_failure(values, threshold, _ESTIMATE_SLACK * peak,
                                     grow_y and not grow_x)
-        if grows is not None:
-            why = None  # refused finds it, if the build stops here
-        else:
+        if grows is None:
             coeffs = _lobatto_coeffs(values)
             tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
             if not (math.isfinite(tails[0]) and math.isfinite(tails[1])):

@@ -74,9 +74,10 @@ _CHUNK_ENTRIES = 2 ** 15
 # rectangle.
 _DOMAIN_LIMIT = sys.float_info.max / 4
 
-# The largest n whose Lobatto nodes the process keeps, the builder's
-# default max_n; _kept_nodes holds them from the first call that needs them.
-_NODES_KEPT = 4096
+# The degree cap: the default max_n of the builder and the CLI, the largest
+# n whose Lobatto nodes the process keeps (_kept_nodes holds them from the
+# first call that needs them) and the top degree of the builder's check table.
+_MAX_N = 4096
 _kept_nodes = None
 
 # Bytes the float64 arrays of one grid may take: an evaluation, export or
@@ -398,22 +399,22 @@ def lobatto_nodes(n):
     """cos(i pi / n) for i = 0..n, mirrored so node[n-i] equals -node[i]
     bit-for-bit (an exact 0 in the middle when n is even).
 
-    For a power of two n up to _NODES_KEPT, the default max_n of the
-    builder, the nodes are a read-only view, every (_NODES_KEPT / n)-th
-    node, of the nodes of _NODES_KEPT, which the process computes on the
-    first such call and keeps (4097 doubles, about 32 KiB).
+    For a power of two n up to _MAX_N, the default max_n of the builder,
+    the nodes are a read-only view, every (_MAX_N / n)-th node, of the
+    nodes of _MAX_N, which the process computes on the first such call
+    and keeps (4097 doubles, about 32 KiB).
     lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit, so the view
     holds the bits computed for n.  Any other n gives a new array, which
     is not kept."""
     global _kept_nodes
     if n < 1:
         raise ValidationError("degenerate degree: need n >= 1")
-    if n <= _NODES_KEPT and _is_power_of_two(n):
+    if n <= _MAX_N and _is_power_of_two(n):
         if _kept_nodes is None:  # threads that race compute the same bits
-            nodes = _computed_nodes(_NODES_KEPT)
+            nodes = _computed_nodes(_MAX_N)
             nodes.setflags(write=False)
             _kept_nodes = nodes
-        return _kept_nodes[:: _NODES_KEPT // n]
+        return _kept_nodes[:: _MAX_N // n]
     return _computed_nodes(n)
 
 
@@ -737,7 +738,10 @@ def document_text(sparse):
     are formatted _DOC_BLOCK at a time and the blocks joined once, so the
     text is held twice, and a save to a file encodes a third copy.  Three
     copies of the longest line, 80 bytes, are charged per entry before
-    any is formatted: over the grid budget, ValidationError.
+    any is formatted, and once the text is joined, what load would charge
+    to parse it back (_parse_entries), with the counts its layout gives:
+    over the grid budget, ValidationError, so no document is written that
+    load refuses.
     """
     n = sparse.values.size
     _check_grid_budget(f"the text of a {n}-entry coefficient document", 30 * n)
@@ -752,7 +756,16 @@ def document_text(sparse):
                                sparse.values[block].tolist()))
         parts += (",\n" if lo else "\n", ",\n".join(lines))
     parts.append("\n  ]\n}\n" if n else "]\n}\n")
-    return "".join(parts)
+    text = "".join(parts)
+    # load's charge for the text, from its layout's counts: '[' and '{',
+    # three and one per entry; ',', ':' and '"', 22 in the header, two per
+    # entry and one between entries.  The text is held already, so this is
+    # no charge of document_text's: only a refusal goes through the budget
+    entries = _parse_entries(len(text), n + 3, 22 + 3 * n - (n > 0))
+    if 8 * entries > _GRID_BUDGET:
+        _check_grid_budget(f"loading back the {len(text)}-character text of a "
+                           f"{n}-entry coefficient document", entries)
+    return text
 
 
 def save(sparse, sink):
@@ -779,6 +792,17 @@ def _read_ascii(path, what):
             raise ParseError(f"{what} holds a non-ASCII byte", exc.start) from None
 
 
+def _parse_entries(length, brackets, separators):
+    """Float64 entries that load charges for parsing a text of `length`
+    characters that holds `brackets` '[' and '{' and `separators` ',', ':'
+    and '"' (see load).  Under tracemalloc load peaked at the text plus
+    about 235 bytes per entry, whether its value took 1 digit or 17;
+    200,000 short values under a key that load ignores, each after a ',',
+    at the text plus 72 bytes for each '{}', 59 for '"ab"' and 36 for
+    '999'."""
+    return max(length, (length + 7) // 8 + 32 * brackets + 8 * separators)
+
+
 def load(source):
     """Read a SparseCoeffs document from a path or text file object.
 
@@ -788,26 +812,22 @@ def load(source):
     document that violates the coefficient invariants, holds a number
     beyond the largest double or declares a degree of 2^63 or more raises
     ValidationError.  So does a text whose parse is charged more than the
-    grid budget, before it is parsed: one byte per character, 256 bytes per
-    '[' or '{' and 64 per ',', ':' or '"', or 8 bytes per character if that
-    is more, which covers the text, the parser's objects and the checked
-    entries, whatever the length of their values, and any value under a
-    key that load ignores.  The parse runs with Python's cyclic garbage
-    collector paused, and load leaves the collector on or off as it found
-    it, whether it returns or raises.
+    grid budget, before it is parsed (_parse_entries): one byte per
+    character, 256 bytes per '[' or '{' and 64 per ',', ':' or '"', or 8
+    bytes per character if that is more, which covers the text, the
+    parser's objects and the checked entries, whatever the length of their
+    values, and any value under a key that load ignores.  The parse runs
+    with Python's cyclic garbage collector paused, and load leaves the
+    collector on or off as it found it, whether it returns or raises.
     """
     if hasattr(source, "read"):
         text = source.read()
     else:
         text = _read_ascii(source, "coefficient document")
-    # in doubles.  Under tracemalloc load peaked at the text plus about 235
-    # bytes per entry, whether its value took 1 digit or 17; 200,000 short
-    # values under a key that load ignores, each after a ',', at the text
-    # plus 72 bytes for each '{}', 59 for '"ab"' and 36 for '999'
+    brackets = text.count("[") + text.count("{")
+    separators = text.count(",") + text.count(":") + text.count('"')
     _check_grid_budget(f"parsing the {len(text)}-character coefficient document",
-                       max(len(text), (len(text) + 7) // 8
-                           + 32 * (text.count("[") + text.count("{"))
-                           + 8 * (text.count(",") + text.count(":") + text.count('"'))))
+                       _parse_entries(len(text), brackets, separators))
     import gc  # here, not at the top: only load parses JSON
     import json
 

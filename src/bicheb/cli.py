@@ -65,6 +65,7 @@ from .chebcore import (
     Domain2,
     UNIT_SQUARE,
     _EVAL_BLOCK,
+    _MAX_N,
     _basis_entries,
     _check_grid_budget,
     _read_ascii,
@@ -444,9 +445,9 @@ def _add_grid_options(sub, grid_help):
 
 def _add_build_options(sub):
     _add_formula_options(sub, "trim tolerance")
-    sub.add_argument("--max-n", type=int, default=4096,
+    sub.add_argument("--max-n", type=int, default=_MAX_N,
                      help="largest degree bound of either axis of a sampled "
-                          "grid; the axes double separately (default 4096)")
+                          f"grid; the axes double separately (default {_MAX_N})")
     sub.add_argument("--n0", type=int, default=8,
                      help="degree of the first sampled grid (default 8)")
     sub.add_argument("--relative-tol", action="store_true",
@@ -480,7 +481,7 @@ def _build_parser():
                    metavar="X,Y", help="evaluation point (repeatable)")
     p.add_argument("--points-file", default=None,
                    help="file with one 'x,y' pair per line")
-    _add_grid_options(p, "evaluate on a grid over this rectangle instead")
+    _add_grid_options(p, "evaluate on a grid over this rectangle too, after the points")
     p.add_argument("--compare-expr", type=_Formula, default=None,
                    help="reference formula; adds error columns and a max line")
     p.add_argument("-o", "--output", default=None,

@@ -3,6 +3,7 @@
 import copy
 import gc
 import io
+import itertools
 import math
 import os
 import pickle
@@ -844,9 +845,9 @@ class TestLowRankPhase:
             bc.build_adaptive(lambda x, y: np.abs(x) + np.abs(y), 1e-15,
                               max_n=1024)
         assert [len(p) for p in ranks] == [2]
-        # every pass from 128 on is proven to fail, the 1024 pass too: its
-        # transform is taken for the error's tail
-        assert estimates == [(128, True), (256, True), (512, True), (1024, True)]
+        # every pass from 128 to 512 is proven to fail; the 1024 pass, at
+        # max_n, takes no estimate, and its transform gives the error's tail
+        assert estimates == [(128, True), (256, True), (512, True)]
         assert transformed == [8, 16, 32, 64, 1024]
 
     def test_narrower_bump_is_found_on_the_whole_grid(self, monkeypatch):
@@ -1287,25 +1288,30 @@ class TestSkippedTransform:
         zeros = np.zeros((129, 257))
         assert builder._proven_failure(zeros, 0.0, 0.0, y_first) is None
 
-    def test_max_n_reports_the_skipped_pass_tail(self, monkeypatch):
-        # the 1024 pass of |x| + |y| skips its transform, and max_n ends the
-        # build there: the error holds that pass's exact tail
+    def test_the_pass_at_max_n_transforms(self, monkeypatch):
+        # the 512 pass of |x| + |y| is proven to fail and skips its
+        # transform; the 1024 pass, at max_n, takes no estimate, and max_n
+        # ends the build after its transform, whose tail the error holds
         def f(x, y):
             return np.abs(x) + np.abs(y)
 
         estimates = recording_estimates(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
         got = outcome(f, 1e-15, False, max_n=1024)
-        assert estimates[-1] == (1024, True)
+        assert estimates[-1] == (512, True)
+        assert transformed[-1] == 1024
         undecided(monkeypatch)
         expected = outcome(f, 1e-15, False, max_n=1024)
         assert isinstance(expected, ConvergenceError)
         assert str(expected).endswith("at degree bound 1024")
         assert_same_outcome(got, expected)
 
-    def test_budget_refusal_reports_the_skipped_pass_tail(self, monkeypatch):
+    def test_the_pass_before_a_refused_pass_transforms(self, monkeypatch):
         # a budget that holds the pass at degree bound 512 but not at 1024:
-        # the 512 pass skips its transform, and the refusal of the next pass
-        # takes it, within the 512 pass's charge, for the tail it reports
+        # the 256 pass skips its transform, but the 512 pass, whose
+        # successor with both bounds doubled is over the budget, transforms
+        # within its own charge, and the refusal of the next pass reports
+        # its tail
         held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
 
@@ -1313,13 +1319,15 @@ class TestSkippedTransform:
             return np.abs(x) + np.abs(y)
 
         estimates = recording_estimates(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
         tracemalloc.start()
         try:
             got = outcome(f, 1e-15, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert estimates[-1] == (512, True)
+        assert estimates[-1] == (256, True)
+        assert transformed[-1] == 512
         assert peak <= 8 * held
         undecided(monkeypatch)
         expected = outcome(f, 1e-15, False)
@@ -1327,6 +1335,66 @@ class TestSkippedTransform:
                             r"budget .*; coefficient tail \S+ still at or above "
                             r"1.000e-15 at degree bound 512", str(expected))
         assert_same_outcome(got, expected)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["y-grows", "x-grows"])
+    def test_a_pass_whose_successor_doubles_one_axis_transforms(self, monkeypatch,
+                                                                swap):
+        # |y| + sin(40 x) at 1e-10: x resolves at 128 and y doubles on.  The
+        # budget would hold a 256 x 512 pass after the 128 x 512 pass, but
+        # not the 128 x 1024 pass that follows it, so the 128 x 512 pass
+        # transforms, although the 128 x 256 pass before it skipped
+        def f(x, y):
+            return np.abs(y) + np.sin(40.0 * x)
+
+        g = (lambda x, y: f(y, x)) if swap else f
+        grid, roomy = ((513, 129), (512, 256)) if swap else ((129, 513), (256, 512))
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET",
+                            8 * builder._pass_entries(*roomy, 129 * 513))
+        probes = recording_probes(monkeypatch)
+        estimates = recording_estimates(monkeypatch)
+        got = outcome(g, 1e-10, False)
+        assert estimates[-1] == ((256 if swap else 128), True)
+        assert grid not in [shape for shape, _ in probes]
+        undecided(monkeypatch)
+        expected = outcome(g, 1e-10, False)
+        assert str(expected).endswith(
+            "at degree bounds 512 x 128" if swap else "at degree bounds 128 x 512")
+        assert_same_outcome(got, expected)
+
+    @pytest.mark.parametrize("name", SWEEP)
+    def test_no_error_follows_a_skipped_pass(self, monkeypatch, name):
+        # f and f with x and y swapped, at max_n 2048, and at a budget that
+        # holds a 512 pass even after another but refuses the 1024 pass:
+        # every ConvergenceError names the last tensor pass, which
+        # transformed and did not skip
+        passes = []
+        proven_failure = builder._proven_failure
+        transform = chebcore._lobatto_coeffs
+
+        def estimating(values, *args):
+            grows = proven_failure(values, *args)
+            if grows is not None:
+                passes.append(("skipped", values.shape))
+            return grows
+
+        def transforming(values):
+            passes.append(("transformed", values.shape))
+            return transform(values)
+
+        monkeypatch.setattr(builder, "_proven_failure", estimating)
+        monkeypatch.setattr(builder, "_lobatto_coeffs", transforming)
+        budgets = chebcore._GRID_BUDGET, 8 * builder._pass_entries(512, 512, 513 ** 2)
+        f = SWEEP[name]
+        for budget, g, (tol, relative) in itertools.product(
+                budgets, (f, lambda x, y: f(y, x)), SWEEP_TOLS):
+            monkeypatch.setattr(chebcore, "_GRID_BUDGET", budget)
+            passes.clear()
+            result = outcome(g, tol, relative, max_n=2048)
+            if isinstance(result, ConvergenceError):
+                kind, (rows, cols) = passes[-1]
+                assert kind == "transformed"
+                assert ("skipped", (rows, cols)) not in passes
+                assert str(result).endswith("at " + builder._bounds(rows - 1, cols - 1))
 
     def test_samples_that_may_overflow_are_transformed(self, monkeypatch):
         # 1e306 T_128(x) T_128(y): its 65 x 65 grid transforms, and its
@@ -1483,6 +1551,23 @@ class TestTrim:
     def test_truncation_degrees_must_be_integers(self, cosxy, degrees):
         with pytest.raises(ValidationError, match="must be an integer"):
             bc.truncate(cosxy, *degrees)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: bc.Cheb2(np.ones(3)),
+         "coefficients must form a 2-D matrix, got shape (3,)"),
+        (lambda: bc.Cheb2(np.ones((2, 2, 2))),
+         "coefficients must form a 2-D matrix, got shape (2, 2, 2)"),
+        (lambda: bc.trim(np.ones(3), 0.0), "coefficients must form a 2-D matrix"),
+        (lambda: bc.truncate(bc.Cheb2(np.ones((2, 2))), -1, 1),
+         "truncation degrees must be >= 0"),
+        (lambda: bc.truncate(bc.Cheb2(np.ones((2, 2))), 1, -1),
+         "truncation degrees must be >= 0"),
+    ], ids=["Cheb2-1-D", "Cheb2-3-D", "trim-1-D", "truncate-negative-x",
+            "truncate-negative-y"])
+    def test_shape_and_degree_errors(self, call, message):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestEvaluate:
@@ -1917,6 +2002,25 @@ class TestPersistence:
                                + 8 * (text.count(",") + text.count(":")
                                       + text.count('"')))]
         assert peak <= 8 * charged[1]
+
+    @pytest.mark.parametrize("entries", [0, 1, 2, 4097])
+    def test_document_text_checks_what_load_charges(self, monkeypatch, entries):
+        # document_text counts the brackets and separators of its layout
+        # from the number of entries; load counts them in the text
+        counts = []
+        parse_entries = chebcore._parse_entries
+
+        def recording(*args):
+            counts.append(args)
+            return parse_entries(*args)
+
+        monkeypatch.setattr(chebcore, "_parse_entries", recording)
+        values = (np.zeros((1, 1)) if entries == 0 else
+                  np.random.default_rng(entries).uniform(-2.0, 2.0, (entries, 1)))
+        text = bc.document_text(bc.trim(values, 0.0))
+        bc.load(io.StringIO(text))
+        assert counts == 2 * [(len(text), text.count("[") + text.count("{"),
+                               text.count(",") + text.count(":") + text.count('"'))]
 
     @pytest.mark.parametrize("document", [
         # one-digit values and no spaces: the entries' Python objects, about

@@ -204,6 +204,17 @@ class TestEval:
         assert code == EXIT_OK
         assert float(out.strip()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_grid_rows_follow_the_points(self, capsys, tmp_path):
+        # --grid-domain adds the grid to the points: the point's row, then
+        # the grid's, x-major (each x with every y in turn)
+        path = tmp_path / "lin.json"
+        assert run(capsys, "approx", "x+2*y", "-o", str(path))[0] == EXIT_OK
+        code, out, _ = run(capsys, "eval", str(path), "--point", "0.5,0",
+                           "--grid-domain=-1,1,-1,1", "--resolution", "2")
+        assert code == EXIT_OK
+        assert [float(v) for v in out.splitlines()] == pytest.approx(
+            [0.5, -3.0, 1.0, -1.0, 3.0], abs=1e-13)
+
     def test_constant_file(self, capsys, tmp_path):
         path = tmp_path / "k.json"
         run(capsys, "approx", "2.5", "-o", str(path))
@@ -743,6 +754,25 @@ class TestInterp:
             tracemalloc.stop()
         assert code == EXIT_OK
         assert peak <= 8 * max(charged)
+
+    def test_no_document_that_load_refuses(self, capsys, tmp_path, monkeypatch):
+        # at this budget the text of the 65 x 65 grid's 4,218 entries fits
+        # its 240 bytes per entry, but parsing it back needs 2,052,352 bytes
+        monkeypatch.setattr(chebcore, "_GRID_BUDGET", 1_500_000)
+        written = []
+        for n in range(50, 65):
+            path = tmp_path / f"i{n}.json"
+            code, out, err = run(capsys, "interp", "exp(x+0.3*y)+x*y", "-n", str(n),
+                                 "-m", str(n), "--tol", "1e-300", "-o", str(path))
+            if code == EXIT_OK:
+                written.append(n)
+                assert run(capsys, "eval", str(path), "--point", "0,0")[0] == EXIT_OK
+            else:
+                assert code == EXIT_VALIDATION and out == "" and not path.exists()
+        assert written == list(range(50, written[-1] + 1)) and written[-1] < 64
+        assert err == ("error: loading back the 160570-character text of a 4218-entry "
+                       "coefficient document needs 2052352 bytes (0.00191 GiB) of "
+                       "arrays, over the budget of 1500000 bytes (0.0014 GiB)\n")
 
     def test_coefficient_gap_is_fold_of_series_tail(self, capsys, tmp_path,
                                                     cosxy_alpha32):

@@ -249,6 +249,16 @@ class TestEval:
             eval_ast(parse_expression(source), x, y)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("call", [
+        pretty_print,
+        lambda tree: eval_ast(tree, 0.5, 0.5),
+        lambda tree: eval_ast(tree, np.zeros(3), np.ones(3)),
+    ], ids=["pretty_print", "eval_ast-scalar", "eval_ast-array"])
+    def test_a_leaf_that_is_not_a_node(self, call):
+        with pytest.raises(TypeError) as info:
+            call(BinOp("+", Var("x"), "y"))
+        assert str(info.value) == "not an expression node: 'y'"
+
 
 def _random_ast(rng, depth):
     if depth == 0 or rng.random() < 0.3:
