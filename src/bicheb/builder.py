@@ -9,11 +9,11 @@ its tensor passes and its slice passes share, one function per part:
   threshold or 0 (_tail_test).  A tensor pass of 129 x 129 entries or more
   first estimates its tails from the samples: per axis, one product with
   two fixed rows of the DCT-I, then the DCT-I of the other axis on the
-  two rows it gives (_tail_rows).  If the estimates prove that
-  the pass fails, by a margin that covers their rounding, the pass takes
-  no 2-D transform: a failing pass reads nothing else of the coefficients
-  (_proven_failure).  A pass that may converge is transformed, and the
-  transform's own tails decide, so the estimates never accept a pass.  Nor
+  two rows it gives (_tail_rows).  If the estimates prove that both
+  axes fail, by a margin that covers their rounding, the pass takes no 2-D
+  transform and doubles both bounds, as its tails would have it
+  (_proven_failure).  Any other pass is transformed, and the transform's
+  own tails decide, so the estimates never accept a pass.  Nor
   may a pass after which the build could stop, at max_n or at the budget,
   skip: one with a bound at max_n, or whose next pass, with both bounds
   doubled, would exceed the budget;
@@ -137,7 +137,7 @@ _MAX_RANK = 8
 # 257 x 257, but 18 against 70 at 65 x 65, where a pass that converges
 # would pay a quarter of a transform for it (best of 5 x 200 calls, 2
 # vCPUs, BLAS at one thread).
-# An estimate decides an axis only by a margin of _ESTIMATE_SLACK times the
+# An estimate fails an axis only by a margin of _ESTIMATE_SLACK times the
 # pass's largest |f|: on random and smooth grids of 129 x 129 to
 # 2049 x 2049 it was within 0.36 eps times that of the transform's tail.
 _SKIP_ENTRIES = 129 * 129
@@ -223,25 +223,18 @@ def _tail_rows(values, axis):
     return tails
 
 
-def _proven_failure(values, threshold, slack, y_first):
-    """[grow_x, grow_y] if tail estimates prove that the pass fails its tail
-    test, else None.  An estimate t clearly fails if t - slack is at or
-    above the threshold and above 0, and clearly passes if t + slack is
-    below the threshold; a tail within slack of the estimate then takes the
-    same decision.  The first axis probed (y if y_first) must clearly fail
-    and the other be decided either way: the first probe that is undecided
-    or passes ends the estimates, so a pass that may converge pays for one
-    and decides on the transform's own tails."""
-    verdicts = []
-    for axis in (1, 0) if y_first else (0, 1):
-        t = np.abs(_tail_rows(values, axis)).max()
-        if t - slack >= threshold and t - slack > 0.0:
-            verdicts.append(True)
-        elif verdicts and t + slack < threshold:
-            verdicts.append(False)
-        else:
-            return None
-    return verdicts[::-1] if y_first else verdicts
+def _proven_failure(values, threshold, slack):
+    """Whether tail estimates prove that both axes of the pass fail its tail
+    test.  An estimate t clearly fails if t - slack is at or above the
+    threshold and above 0, so a tail within slack of it fails too.  x is
+    probed first, and the first probe that does not clearly fail ends the
+    estimates: a pass that may converge pays for one, and decides on the
+    transform's own tails."""
+    for axis in (0, 1):
+        t = np.abs(_tail_rows(values, axis)).max() - slack
+        if not (t >= threshold and t > 0.0):
+            return False
+    return True
 
 
 def _pass_entries(nx, ny, previous):
@@ -461,14 +454,13 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     grid (rejection); otherwise both bounds double.
 
     A pass of 129 x 129 entries or more first estimates its tails, each
-    from two fixed rows of the DCT-I times the samples (_tail_rows), the
-    axis the last pass doubled first.  If that axis' estimate fails the
-    threshold by more than a margin of 8 eps times the pass's largest |f|
-    and the other axis' is decided by that margin either way, the pass is
-    proven to fail: it computes no coefficients, and the axes double as
-    the transform's tails would have them (_proven_failure).  Otherwise
-    the pass transforms and its tails decide as above, so an estimate
-    never accepts a pass.  Only a pass with both bounds below max_n, whose
+    from two fixed rows of the DCT-I times the samples (_tail_rows), x
+    first.  If both estimates fail the threshold by more than a margin of
+    8 eps times the pass's largest |f|, the pass is proven to fail: it
+    computes no coefficients, and both bounds double, as the transform's
+    tails would have them (_proven_failure).  Otherwise the pass
+    transforms and its tails decide as above, so an estimate never
+    accepts a pass.  Only a pass with both bounds below max_n, whose
     next pass would fit the grid budget with both bounds doubled, takes
     the estimates.  The Runge function's 129 x 129 pass and the bump's
     129 x 129 and 257 x 257 passes are proven to fail.
@@ -592,7 +584,6 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     nx = ny = n0
     values = None
     tail = math.nan
-    grow_x = grow_y = True  # the axes the last pass doubled
     tested = False  # the rank test runs at most once per build
     while True:
         # checked before any of the pass's arrays is allocated
@@ -611,17 +602,15 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
         large = values.size >= _SKIP_ENTRIES
         peak = _peak(values) if relative or large else None
         threshold = tol * peak if relative else tol
-        grows = None
+        grows = [True, True]  # the verdict of a pass proven to fail
         # a pass may skip its transform only if the build cannot stop right
         # after it, at max_n or at the budget (not a charge: the next pass
         # is charged when it comes), so every error follows a transformed
         # pass and reports that pass's own tail
-        if (large and math.isfinite(4 * peak * values.size) and max(nx, ny) < max_n
+        if not (large and math.isfinite(4 * peak * values.size) and max(nx, ny) < max_n
                 and 8 * _pass_entries(2 * nx, 2 * ny, values.size)
-                <= chebcore._GRID_BUDGET):
-            grows = _proven_failure(values, threshold, _ESTIMATE_SLACK * peak,
-                                    grow_y and not grow_x)
-        if grows is None:
+                <= chebcore._GRID_BUDGET
+                and _proven_failure(values, threshold, _ESTIMATE_SLACK * peak)):
             coeffs = _lobatto_coeffs(values)
             tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
             if not (math.isfinite(tails[0]) and math.isfinite(tails[1])):

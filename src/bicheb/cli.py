@@ -56,6 +56,13 @@ import sys
 import time
 import warnings
 
+# BLAS at one thread unless the user set its thread count: the evaluators'
+# matrix products round differently with another, so without this the
+# values eval and export write would depend on the number of CPUs.  It
+# must precede numpy's import, which starts BLAS's threads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 
 import bicheb

@@ -636,9 +636,9 @@ def recording_estimates(monkeypatch):
     proven_failure = builder._proven_failure
 
     def recording(values, *args):
-        grows = proven_failure(values, *args)
-        estimates.append((len(values) - 1, grows is not None))
-        return grows
+        skipped = proven_failure(values, *args)
+        estimates.append((len(values) - 1, skipped))
+        return skipped
 
     monkeypatch.setattr(builder, "_proven_failure", recording)
     return estimates
@@ -1229,7 +1229,7 @@ SWEEP_TOLS = [(1e-15, False), (1e-14, True), (1e-10, False)]
 
 def undecided(monkeypatch):
     """Every pass transforms, as if no estimate decided."""
-    monkeypatch.setattr(builder, "_proven_failure", lambda *args: None)
+    monkeypatch.setattr(builder, "_proven_failure", lambda *args: False)
 
 
 def outcome(f, tol, relative, **bounds):
@@ -1266,27 +1266,25 @@ class TestSkippedTransform:
             assert_same_outcome(result, outcome(SWEEP[name], tol, relative,
                                                 max_n=2048))
 
-    @pytest.mark.parametrize("x_tail, y_tail, y_first, grows", [
-        (1.0, 1.0, False, [True, True]),
-        (1.0, 0.5e-3, False, [True, False]),
-        (1.0, 1e-3, False, None),            # y within the margin
-        (1e-3, 1.0, False, None),            # x, probed first, within it
-        (0.5e-3, 1.0, False, None),          # x, probed first, passes
-        (0.5e-3, 1.0, True, [False, True]),
-        (1.0, 0.5e-3, True, None),
-        (0.0, 1.0, True, [False, True]),
+    @pytest.mark.parametrize("x_tail, y_tail, proven", [
+        (1.0, 1.0, True),
+        (1.0, 0.5e-3, False),     # y passes
+        (0.5e-3, 1.0, False),     # x, probed first, passes
+        (1.0, 1e-3, False),       # y within the margin
+        (1e-3, 1.0, False),       # x within it
+        (0.0, 1.0, False),        # a zero x tail
     ])
-    def test_decisions(self, x_tail, y_tail, y_first, grows):
+    def test_decisions(self, x_tail, y_tail, proven):
         # a T_128(x) + b T_256(y) on its Lobatto grid: T_n is (-1)^i at
         # the nodes, and the x tail is a, the y tail b, to rounding; the
         # threshold is 1e-3 and the margin 1e-6
         signs_x = (-1.0) ** np.arange(129)
         signs_y = (-1.0) ** np.arange(257)
         values = x_tail * signs_x[:, None] + y_tail * signs_y[None, :]
-        assert builder._proven_failure(values, 1e-3, 1e-6, y_first) == grows
+        assert builder._proven_failure(values, 1e-3, 1e-6) is proven
         # a zero tail passes even a zero threshold, so it never clearly fails
         zeros = np.zeros((129, 257))
-        assert builder._proven_failure(zeros, 0.0, 0.0, y_first) is None
+        assert builder._proven_failure(zeros, 0.0, 0.0) is False
 
     def test_the_pass_at_max_n_transforms(self, monkeypatch):
         # the 512 pass of |x| + |y| is proven to fail and skips its
@@ -1340,21 +1338,27 @@ class TestSkippedTransform:
     def test_a_pass_whose_successor_doubles_one_axis_transforms(self, monkeypatch,
                                                                 swap):
         # |y| + sin(40 x) at 1e-10: x resolves at 128 and y doubles on.  The
-        # budget would hold a 256 x 512 pass after the 128 x 512 pass, but
-        # not the 128 x 1024 pass that follows it, so the 128 x 512 pass
-        # transforms, although the 128 x 256 pass before it skipped
+        # 128 x 128 and 128 x 256 passes are not proven to fail, as their x
+        # tails pass: each stops after its x probe (swapped, after both),
+        # and transforms.  The budget holds the 128 x 512 pass but not its
+        # successor with both bounds doubled, so that pass takes no estimate
         def f(x, y):
             return np.abs(y) + np.sin(40.0 * x)
 
         g = (lambda x, y: f(y, x)) if swap else f
-        grid, roomy = ((513, 129), (512, 256)) if swap else ((129, 513), (256, 512))
+        roomy = (512, 256) if swap else (256, 512)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET",
                             8 * builder._pass_entries(*roomy, 129 * 513))
         probes = recording_probes(monkeypatch)
         estimates = recording_estimates(monkeypatch)
         got = outcome(g, 1e-10, False)
-        assert estimates[-1] == ((256 if swap else 128), True)
-        assert grid not in [shape for shape, _ in probes]
+        if swap:
+            assert estimates == [(128, False), (256, False)]
+            assert probes == [((129, 129), 0), ((129, 129), 1),
+                              ((257, 129), 0), ((257, 129), 1)]
+        else:
+            assert estimates == [(128, False), (128, False)]
+            assert probes == [((129, 129), 0), ((129, 257), 0)]
         undecided(monkeypatch)
         expected = outcome(g, 1e-10, False)
         assert str(expected).endswith(
@@ -1372,10 +1376,10 @@ class TestSkippedTransform:
         transform = chebcore._lobatto_coeffs
 
         def estimating(values, *args):
-            grows = proven_failure(values, *args)
-            if grows is not None:
+            skipped = proven_failure(values, *args)
+            if skipped:
                 passes.append(("skipped", values.shape))
-            return grows
+            return skipped
 
         def transforming(values):
             passes.append(("transformed", values.shape))
@@ -1422,17 +1426,19 @@ class TestSkippedTransform:
         assert probes == [((129, 129), 0)]
         assert transformed[-1] == 128
 
-    def test_the_axis_the_last_pass_doubled_is_probed_first(self, monkeypatch):
-        # sin(20 x) sin(200 y): the 65 x 257 pass follows a pass that
-        # doubled y alone; its y tail is probed first, fails clearly, and
-        # the x tail clearly passes
+    def test_a_pass_whose_x_tail_passes_transforms(self, monkeypatch):
+        # sin(20 x) sin(200 y): the 65 x 257 and 65 x 513 passes follow
+        # passes that doubled y alone; their x tails, probed first, pass, so
+        # each takes no other probe, and every pass transforms
         estimates = recording_estimates(monkeypatch)
         probes = recording_probes(monkeypatch)
+        transformed = recording_transforms(monkeypatch)
         c = bc.build_adaptive(lambda x, y: np.sin(20.0 * x) * np.sin(200.0 * y),
                               1e-14, relative=True)
         assert (c.degree_x, c.degree_y) == (47, 257)
-        assert probes[:2] == [((65, 257), 1), ((65, 257), 0)]
-        assert estimates[0] == (64, True)
+        assert probes == [((65, 257), 0), ((65, 513), 0)]
+        assert estimates == [(64, False), (64, False)]
+        assert transformed == [8, 16, 32, 64, 64, 64, 64]
 
 
 class TestTrim:
@@ -1871,6 +1877,12 @@ class TestCoeffsByQuadrature:
         with pytest.raises(ValidationError):
             bp.coeffs_by_quadrature(f_cosxy, 10, 0, 32)
 
+    @pytest.mark.parametrize("k, j", [(-1, 0), (0, -1)])
+    def test_rejects_a_negative_index(self, k, j):
+        with pytest.raises(ValidationError,
+                           match=r"^coefficient indices must be >= 0$"):
+            bp.coeffs_by_quadrature(f_cosxy, k, j, 64)
+
 
 class TestCrossChecks:
     @pytest.mark.parametrize("f", [
@@ -1889,6 +1901,14 @@ class TestCrossChecks:
         # |d2/dx2 cos(xy)| = |y^2 cos(xy)| <= 1 on the square, same in y
         bounds = bp.DecayBounds(1.0, 1.0, 1.0)
         assert bp.decay_bound_excess(cosxy, bounds) <= 0.0
+
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["dxx", "dyy", "dxy"])
+    def test_decay_bounds_are_finite_and_nonnegative(self, field, bad):
+        values = {"dxx": 1.0, "dyy": 1.0, "dxy": 1.0, field: bad}
+        with pytest.raises(ValidationError,
+                           match=rf"^{field} must be finite and >= 0$"):
+            bp.DecayBounds(**values)
 
     def test_grid_error_is_monotone_in_degree(self, cosxy):
         xs = np.linspace(-1.0, 1.0, 50)

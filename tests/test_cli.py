@@ -1362,6 +1362,16 @@ def _cli_process(*args, **kwargs):
     return _python("-m", "bicheb.cli", *args, **kwargs)
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _unpinned(**settings):
+    """This process's environment without the BLAS thread counts, which
+    importing the CLI here has set, plus settings."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    return dict(env, **settings)
+
+
 class TestEntryPoint:
     def test_process_matches_in_process(self, capsys, tmp_path, monkeypatch):
         def summary(out):
@@ -1394,6 +1404,36 @@ class TestEntryPoint:
         monkeypatch.setattr(os, "_exit", ended)
         code = main(argv)
         assert type(code) is int and code == expected
+
+    def test_blas_runs_one_thread_unless_set(self):
+        script = f"import os, bicheb.cli; print(*map(os.environ.get, {BLAS_THREADS}))"
+        result = _python("-c", script, env=_unpinned(), capture_output=True,
+                         text=True, check=True)
+        assert result.stdout == "1 1 1\n"
+        for name in BLAS_THREADS:
+            result = _python("-c", script, env=_unpinned(**{name: "3"}),
+                             capture_output=True, text=True, check=True)
+            assert result.stdout.split() == [
+                "3" if other == name else "1" for other in BLAS_THREADS]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs")
+    def test_export_is_the_same_on_any_cpus(self, tmp_path):
+        # 90,000 values through BLAS products, which with BLAS's threads on
+        # two CPUs rounded differently from those on one
+        c = bc.Cheb2(np.random.default_rng(1).standard_normal((64, 64)))
+        bc.save(bc.to_sparse(c), tmp_path / "d.json")
+        cpus = os.sched_getaffinity(0)
+        written = []
+        for allowed in ({min(cpus)}, cpus):
+            result = _cli_process(
+                "export", "d.json", "--resolution", "300", "-o", "g.csv",
+                cwd=tmp_path, env=_unpinned(), capture_output=True, text=True,
+                preexec_fn=lambda: os.sched_setaffinity(0, allowed))
+            assert result.returncode == EXIT_OK and result.stderr == ""
+            written.append((tmp_path / "g.csv").read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_flush_exits_5(self, capsys, tmp_path):

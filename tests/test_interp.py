@@ -174,6 +174,10 @@ class TestAliasing:
         assert aliasing_coeffs(alpha, 4, 4, cutoff=1)[0, 0] == 0.0
         assert aliasing_coeffs(alpha, 4, 4, cutoff=2)[0, 0] == 1.0
 
+    def test_rejects_a_matrix_that_is_not_2d(self):
+        with pytest.raises(ValidationError, match=r"^coefficient matrix must be 2-D$"):
+            aliasing_coeffs(np.ones(5), 4, 4)
+
 
 class TestErrorBoundGap:
     def test_zero_tail(self):
@@ -185,6 +189,15 @@ class TestErrorBoundGap:
         alpha = np.zeros((4, 6))
         alpha[0, 4] = 0.25
         assert interp_error_bound_gap(alpha, 3, 3) == 0.25
+
+    @pytest.mark.parametrize("alpha, message", [
+        (np.ones(5), "coefficient matrix must be 2-D"),
+        (np.array([[1.0, np.inf], [0.0, 0.0]]), "coefficient matrix must be finite"),
+        (np.array([[1.0, 0.0], [np.nan, 0.0]]), "coefficient matrix must be finite"),
+    ], ids=["1-d", "inf", "nan"])
+    def test_rejects_a_bad_matrix(self, alpha, message):
+        with pytest.raises(ValidationError, match=rf"^{message}$"):
+            interp_error_bound_gap(alpha, 1, 1)
 
     def test_bounds_observed_gap(self, cosxy_alpha32, cosxy):
         gap = interp_error_bound_gap(cosxy_alpha32, 4, 4)
