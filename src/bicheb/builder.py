@@ -25,9 +25,9 @@ its tensor passes and its slice passes share, one function per part:
 - once both tails pass, the trimmed approximant must also match f at a
   fixed set of off-grid check points, within (nx + 1)(ny + 1) times the
   threshold (build_adaptive's rejection); it is evaluated at the check
-  points' unit coordinates, whose Chebyshev bases every build in the
-  process reads from one table, filled as far as checks have needed
-  (_check_basis).
+  points' unit coordinates cos((2i + 1) pi / 66), where T_k repeats with
+  period 132 in k, so the bases of every degree are rows of one
+  read-only period of them, computed at import (_check_basis).
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
 overflows give a tail that is not finite, and the build stops there; a pass
@@ -67,10 +67,9 @@ new nodes and a trimmed copy of the coefficients are the only other large
 arrays.  The budget charges the samples, the previous samples and the
 transform's two grids plus its chunk buffers (_pass_entries,
 _transform_entries), so it covers what a pass holds with a grid to spare.
-Above _CHECK_DEGREE it also charges the basis matrices of the off-grid
-check at the pass's bounds (_basis_entries), which outgrow the grid when
-one bound is large; up to it, the check reads its bases from the
-process's table.
+It also charges the off-grid check's bases at the pass's larger bound, 32
+doubles per degree, which outgrow the grid when one bound is large: above
+degree 131 the check repeats the period into a new array.
 
 The transform, the sampling, the trim rule and the grid budget are
 ``bicheb.chebcore``'s.  The package loads this module on the first lookup
@@ -78,7 +77,6 @@ of ``bicheb.build_adaptive`` or ``bicheb.parseval_indicator``.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -88,13 +86,11 @@ from .chebcore import (
     _MAX_N,
     Cheb2,
     Domain2,
-    _basis_entries,
     _check_grid_budget,
     _dct_rows,
     _index,
     _is_power_of_two,
     _lobatto_coeffs,
-    _recurrence,
     _require_real,
     _sample_on,
     _transform_entries,
@@ -108,19 +104,14 @@ from .errors import ConvergenceError, ValidationError
 # i = 0..32, without the centre i = 16.  (2i + 1) / 66 = j / 2^k forces
 # 2i + 1 = 33, so no other point is a node of a power-of-two Lobatto grid.
 _CHECK_NODES = np.delete(np.cos((np.arange(33) + 0.5) * np.pi / 33), 16)
+_CHECK_NODES.setflags(write=False)
 
-# Row k of _check_table is T_k(_CHECK_NODES), for k up to _CHECK_DEGREE, the
-# default max_n: one table for both axes of every build in the process.  It
-# is allocated once, 4097 x 32 doubles (about 1 MiB of address space).  Its
-# first _check_rows rows are filled, T_0 and T_1 here and the others under
-# _check_lock only as far as a check has needed (_check_basis); a filled
-# row is never written again.
-_CHECK_DEGREE = _MAX_N
-_check_table = np.empty((_CHECK_DEGREE + 1, _CHECK_NODES.size))
-_check_table[0] = 1.0
-_check_table[1] = _CHECK_NODES
-_check_rows = 2
-_check_lock = threading.Lock()
+# Row k of _CHECK_PERIOD is T_k(_CHECK_NODES) for k = 0..131, by cheb_basis's
+# recurrence.  T_k(cos t) = cos(k t) and t = (2i + 1) pi / 66, so T_(k + 132)
+# is T_k at every check point, and one period of 132 x 32 doubles holds the
+# check's bases for both axes, at any degree, of every build in the process.
+_CHECK_PERIOD = np.ascontiguousarray(cheb_basis(131, _CHECK_NODES).T)
+_CHECK_PERIOD.setflags(write=False)
 
 # The builder's rank test runs once, on the first pass that fails its tail
 # test and whose next grid would hold at least _RANK_ENTRIES entries (a
@@ -150,20 +141,13 @@ def _bounds(nx, ny):
 
 
 def _check_basis(degree):
-    """T_k(_CHECK_NODES) for k = 0..degree, one row per degree: the leading
-    rows of _check_table, filled first by the recurrence of cheb_basis if a
-    check has not yet needed them, so their bits are cheb_basis's.  Above
-    _CHECK_DEGREE, a new array from cheb_basis, which is not kept."""
-    global _check_rows
-    if degree > _CHECK_DEGREE:
-        return cheb_basis(degree, _CHECK_NODES).T
-    with _check_lock:
-        if degree >= _check_rows:
-            _recurrence(_check_table[_check_rows:degree + 1],
-                        _check_table[_check_rows - 2], _check_table[_check_rows - 1],
-                        _CHECK_NODES)
-            _check_rows = degree + 1
-    return _check_table[:degree + 1]
+    """T_k(_CHECK_NODES) for k = 0..degree, one row per degree, row k being
+    row k mod 132 of _CHECK_PERIOD: below 132 a read-only view of its
+    leading rows, with cheb_basis's bits, and from 132 on a new array of
+    the period repeated, 32 (degree + 1) doubles (_pass_entries)."""
+    if degree < len(_CHECK_PERIOD):
+        return _CHECK_PERIOD[:degree + 1]
+    return np.resize(_CHECK_PERIOD, (degree + 1, _CHECK_NODES.size))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +224,11 @@ def _proven_failure(values, threshold, slack):
 def _pass_entries(nx, ny, previous):
     """Float64 entries charged for a tensor pass at degree bounds (nx, ny)
     while `previous` entries of the last pass's samples are held: the
-    samples, the previous samples and the transform's arrays, and above
-    _CHECK_DEGREE the basis matrices of the off-grid check, which outgrow
-    the grid when one bound is large."""
-    entries = (nx + 1) * (ny + 1) + previous + _transform_entries(nx + 1, ny + 1)
-    if max(nx, ny) > _CHECK_DEGREE:
-        entries += _basis_entries(nx, ny, 2 * _CHECK_NODES.size)
-    return entries
+    samples, the previous samples, the transform's arrays and the off-grid
+    check's bases at the larger bound (_check_basis), which outgrow the
+    grid when one bound is large."""
+    return ((nx + 1) * (ny + 1) + previous + _transform_entries(nx + 1, ny + 1)
+            + _CHECK_NODES.size * (max(nx, ny) + 1))
 
 
 def _doubled(nx, ny, grow_x, grow_y, max_n, error):
@@ -562,7 +544,8 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
         evaluated at _CHECK_NODES themselves, the unit points of those
         samples, as evaluate_grid evaluates a tensor grid: the bases of the
         two axes on either side of the coefficients.  The bases are rows
-        of the process's table (_check_basis), not a recurrence per call."""
+        of one period computed at import (_check_basis), not a recurrence
+        per call."""
         nonlocal reference
         if reference is None:
             reference = _sample_on(f, domain.x_from_unit(_CHECK_NODES),

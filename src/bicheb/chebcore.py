@@ -26,8 +26,9 @@ recurrence over the points of the two axes: ``evaluate_matrix`` takes whole
 arrays of scattered points (in bounded blocks), ``evaluate_grid`` a tensor
 grid.  A scalar point goes through the same kernel as a one-point array,
 and the builder's off-grid check forms evaluate_grid's product from the
-bases in its process-wide table (``bicheb.builder._check_basis``), which
-the same recurrence fills.
+bases of its fixed points, whose T_k repeat in k: cheb_basis computes one
+period of them once, at import (``bicheb.builder._check_basis``).  The
+kept Lobatto nodes are computed at import too (``lobatto_nodes``).
 Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle, and
 maps its point as the kernel does.  The basis matrices grow with the
 degrees, not with the points' arrays: _basis_entries gives their size,
@@ -74,11 +75,9 @@ _CHUNK_ENTRIES = 2 ** 15
 # rectangle.
 _DOMAIN_LIMIT = sys.float_info.max / 4
 
-# The degree cap: the default max_n of the builder and the CLI, the largest
-# n whose Lobatto nodes the process keeps (_kept_nodes holds them from the
-# first call that needs them) and the top degree of the builder's check table.
+# The degree cap: the default max_n of the builder and the CLI, and the
+# largest n whose Lobatto nodes the process keeps (_kept_nodes).
 _MAX_N = 4096
-_kept_nodes = None
 
 # Bytes the float64 arrays of one grid may take: an evaluation, export or
 # interpolation grid, a document's dense coefficient matrix, or one pass of
@@ -341,23 +340,16 @@ def cheb_basis(n, t):
     by_degree[0] = 1.0
     if n >= 1:
         by_degree[1] = t
-    _recurrence(by_degree[2:], by_degree[0], by_degree[min(n, 1)], t)
-    return np.ascontiguousarray(by_degree.T)
-
-
-def _recurrence(rows, older, old, t):
-    """Fill rows, in place, with T_k(t), T_(k+1)(t), ... from older =
-    T_(k-2)(t) and old = T_(k-1)(t): each row is 2 t old - older.  The one
-    recurrence of cheb_basis and of the builder's table of check bases.  A
-    row's bits depend only on the two rows before it, so a table extended
-    over several calls holds the bits of one run."""
     twice = 2.0 * t
-    # the rows as views, taken one at a time as the loop walks them, which
-    # costs less than rows[k] and holds three, not one per degree
-    for row in rows:
+    older, old = by_degree[0], by_degree[min(n, 1)]
+    # T_k = 2 t T_(k-1) - T_(k-2), the rows as views, taken one at a time as
+    # the loop walks them, which costs less than by_degree[k] and holds
+    # three, not one per degree
+    for row in by_degree[2:]:
         np.multiply(twice, old, row)
         np.subtract(row, older, row)
         older, old = old, row
+    return np.ascontiguousarray(by_degree.T)
 
 
 def _basis_entries(degree_x, degree_y, points):
@@ -401,19 +393,14 @@ def lobatto_nodes(n):
 
     For a power of two n up to _MAX_N, the default max_n of the builder,
     the nodes are a read-only view, every (_MAX_N / n)-th node, of the
-    nodes of _MAX_N, which the process computes on the first such call
-    and keeps (4097 doubles, about 32 KiB).
+    nodes of _MAX_N, which the module computes at import and keeps
+    (_kept_nodes, 4097 doubles, about 32 KiB).
     lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit, so the view
     holds the bits computed for n.  Any other n gives a new array, which
     is not kept."""
-    global _kept_nodes
     if n < 1:
         raise ValidationError("degenerate degree: need n >= 1")
     if n <= _MAX_N and _is_power_of_two(n):
-        if _kept_nodes is None:  # threads that race compute the same bits
-            nodes = _computed_nodes(_MAX_N)
-            nodes.setflags(write=False)
-            _kept_nodes = nodes
         return _kept_nodes[:: _MAX_N // n]
     return _computed_nodes(n)
 
@@ -427,6 +414,11 @@ def _computed_nodes(n):
     if n % 2 == 0:
         nodes[half] = 0.0
     return nodes
+
+
+# The nodes of _MAX_N, read-only, of which lobatto_nodes returns views.
+_kept_nodes = _computed_nodes(_MAX_N)
+_kept_nodes.setflags(write=False)
 
 
 def _sample_on(f, xs, ys, out=None):

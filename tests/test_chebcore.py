@@ -160,8 +160,8 @@ class TestChebBasis:
         assert np.array_equal(bc.cheb_basis(np.int64(3), [0.3]), bc.cheb_basis(3, [0.3]))
 
     def test_leading_columns_are_the_lower_degree_basis(self):
-        # the builder's table of check bases rests on this: T_k's bits do not
-        # depend on how far the recurrence runs past k
+        # the builder's period of check bases rests on this: T_k's bits do
+        # not depend on how far the recurrence runs past k
         t = np.concatenate(([-1.0, 0.0, 1.0], builder._CHECK_NODES,
                             np.random.default_rng(5).uniform(-1.0, 1.0, 29)))
         full = bc.cheb_basis(700, t)
@@ -169,11 +169,26 @@ class TestChebBasis:
             assert np.array_equal(full[:, :d + 1], bc.cheb_basis(d, t))
 
     def test_check_table_rows_are_cheb_basis(self):
-        # rows filled now or by earlier builds, and the per-call basis
-        # above the table's last degree
-        for d in (0, 1, 5, 300, builder._CHECK_DEGREE, builder._CHECK_DEGREE + 3):
-            assert np.array_equal(builder._check_basis(d),
-                                  bc.cheb_basis(d, builder._CHECK_NODES).T)
+        # below 132, views of the period, with cheb_basis's bits
+        for d in (0, 1, 5, 123, 131):
+            basis = builder._check_basis(d)
+            assert basis.base is builder._CHECK_PERIOD and not basis.flags.writeable
+            assert basis.tobytes() == bc.cheb_basis(d, builder._CHECK_NODES).T.tobytes()
+
+    @pytest.mark.parametrize("d", [131, 132, 683, 4096, 8192])
+    def test_check_basis_repeats_the_period(self, d):
+        basis = builder._check_basis(d)
+        assert basis.shape == (d + 1, 32)
+        assert np.array_equal(basis, builder._CHECK_PERIOD[np.arange(d + 1) % 132])
+
+    def test_check_basis_rows_are_the_exact_cosines(self):
+        # T_k(cos t) = cos(k t) at t = (2i + 1) pi / 66, with k (2i + 1)
+        # reduced mod 132 before the cosine, so the exact value is rounded
+        # once; the recurrence alone drifts to 1.5e-12 by degree 4096
+        odd = 2 * np.delete(np.arange(33), 16) + 1
+        k = np.arange(8193)[:, None]
+        exact = np.cos((k * odd % 132) * np.pi / 66)
+        assert np.abs(builder._check_basis(8192) - exact).max() <= 1e-13
 
 
 class TestSampleGrid:
@@ -530,8 +545,9 @@ class TestBuildAdaptive:
 
     def test_pass_over_budget_refused_before_allocation(self, monkeypatch):
         # a budget that holds the pass at degree bound 512 but not at 1024;
-        # the check's bases at degree 512 are rows of the process's table
-        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        # the check's bases at degree 512 are 513 rows of 32
+        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+                + builder._CHECK_NODES.size * 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
         degrees = recording_transforms(monkeypatch)
         with pytest.raises(ConvergenceError,
@@ -700,9 +716,8 @@ def recording_expansions(monkeypatch):
 
 # The six functions of the benchmark's builds, built in a fresh interpreter.
 # argv holds the steps, in order: a name builds that function and prints
-# its name and a digest of its Cheb2, "fill" fills the check table to its
-# last degree, and "threads" builds the six on four threads at once, each
-# in its own order, from frequent thread switches.
+# its name and a digest of its Cheb2, and "threads" builds the six on four
+# threads at once, each in its own order, from frequent thread switches.
 SIX_BUILDS = """
 import hashlib, sys, threading
 import numpy as np
@@ -726,9 +741,7 @@ def build(name):
     return f"{name} {c.coeffs.shape} {c.tol!r} {digest}"
 
 for step in sys.argv[1:]:
-    if step == "fill":
-        builder._check_basis(builder._CHECK_DEGREE)
-    elif step == "threads":
+    if step == "threads":
         lines = []
         orders = [NAMES[k:] + NAMES[:k] for k in range(4)]
         workers = [threading.Thread(target=lambda order: lines.extend(map(build, order)),
@@ -760,27 +773,46 @@ SIX = ("cosxy", "example2", "sin60cos50", "sin80", "runge", "bump")
 
 
 class TestCheckTable:
-    """The builder's process-wide tables leave no trace in its results."""
+    """The builder's process-wide tables, the kept Lobatto nodes and the
+    period of check bases, leave no trace in its results."""
 
     def test_builds_do_not_depend_on_the_tables_history(self):
-        # each function first in a fresh process, whose table it fills
+        # each function first in a fresh process
         fresh = [line for name in SIX for line in six_builds(name)]
         assert [line.split()[0] for line in fresh] == list(SIX)
-        # the table grown build by build, filled past every degree by the
-        # bump first, or filled to its last degree before any build
+        # after the others, in either order
         assert six_builds(*SIX) == fresh
         assert six_builds(*SIX[::-1]) == fresh[::-1]
-        assert six_builds("fill", *SIX) == fresh
-        # four threads at once that race to fill a new table
+        # four threads at once
         assert sorted(six_builds("threads")) == sorted(fresh * 4)
 
-    def test_build_above_the_table_leaves_it_as_it_was(self):
-        table, rows = builder._check_table, builder._check_rows
-        c = bc.build_adaptive(lambda x, y: np.sin(6000.0 * x) + 0.0 * y, 1e-13,
-                              max_n=8192)
-        assert c.degree_x > builder._CHECK_DEGREE
-        assert builder._check_table is table and table.shape == (4097, 32)
-        assert builder._check_rows == rows <= 4097
+    @pytest.mark.parametrize("module", [chebcore, builder], ids=lambda m: m.__name__)
+    def test_module_arrays_are_read_only(self, module):
+        arrays = {name: value for name, value in vars(module).items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+
+    def test_build_above_the_period_is_within_its_charge(self, monkeypatch):
+        # the check at degree 6165 repeats the period into 6166 rows of 32,
+        # which the last pass, at 8192 x 8, charges with its grid
+        charged = []
+        check = chebcore._check_grid_budget
+
+        def recording(what, entries, error=ValidationError):
+            charged.append(entries)
+            check(what, entries, error)
+
+        monkeypatch.setattr(builder, "_check_grid_budget", recording)
+        tracemalloc.start()
+        try:
+            c = bc.build_adaptive(lambda x, y: np.sin(6000.0 * x) + 0.0 * y, 1e-13,
+                                  max_n=8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c.degree_x, c.degree_y) == (6165, 0)
+        assert peak <= 8 * max(charged)
 
 
 def assert_same_trim(left, right, threshold):
@@ -887,7 +919,8 @@ class TestLowRankPhase:
         # the budget holds the tensor pass at degree bound 512 but not the
         # bump's 1025 x 1025 dense matrix: phase 2 stops before it, and
         # phase 1 refuses its own pass at 1024
-        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+                + builder._CHECK_NODES.size * 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
         refused = []
         check = chebcore._check_grid_budget
@@ -1310,7 +1343,8 @@ class TestSkippedTransform:
         # successor with both bounds doubled is over the budget, transforms
         # within its own charge, and the refusal of the next pass reports
         # its tail
-        held = 513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+        held = (513 ** 2 + 257 ** 2 + chebcore._transform_entries(513, 513)
+                + builder._CHECK_NODES.size * 513)
         monkeypatch.setattr(chebcore, "_GRID_BUDGET", 8 * held)
 
         def f(x, y):
