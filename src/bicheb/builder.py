@@ -656,7 +656,7 @@ def parseval_indicator(c, f):
                        2 * (n + 1) * (m + 1))
     values = _sample_on(f, c.domain.x_from_unit(lobatto_nodes(n)),
                         c.domain.y_from_unit(lobatto_nodes(m)))
-    peak = max(values.max(), -values.min())
+    peak = _peak(values)
     with np.errstate(over="ignore", invalid="ignore"):
         mass = a[0, 0] ** 2
         mass += 0.5 * np.sum(a[1:, 0] ** 2) + 0.5 * np.sum(a[0, 1:] ** 2)

@@ -379,7 +379,7 @@ def _check_grid_budget(what, entries, error=ValidationError):
     need = 8 * entries
     if need > _GRID_BUDGET:
         raise error(f"{what} needs {need} bytes ({need / 2 ** 30:.3g} GiB) of "
-                    f"arrays, over the budget of {_GRID_BUDGET} bytes "
+                    f"memory, over the budget of {_GRID_BUDGET} bytes "
                     f"({_GRID_BUDGET / 2 ** 30:.3g} GiB)")
 
 

@@ -19,15 +19,16 @@ inputs, and failures map to documented exit codes:
 The parser converts and checks every argument, defaults included: the
 numbers, the rectangles, each --point, the formulas, which it parses into
 callables, and --tol, whose default is $BICHEB_TOL or else 1e-15 for the
-commands that take it (approx, integrate, interp); the others ignore
-BICHEB_TOL.  So every command fails in one order: a bad argument first,
-then eval's --points-file, then the coefficient document, then the work.
+two commands that take it (approx, interp); the others ignore BICHEB_TOL.
+So every command fails in one order: a bad argument first, then eval's
+--points-file, then the coefficient document, then the work.
 
 The parser's, the builder's and the calculus' functions are looked up in
 the package when they are first called, which loads their modules then:
-only a formula argument loads ``bicheb.exprparse``, only ``approx`` and
-``integrate --expr`` load ``bicheb.builder``, and only ``integrate`` and
-``diff`` load ``bicheb.calculus``.
+only a formula argument loads ``bicheb.exprparse``, only ``approx`` loads
+``bicheb.builder``, and only ``integrate`` and ``diff`` load
+``bicheb.calculus``.  Only ``approx`` and ``interp`` build from a formula;
+the commands that take a coefficient document only read it.
 
 ``eval`` evaluates all its points in one call of ``evaluate_matrix`` and its
 --compare-expr reference in one call of ``eval_ast``, before it opens its
@@ -334,16 +335,7 @@ def cmd_eval(args):
 
 
 def cmd_integrate(args):
-    if (args.input is None) == (args.expr is None):
-        raise ValidationError(
-            "integrate takes either a coefficient file or --expr; "
-            f"got file {args.input!r} and --expr {args.expr!r}")
-    if args.input is not None:
-        c = to_cheb2(load(args.input))
-    else:
-        c = bicheb.build_adaptive(args.expr, args.tol, n0=args.n0, max_n=args.max_n,
-                                  domain=args.domain, relative=args.relative_tol)
-    print("%.17g" % bicheb.integrate(c))
+    print("%.17g" % bicheb.integrate(to_cheb2(load(args.input))))
     return EXIT_OK
 
 
@@ -450,17 +442,6 @@ def _add_grid_options(sub, grid_help):
                      help="grid points per axis (default 50)")
 
 
-def _add_build_options(sub):
-    _add_formula_options(sub, "trim tolerance")
-    sub.add_argument("--max-n", type=int, default=_MAX_N,
-                     help="largest degree bound of either axis of a sampled "
-                          f"grid; the axes double separately (default {_MAX_N})")
-    sub.add_argument("--n0", type=int, default=8,
-                     help="degree of the first sampled grid (default 8)")
-    sub.add_argument("--relative-tol", action="store_true",
-                     help="scale the tolerance by the largest sampled magnitude")
-
-
 # argparse reads an argument that starts with "-" as an option
 _MINUS_HELP = ("one that starts with a minus sign goes in parentheses, "
                "'(-x*y)', or last, after every option and --: -o p.json -- '-x*y'")
@@ -479,7 +460,14 @@ def _build_parser():
                    help=f"formula in x and y, e.g. 'cos(x*y)'; {_MINUS_HELP}")
     p.add_argument("-o", "--output", default="coeffs.json",
                    help="coefficient file to write (default coeffs.json)")
-    _add_build_options(p)
+    _add_formula_options(p, "trim tolerance")
+    p.add_argument("--max-n", type=int, default=_MAX_N,
+                   help="largest degree bound of either axis of a sampled "
+                        f"grid; the axes double separately (default {_MAX_N})")
+    p.add_argument("--n0", type=int, default=8,
+                   help="degree of the first sampled grid (default 8)")
+    p.add_argument("--relative-tol", action="store_true",
+                   help="scale the tolerance by the largest sampled magnitude")
 
     p = subs.add_parser("eval", help="evaluate a coefficient file")
     p.set_defaults(run=cmd_eval)
@@ -496,10 +484,7 @@ def _build_parser():
 
     p = subs.add_parser("integrate", help="integrate over the domain")
     p.set_defaults(run=cmd_integrate)
-    p.add_argument("input", nargs="?", default=None, help="coefficient file")
-    p.add_argument("--expr", type=_Formula, default=None,
-                   help="build from this formula instead of a file")
-    _add_build_options(p)
+    p.add_argument("input", help="coefficient file")
 
     p = subs.add_parser("diff", help="differentiate a coefficient file")
     p.set_defaults(run=cmd_diff)

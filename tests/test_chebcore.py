@@ -999,6 +999,35 @@ class TestLowRankPhase:
         assert c.degree_x < 59 and c.degree_y < 20
 
 
+class TestCoverage:
+    """A second feature, 1e-2 high and of width ~1/sqrt(w), next to the
+    narrow bump: a build that samples too coarsely near it returns the
+    bump's approximant, which misses the feature's whole height."""
+
+    WIDTH = 2e5
+    # entries 3, 16, 20 and 23 of 30 centres uniform in +-0.95: with the
+    # rank test run from the 129 x 129 pass on, each of these builds
+    # returned the bump's 686 x 710 approximant, with error 9.907e-3
+    CENTRES = np.random.default_rng(11).uniform(-0.95, 0.95, (30, 2))[[3, 16, 20, 23]]
+
+    @pytest.mark.parametrize("cx, cy", CENTRES.tolist(),
+                             ids=["c3", "c16", "c20", "c23"])
+    def test_second_feature_is_resolved_or_refused(self, cx, cy):
+        def f(x, y):
+            return narrow_bump(x, y) + 1e-2 * np.exp(
+                -self.WIDTH * ((x - cx) ** 2 + (y - cy) ** 2))
+
+        try:
+            c = bc.build_adaptive(f, 1e-14, relative=True)
+        except ConvergenceError:
+            return
+        near = np.random.default_rng(0).uniform(-1.0, 1.0, (2, 3000))
+        near *= 3.0 / math.sqrt(self.WIDTH)
+        xs = np.clip(cx + near[0], -1.0, 1.0)
+        ys = np.clip(cy + near[1], -1.0, 1.0)
+        assert np.abs(bc.evaluate_matrix(c, xs, ys) - f(xs, ys)).max() <= 1e-6
+
+
 def trimmed_by_masks(a, threshold):
     """The trim with full-size masks on a copy of a, as the builder once
     applied it: the oracle of the chunked, in-place trim."""
