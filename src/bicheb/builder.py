@@ -50,7 +50,11 @@ product's are, so the trimmed block is the trimmed dense matrix bit for bit;
 it is checked off the grid as a tensor pass is, and if an axis would pass
 max_n or the check fails, the tensor passes resume.  The block is trimmed
 in place and the Cheb2 holds its kept corner as a view, without a copy, so
-the step's one dense array is the block.  Each step is charged against the
+the step's one dense array is the block.  Once written, the block is read
+whole only by the trim's zeroing and the off-grid check: the trim finds the
+kept corner's edges from the far end, up to the first slab that holds a
+kept entry, and the bounds, when all are finite, prove every entry finite,
+so the block is not scanned for NaN and inf.  Each step is charged against the
 budget before it samples: the tested grid, the slices and three dense
 grids, since the block can be the whole matrix; the charge leaves two
 grids to spare.  The bounds and the
@@ -284,9 +288,12 @@ def _rank_test(values, threshold):
 def _expand(left, right):
     """sum_k outer(left[k], right[k]), added in order of k with elementwise
     numpy and no BLAS product, so the bytes do not depend on the CPUs."""
-    out = np.multiply.outer(left[0], right[0])
-    for k in range(1, len(left)):
-        out += np.multiply.outer(left[k], right[k])
+    # the caller finds the entries that are not finite, so numpy need not
+    # warn of them
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply.outer(left[0], right[0])
+        for k in range(1, len(left)):
+            out += np.multiply.outer(left[k], right[k])
     return out
 
 
@@ -309,6 +316,14 @@ def _trimmed_product(left, right, threshold, domain):
     columns, so it keeps the same matrix from the block as from the whole
     product.
 
+    By the same rounding, finite bounds prove every entry finite: then the
+    Cheb2 is made without Cheb2._owning's scan of the block for NaN and
+    inf, whose other checks the builder's domain and a finite threshold
+    pass.  A bound that overflows or is NaN sends the block to that scan,
+    which refuses a block that is not finite and passes one whose terms
+    cancel, as for factors of 1e154 and -1e154.  The bounds and the
+    expansion overflow with no numpy warning, as the transform does.
+
     The block is trimmed in place and the Cheb2 takes its kept corner as a
     view, with no copy, so the step holds one dense array, and the result
     keeps the block's buffer, a few rows and columns more than it needs
@@ -319,18 +334,22 @@ def _trimmed_product(left, right, threshold, domain):
     cut = 0.5 * threshold
     row_peaks = np.abs(right).max(axis=1)
     col_peaks = np.abs(left).max(axis=1)
-    row_bound = np.abs(left[0]) * row_peaks[0]
-    col_bound = np.abs(right[0]) * col_peaks[0]
-    for k in range(1, len(left)):
-        row_bound += np.abs(left[k]) * row_peaks[k]
-        col_bound += np.abs(right[k]) * col_peaks[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_bound = np.abs(left[0]) * row_peaks[0]
+        col_bound = np.abs(right[0]) * col_peaks[0]
+        for k in range(1, len(left)):
+            row_bound += np.abs(left[k]) * row_peaks[k]
+            col_bound += np.abs(right[k]) * col_peaks[k]
     rows = np.flatnonzero(~(row_bound < cut))
     cols = np.flatnonzero(~(col_bound < cut))
     # no row or column kept: a 1 x 1 block, trimmed to the zero coefficient
     nr = rows[-1] + 1 if rows.size else 1
     nc = cols[-1] + 1 if cols.size else 1
-    block = _expand(left[:, :nr], right[:, :nc])
-    return Cheb2._owning(_trim_in_place(block, threshold), domain, threshold)
+    kept = _trim_in_place(_expand(left[:, :nr], right[:, :nc]), threshold)
+    if (math.isfinite(threshold) and np.isfinite(row_bound).all()
+            and np.isfinite(col_bound).all()):
+        return Cheb2._of(kept, domain, threshold)
+    return Cheb2._owning(kept, domain, threshold)
 
 
 def _skeleton(along_x, along_y, core):

@@ -561,16 +561,31 @@ def _trim_in_place(a, threshold):
     nonzero, as a view of a, or a new 1 x 1 zero if none is.  NaN counts as
     nonzero, -0.0 as zero.  The entries are zeroed in chunks of about
     _CHUNK_ENTRIES, a few rows each, so the masks take a chunk, not a
-    grid."""
+    grid.  The kept extent is then found from the far end, the last kept
+    row first and within the kept rows the last kept column, in slabs of
+    about _CHUNK_ENTRIES (_kept_extent): only the slabs after the kept
+    block's edges, and the one that holds each edge, are read again."""
     step = max(1, _CHUNK_ENTRIES // max(1, a.shape[1]))
     for lo in range(0, a.shape[0], step):
         chunk = a[lo:lo + step]
         np.copyto(chunk, 0.0, where=(chunk < threshold) & (chunk > -threshold))
-    rows = np.flatnonzero(a.any(axis=1))
-    if rows.size == 0:
+    rows = _kept_extent(a, step)
+    if rows == 0:
         return np.zeros((1, 1))
-    cols = np.flatnonzero(a[: rows[-1] + 1].any(axis=0))
-    return a[: rows[-1] + 1, : cols[-1] + 1]
+    cols = _kept_extent(a[:rows].T, max(1, _CHUNK_ENTRIES // rows))
+    return a[:rows, :cols]
+
+
+def _kept_extent(a, step):
+    """1 + the index of the last row of a with an entry that is nonzero or
+    NaN, or 0 if it has none: slabs of step rows are read from the last
+    one back, up to the first that holds such an entry."""
+    for hi in range(a.shape[0], 0, -step):
+        lo = max(0, hi - step)
+        rows = np.flatnonzero(a[lo:hi].any(axis=1))
+        if rows.size:
+            return lo + rows[-1] + 1
+    return 0
 
 
 def trim(coeffs, tol, domain=UNIT_SQUARE):

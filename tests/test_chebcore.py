@@ -1167,6 +1167,52 @@ class TestOwnedBlock:
         assert peak < 1.6 * 659 * 683 * 8
 
 
+class TestFiniteBounds:
+    """Phase 2's Cheb2 is finite by its factors' bounds: a block whose row
+    and column bounds are all finite is not scanned again, and one with a
+    bound that overflows is, with no numpy warning either way."""
+
+    @staticmethod
+    def scans(monkeypatch):
+        """The arrays Cheb2._owning checks, by its scan for NaN and inf."""
+        arrays = []
+        owning = bc.Cheb2._owning.__func__
+
+        def recording(cls, a, domain, tol):
+            arrays.append(a)
+            return owning(cls, a, domain, tol)
+
+        monkeypatch.setattr(bc.Cheb2, "_owning", classmethod(recording))
+        return arrays
+
+    def test_finite_bounds_are_not_scanned(self, monkeypatch):
+        arrays = self.scans(monkeypatch)
+        left, right = decaying_factors(np.random.default_rng(3), 3, 300, 280)
+        c = builder._trimmed_product(left, right, 1e-6, bc.UNIT_SQUARE)
+        assert arrays == [] and not c.coeffs.flags.writeable
+        assert c.tol == 1e-6 and c.domain == bc.UNIT_SQUARE
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rank_one_overflow_is_not_finite(self, monkeypatch):
+        # 1e200 * 1e200 overflows in both bounds and in the entry
+        arrays = self.scans(monkeypatch)
+        left, right = rank_one([1e200, 1], [1e200, 1])
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            builder._trimmed_product(left, right, 1e-300, bc.UNIT_SQUARE)
+        assert len(arrays) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cancelling_terms_under_overflowing_bounds(self, monkeypatch):
+        # the bounds of row 0 and column 0 sum 1e308 twice and overflow; the
+        # entries are 1e308 - 1e308, 1e154 + 1e154 and small ones
+        arrays = self.scans(monkeypatch)
+        left = np.array([[1e154, 1.0], [1e154, 1.0]])
+        right = np.array([[1e154, 1.0], [-1e154, 1.0]])
+        c = builder._trimmed_product(left, right, 1e-300, bc.UNIT_SQUARE)
+        assert c.coeffs.tolist() == [[0.0, 2e154], [0.0, 2.0]]
+        assert len(arrays) == 1
+
+
 def smooth(x, y):
     return np.cos(3.0 * x + 0.5) * np.exp(y) + x * y
 

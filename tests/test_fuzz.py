@@ -1,13 +1,18 @@
 """Fuzz tests: whatever coefficient document or points file ``bicheb eval``
 reads, and whatever text a formula argument or an option's value holds, a
-command ends with a documented exit code, never a traceback.
+command ends with a documented exit code, never a traceback.  And whatever
+matrix the trim is given, its chunked, in-place rule keeps what the trim
+with full-size masks keeps, byte for byte.
 
 Skipped when Hypothesis is not installed.  Examples are derandomized, so
 every run tries the same inputs.
 """
 
 import json
+import math
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,6 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bicheb import chebcore, cli
+
+from test_chebcore import trimmed_by_masks
 
 # 0 success, 2 syntax, 4 validation, 5 I/O, 6 evaluation
 DOCUMENTED = {0, 2, 4, 5, 6}
@@ -240,3 +247,40 @@ def test_option_values(work_folder, option, value):
     # sign is not read as an option; a later value replaces the one above
     attached = option + value if option in ("-n", "-m") else f"{option}={value}"
     assert cli.main([*argv, attached]) in FORMULA_OR_OPTION
+
+
+# The trim zeroes its matrix in chunks of _CHUNK_ENTRIES entries, then finds
+# the kept extent in slabs of as many, from the far end: a chunk of one
+# entry, of 16 and the default put slab edges between every row, every few
+# rows, or none at these sizes.  Shapes 1 x n and n x 1 have one slab per
+# row, or per 16 rows or columns, so the kept extent falls on either side
+# of a slab's edge.
+sizes = st.integers(1, 48)
+shapes = st.one_of(st.tuples(st.just(1), sizes), st.tuples(sizes, st.just(1)),
+                   st.tuples(sizes, sizes))
+# values either side of the thresholds, signed zeros and the non-finite
+entry_values = st.floats(-2.0, 2.0) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix of zeros but for a few entries, at random places."""
+    rows, cols = draw(shapes)
+    a = np.zeros((rows, cols))
+    for i, j, value in draw(st.lists(st.tuples(
+            st.integers(0, rows - 1), st.integers(0, cols - 1), entry_values),
+            max_size=16)):
+        a[i, j] = value
+    return a
+
+
+@FUZZ
+@given(a=sparse_matrices(), threshold=st.just(0.0) | st.floats(0.0, 2.0),
+       chunk=st.sampled_from([1, 16, chebcore._CHUNK_ENTRIES]))
+def test_trim_in_place_is_the_mask_trim(a, threshold, chunk):
+    expected = trimmed_by_masks(a, threshold)
+    with mock.patch.object(chebcore, "_CHUNK_ENTRIES", chunk):
+        kept = chebcore._trim_in_place(a.copy(), threshold)
+    assert kept.shape == expected.shape
+    assert kept.tobytes() == expected.tobytes()  # -0.0 and NaN too
