@@ -24,10 +24,10 @@ its tensor passes and its slice passes share, one function per part:
   the new nodes only (_sample_new);
 - once both tails pass, the trimmed approximant must also match f at a
   fixed set of off-grid check points, within (nx + 1)(ny + 1) times the
-  threshold (build_adaptive's rejection); it is evaluated at the check
-  points' unit coordinates cos((2i + 1) pi / 66), where T_k repeats with
-  period 132 in k, so the bases of every degree are rows of one
-  read-only period of them, computed at import (_check_basis).
+  threshold (_rejection, on f's check samples, taken once per build); it
+  is evaluated at the check points' unit coordinates cos((2i + 1) pi / 66),
+  where T_k repeats with period 132 in k, so the bases of every degree are
+  rows of one read-only period of them, computed at import (_check_basis).
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
 overflows give a tail that is not finite, and the build stops there; a pass
@@ -47,19 +47,22 @@ factors bound the entries of each row and
 column of the dense matrix, so only the leading block that holds every
 entry the trim can keep is expanded.  Its entries are computed as the whole
 product's are, so the trimmed block is the trimmed dense matrix bit for bit;
-it is checked off the grid as a tensor pass is, and if an axis would pass
-max_n or the check fails, the tensor passes resume.  The block is trimmed
-in place and the Cheb2 holds its kept corner as a view, without a copy, so
-the step's one dense array is the block.  Once written, the block is read
-whole only by the trim's zeroing and the off-grid check: the trim finds the
-kept corner's edges from the far end, up to the first slab that holds a
-kept entry, and the bounds, when all are finite, prove every entry finite,
-so the block is not scanned for NaN and inf.  Each step is charged against the
-budget before it samples: the tested grid, the slices and three dense
-grids, since the block can be the whole matrix; the charge leaves two
-grids to spare.  The bounds and the
-expansion are elementwise numpy, not a BLAS product, so they too give the
-same bytes on any number of CPUs.
+it is checked off the grid against the tensor passes' bound, and if an axis
+would pass max_n or the check fails, the tensor passes resume.  The block
+is trimmed in place and the Cheb2 holds its kept corner as a view, without
+a copy, so the step's one dense array is the block.  Once written, the
+block is read whole only by the trim's zeroing, and again only in the
+trim's far-end slabs, up to the first that holds a kept entry.  The bounds,
+when all are finite, prove every entry finite, so the block is not scanned
+for NaN and inf.  The check uses the factors: their product's misfit at
+the check points, plus bounds on the mass the trim drops and on rounding,
+within the check's bound, proves it passes (_factor_proof); only when that
+cannot decide does the dense product of the kept block decide.  Each step
+is charged against the budget before it samples: the tested grid, the
+slices and three dense grids, since the block can be the whole matrix;
+the charge leaves two grids to spare.  The bounds and the expansion are
+elementwise numpy, not a BLAS product, so they too give the same bytes on
+any number of CPUs.
 
 A pass holds about two grid-sized arrays: the samples, which f's values
 are written into directly (the previous samples are let go once copied
@@ -116,6 +119,9 @@ _CHECK_NODES.setflags(write=False)
 # check's bases for both axes, at any degree, of every build in the process.
 _CHECK_PERIOD = np.ascontiguousarray(cheb_basis(131, _CHECK_NODES).T)
 _CHECK_PERIOD.setflags(write=False)
+# The largest |T_k| in the period, 1 + 22 eps by the recurrence's rounding
+# (_factor_proof).
+_CHECK_PEAK = float(np.abs(_CHECK_PERIOD).max())
 
 # The builder's rank test runs once, on the first pass that fails its tail
 # test and whose next grid would hold at least _RANK_ENTRIES entries (a
@@ -152,6 +158,37 @@ def _check_basis(degree):
     if degree < len(_CHECK_PERIOD):
         return _CHECK_PERIOD[:degree + 1]
     return np.resize(_CHECK_PERIOD, (degree + 1, _CHECK_NODES.size))
+
+
+def _check_samples(f, domain):
+    """f at _CHECK_NODES mapped onto the domain: the check's reference, 32 x
+    32, which build_adaptive samples once, at its first check."""
+    return _sample_on(f, domain.x_from_unit(_CHECK_NODES),
+                      domain.y_from_unit(_CHECK_NODES))
+
+
+def _rejection(reference, c, nx, ny, factors=None):
+    """None if c, trimmed from the degree bounds (nx, ny), matches f at the
+    check points within the bound, else the misfit against it.  The trim
+    drops at most (nx + 1)(ny + 1) entries, each below c.tol.
+
+    reference is f at the check points (_check_samples), and c is evaluated
+    at _CHECK_NODES themselves, the unit points of those samples, as
+    evaluate_grid evaluates a tensor grid: the bases of the two axes on
+    either side of the coefficients.  The bases are rows of one period
+    computed at import (_check_basis), not a recurrence per call.  Given
+    the factors (left, right) that c is the trimmed product of
+    (_trimmed_product), they first try to prove c within the bound
+    (_factor_proof), and the dense product runs only if they cannot: the
+    verdict is the same."""
+    bound = (nx + 1) * (ny + 1) * c.tol
+    if factors is not None and _factor_proof(*factors, reference, c.tol, bound):
+        return None
+    basis = _check_basis(max(c.degree_x, c.degree_y))
+    values = basis[:c.degree_x + 1].T @ c.coeffs @ basis[:c.degree_y + 1]
+    misfit = np.abs(values - reference).max()
+    return (None if misfit <= bound
+            else f"off-grid misfit {misfit:.3e} above {bound:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +366,10 @@ def _trimmed_product(left, right, threshold, domain):
     keeps the block's buffer, a few rows and columns more than it needs
     (666 x 692 for the bump's 659 x 683).  The view is not C-contiguous
     unless the trim kept every column; the evaluators, the calculus and
-    to_sparse give the same bytes for it as for its copy.
+    to_sparse give the same bytes for it as for its copy.  Once written,
+    the block is read again only by the trim, by its zeroing and its
+    far-end slabs: the off-grid check reads the factors, and the dense
+    product of the kept block only when they cannot decide (_factor_proof).
     """
     cut = 0.5 * threshold
     row_peaks = np.abs(right).max(axis=1)
@@ -350,6 +390,74 @@ def _trimmed_product(left, right, threshold, domain):
             and np.isfinite(col_bound).all()):
         return Cheb2._of(kept, domain, threshold)
     return Cheb2._owning(kept, domain, threshold)
+
+
+def _folded(factor):
+    """factor @ _check_basis(n), r x 32, for factor r x (n + 1), with no
+    (n + 1) x 32 bases: the bases repeat with period 132, so factor's
+    columns are first summed mod 132, onto one period."""
+    period = len(_CHECK_PERIOD)
+    folded = factor[:, :period].copy()
+    for lo in range(period, factor.shape[1], period):
+        part = factor[:, lo:lo + period]
+        folded[:, :part.shape[1]] += part
+    return folded @ _CHECK_PERIOD[:folded.shape[1]]
+
+
+def _dropped_mass(left, right, threshold):
+    """D = sum_k sum_ij min(|left[k, i]| |right[k, j]|, threshold), one k
+    at a time in O(n log n): with |right[k]| sorted and its prefix sums,
+    row i adds |left[k, i]| times the sum of the entries below
+    threshold / |left[k, i]| (searchsorted), and the threshold for each of
+    the others.  An entry that rounding puts on the wrong side adds its
+    product or the threshold, either at least its min, so D stays an upper
+    bound up to its sums' rounding."""
+    d = 0.0
+    for k in range(len(left)):
+        a, b = np.abs(left[k]), np.sort(np.abs(right[k]))
+        sums = np.concatenate(([0.0], np.cumsum(b)))
+        below = np.searchsorted(b, threshold / a)
+        d += float(a @ sums[below]) + threshold * float(a.size * b.size - below.sum())
+    return d
+
+
+def _factor_proof(left, right, reference, threshold, bound):
+    """Whether the factors prove that _rejection's dense misfit of
+    K = _trimmed_product(left, right, threshold) is at most bound, without
+    the product; False when they cannot decide.
+
+    Let P be the product as _expand computes it, L = sum_k outer(left[k],
+    right[k]) exactly, B the check bases as the table holds them, each at
+    most p = _CHECK_PEAK in magnitude, u = eps / 2 and S = sum_k
+    ||left[k]||_1 ||right[k]||_1.  To first order in u, the dense misfit at
+    a check point is at most the sum of
+    - |B^T (K - P) B| <= p^2 sum_ij min(|P_ij|, threshold), as K is P less
+      its entries below the threshold.  |P_ij| <= (1 + r u) sum_k
+      |left[k, i]| |right[k, j]| and min(., threshold) is subadditive, so
+      this is at most p^2 (1 + r u) D (_dropped_mass);
+    - |B^T (P - L) B| <= r u p^2 S, the expansion's rounding;
+    - |B^T L B - reference| <= m + (nx + ny + r + 4) u p^2 S, where m is
+      the misfit of (left B)^T (right B), computed through _folded;
+    - the dense product's own rounding, at most (nx + ny + 2) u p^2 sum |K|,
+      and sum |K| <= (1 + r u) S.
+    D's sums round it by at most (nx + ny + r + 4) u relative, and the
+    differences and this test's sums by a few u.  All of that is within
+    margin = 2 (nx + ny + r + 2) eps (S + D + m), and 2^-900 covers what
+    products that underflow lose, at most 2^-1075 each.  So
+    m + p^2 D + margin <= bound proves the dense misfit within bound.  A
+    factor, S, m or bound that is not finite, or a zero threshold, cannot
+    decide."""
+    r, nx, ny = len(left), left.shape[1] - 1, right.shape[1] - 1
+    if not (threshold > 0.0 and math.isfinite(bound)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = float(np.abs(left).sum(axis=1) @ np.abs(right).sum(axis=1))
+        if not math.isfinite(s):
+            return False
+        m = float(np.abs(_folded(left).T @ _folded(right) - reference).max())
+        d = _dropped_mass(left, right, threshold)
+        margin = 2 * (nx + ny + r + 2) * math.ulp(1.0) * (s + d + m) + 2.0 ** -900
+        return m + _CHECK_PEAK ** 2 * d + margin <= bound
 
 
 def _skeleton(along_x, along_y, core):
@@ -375,9 +483,10 @@ class _Refused(Exception):
 
 def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
     """Phase 2 of build_adaptive on the phase-1 grid `values`, whose largest
-    |f| is peak, with the pivots (I, J) of _rank_test: the trimmed Cheb2
-    and its degree bounds (nx, ny), or None if an axis would pass max_n or
-    a step the grid budget.  The Cheb2 is expanded from the block of the
+    |f| is peak, with the pivots (I, J) of _rank_test: the trimmed Cheb2,
+    its degree bounds (nx, ny) and the rank-r factors (left, right) for the
+    off-grid check (_rejection), or None if an axis would pass max_n or a
+    step the grid budget.  The Cheb2 is expanded from the block of the
     rank-r coefficients that the trim can keep (_trimmed_product), and
     equals the trimmed dense matrix.
 
@@ -395,7 +504,11 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
     the dense matrix.  The step holds one: the expanded block, which at
     worst is the whole product of _expand, and which is trimmed in place
     and held, as a view of its kept corner, by the Cheb2.  So the charge
-    leaves two grids to spare.
+    leaves two grids to spare.  Of the 8 r (nx + ny + 2) doubles charged
+    for the slices, their transforms and the factors, only the factors,
+    r (nx + ny + 2), are held at the check.  The factor proof adds about
+    3 (nx + ny + 2) doubles, one term at a time, within the rest (the
+    bump's took 2.6).
     """
     rows_i, cols_j = np.array(pivots).T
     r = rows_i.size
@@ -435,7 +548,7 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
                         domain.y_from_unit(lobatto_nodes(ny)), False, grow_y)
     except _Refused:
         return None
-    return _trimmed_product(left, right, threshold, domain), nx, ny
+    return _trimmed_product(left, right, threshold, domain), nx, ny, (left, right)
 
 
 def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
@@ -478,7 +591,9 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     The factors bound each row and column of the dense matrix of those
     coefficients, and only its leading block that can hold an entry at or
     above the threshold is expanded; trimmed, it is the trimmed dense
-    matrix bit for bit, and it is checked off the grid as above.  If an
+    matrix bit for bit, and it is checked off the grid as above, from the
+    factors when they decide and by the dense product when not
+    (_rejection, _factor_proof): the same verdict either way.  If an
     axis would pass max_n, a step would exceed the grid budget or the check
     fails, the tensor passes resume from the grid of the tested pass, and
     the rank test does not run again.  The narrow bump builds from its
@@ -552,29 +667,7 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     if not isinstance(domain, Domain2):
         raise ValidationError(f"domain must be a Domain2, got {domain!r}")
 
-    reference = None  # f on the check grid, sampled at most once
-
-    def rejection(c, nx, ny):
-        """None if c, trimmed from the degree bounds (nx, ny), matches f at
-        the check points within the bound, else the misfit against it.  The
-        trim drops at most (nx + 1)(ny + 1) entries, each below c.tol.
-
-        f is sampled at _CHECK_NODES mapped onto the domain, and c is
-        evaluated at _CHECK_NODES themselves, the unit points of those
-        samples, as evaluate_grid evaluates a tensor grid: the bases of the
-        two axes on either side of the coefficients.  The bases are rows
-        of one period computed at import (_check_basis), not a recurrence
-        per call."""
-        nonlocal reference
-        if reference is None:
-            reference = _sample_on(f, domain.x_from_unit(_CHECK_NODES),
-                                   domain.y_from_unit(_CHECK_NODES))
-        basis = _check_basis(max(c.degree_x, c.degree_y))
-        values = basis[:c.degree_x + 1].T @ c.coeffs @ basis[:c.degree_y + 1]
-        misfit = np.abs(values - reference).max()
-        bound = (nx + 1) * (ny + 1) * c.tol
-        return (None if misfit <= bound
-                else f"off-grid misfit {misfit:.3e} above {bound:.3e}")
+    reference = None  # f at the check points, sampled at most once
 
     def refused(*message):
         # the budget's message, if any, then why the last pass, which was
@@ -627,7 +720,9 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
                 # Cheb2 copies the kept block, so the pass's grid of
                 # coefficients, often several times its size, is let go
                 c = Cheb2(_trim_in_place(coeffs, threshold), domain, threshold)
-                why = rejection(c, nx, ny)
+                if reference is None:
+                    reference = _check_samples(f, domain)
+                why = _rejection(reference, c, nx, ny)
                 if why is None:
                     return c
                 why += (f" although the coefficient tail {tail:.3e} passed "
@@ -641,8 +736,11 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
             pivots = _rank_test(values, threshold)
             found = pivots and _slice_phase(f, values, peak, pivots, tol,
                                             relative, max_n, domain)
-            if found and rejection(*found) is None:
-                return found[0]
+            if found:
+                if reference is None:
+                    reference = _check_samples(f, domain)
+                if _rejection(reference, *found) is None:
+                    return found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,10 @@ matrix of their own and turn the view's nonzeros into a document
 
 A document, SparseCoeffs, holds its entries as three arrays, which
 ``to_sparse`` takes from np.nonzero and ``to_cheb2`` scatters with one
-indexed assignment; its constructor checks the [row, col, value] triples
-that ``load`` parses in one pass, which fills the three arrays.  The value
+indexed assignment, into a Cheb2 that is not scanned again, since every
+value of a SparseCoeffs is finite.  Its constructor checks the
+[row, col, value] triples that ``load`` parses in one pass, which fills
+the three arrays.  The value
 types are plain classes with __slots__, not dataclasses, and ``load``
 imports json when it runs: a start-up of the CLI loads neither module
 (_Record).
@@ -618,13 +620,15 @@ def to_sparse(c):
 def to_cheb2(sparse):
     """Dense Cheb2 from a sparse coefficient document, which holds the
     matrix it fills with no copy.  ValidationError if that matrix would
-    exceed the grid budget."""
+    exceed the grid budget.  A SparseCoeffs holds only finite values, a
+    Domain2 and a finite tol >= 0, so the matrix is not scanned again
+    (Cheb2._owning's checks)."""
     _check_grid_budget(
         f"a dense {sparse.degree_x + 1} x {sparse.degree_y + 1} coefficient matrix",
         (sparse.degree_x + 1) * (sparse.degree_y + 1))
     coeffs = np.zeros((sparse.degree_x + 1, sparse.degree_y + 1))
     coeffs[sparse.rows, sparse.cols] = sparse.values
-    return Cheb2._owning(coeffs, sparse.domain, sparse.tol)
+    return Cheb2._of(coeffs, sparse.domain, sparse.tol)
 
 
 def truncate(c, degree_x, degree_y):

@@ -1213,6 +1213,147 @@ class TestFiniteBounds:
         assert len(arrays) == 1
 
 
+def proof_undecided(monkeypatch):
+    """The factor proof's verdicts, each forced to False: the dense
+    product decides every check."""
+    verdicts = []
+    proof = builder._factor_proof
+
+    def forced(*args):
+        verdicts.append(proof(*args))
+        return False
+
+    monkeypatch.setattr(builder, "_factor_proof", forced)
+    return verdicts
+
+
+def dense_checks(monkeypatch):
+    """The degrees of the check bases of every dense check product."""
+    degrees = []
+    check_basis = builder._check_basis
+
+    def recording(degree):
+        degrees.append(degree)
+        return check_basis(degree)
+
+    monkeypatch.setattr(builder, "_check_basis", recording)
+    return degrees
+
+
+def bump_check():
+    """The bump's phase-2 result (c, nx, ny, (left, right)) and the check's
+    reference samples."""
+    found = []
+    slice_phase = builder._slice_phase
+
+    def recording(*args):
+        found.append(slice_phase(*args))
+        return found[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builder, "_slice_phase", recording)
+        bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+    return found[0], builder._check_samples(narrow_bump, bc.UNIT_SQUARE)
+
+
+def dense_values(c):
+    """c at the check points, as the dense check evaluates it."""
+    basis = builder._check_basis(max(c.degree_x, c.degree_y))
+    return basis[:c.degree_x + 1].T @ c.coeffs @ basis[:c.degree_y + 1]
+
+
+class TestFactorProof:
+    """Phase 2 checks its rank-r result off the grid from the factors, and
+    the dense product of the kept block runs only when they cannot decide:
+    every verdict, and so every Cheb2, is the dense check's."""
+
+    @pytest.mark.parametrize("f", [narrow_bump, two_bumps], ids=["bump", "two-bumps"])
+    def test_undecided_proof_builds_the_same_bytes(self, monkeypatch, f):
+        c = bc.build_adaptive(f, 1e-14, relative=True)
+        verdicts = proof_undecided(monkeypatch)
+        dense = dense_checks(monkeypatch)
+        forced = bc.build_adaptive(f, 1e-14, relative=True)
+        assert verdicts == [True] and dense == [682]
+        assert c.coeffs.shape == forced.coeffs.shape == (659, 683)
+        assert c.coeffs.tobytes() == forced.coeffs.tobytes() and c.tol == forced.tol
+
+    def test_bump_makes_no_dense_check_product(self, monkeypatch):
+        dense = dense_checks(monkeypatch)
+        c = bc.build_adaptive(narrow_bump, 1e-14, relative=True)
+        assert c.coeffs.shape == (659, 683) and dense == []
+
+    @pytest.mark.parametrize("case", OWNED_CASES)
+    def test_undecided_proof_gives_the_same_verdicts(self, monkeypatch, case):
+        # references at, near and past the bound from the dense values
+        left, right, threshold, _ = OWNED_CASES[case]
+        nx, ny = left.shape[1] - 1, right.shape[1] - 1
+        c = builder._trimmed_product(left, right, threshold, bc.UNIT_SQUARE)
+        bound = (nx + 1) * (ny + 1) * threshold
+        signs = np.where(np.random.default_rng(1).random((32, 32)) < 0.5, -1.0, 1.0)
+        references = [dense_values(c) + scale * bound * signs
+                      for scale in (0.0, 0.5, 0.99, 1.01, 2.0)]
+        proven = [builder._rejection(ref, c, nx, ny, (left, right))
+                  for ref in references]
+        verdicts = proof_undecided(monkeypatch)
+        assert [builder._rejection(ref, c, nx, ny, (left, right))
+                for ref in references] == proven
+        assert [builder._rejection(ref, c, nx, ny) for ref in references] == proven
+        if case == "decaying":
+            # the proof decides the references well inside the bound
+            assert verdicts[:2] == [True, True]
+
+    def test_nearly_everything_kept_runs_the_dense_product(self, monkeypatch):
+        # every product is at the threshold or above: the dropped mass the
+        # factors bound is the whole bound, and the proof cannot decide
+        left, right = rank_one(np.linspace(1.0, 2.0, 40), np.linspace(1.0, 3.0, 50))
+        c = builder._trimmed_product(left, right, 1.0, bc.UNIT_SQUARE)
+        reference = dense_values(c)
+        assert builder._dropped_mass(left, right, 1.0) == 40 * 50
+        dense = dense_checks(monkeypatch)
+        assert builder._rejection(reference, c, 39, 49, (left, right)) is None
+        assert dense == [49]
+
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_dropped_mass_is_the_sum_of_minima(self, r):
+        # with zeros, ties at the threshold and signed entries
+        rng = np.random.default_rng(r)
+        left, right = decaying_factors(rng, r, 37, 29)
+        left[:, ::5] = 0.0
+        right[0, 3] = 1e-3 / left[0, 1]
+        threshold = 1e-3
+        exact = sum(np.minimum(np.abs(np.multiply.outer(a, b)), threshold).sum()
+                    for a, b in zip(left, right))
+        with np.errstate(divide="ignore"):
+            d = builder._dropped_mass(left, right, threshold)
+        assert d == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("left, right, threshold", [
+        (*rank_one([np.nan, 1.0], [1.0, 1.0]), 1e-6),
+        (*rank_one([1e200, 1.0], [1e200, 1.0]), 1e-6),
+        (*rank_one([1.0, 1.0], [1.0, 1.0]), 0.0),
+    ], ids=["nan", "overflow", "zero-threshold"])
+    def test_factors_not_finite_or_zero_threshold_cannot_decide(self, left, right,
+                                                                threshold):
+        assert not builder._factor_proof(left, right, np.zeros((32, 32)), threshold,
+                                         4 * threshold)
+
+    def test_proof_arrays_fit_in_the_slice_charge(self):
+        # the slices' step charges 8 r (nx + ny + 2) doubles for the slices,
+        # their transforms and the factors; at the check only the factors,
+        # r (nx + ny + 2), are left of them, beside the proof's arrays
+        (c, nx, ny, (left, right)), reference = bump_check()
+        r = len(left)
+        bound = (nx + 1) * (ny + 1) * c.tol
+        tracemalloc.start()
+        try:
+            assert builder._factor_proof(left, right, reference, c.tol, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 7 * r * (nx + ny + 2)
+
+
 def smooth(x, y):
     return np.cos(3.0 * x + 0.5) * np.exp(y) + x * y
 
@@ -2098,6 +2239,15 @@ class TestPersistence:
         back = bc.to_cheb2(bc.load(io.StringIO(text)))
         assert back.coeffs.shape == cosxy.coeffs.shape
         assert np.array_equal(back.coeffs, cosxy.coeffs)
+
+    def test_to_cheb2_does_not_scan_a_loaded_document(self, cosxy, monkeypatch):
+        # a SparseCoeffs holds only finite values, so its matrix is not
+        # scanned for NaN and inf again
+        text = bc.document_text(bc.to_sparse(cosxy))
+        arrays = TestFiniteBounds.scans(monkeypatch)
+        back = bc.to_cheb2(bc.load(io.StringIO(text)))
+        assert arrays == [] and not back.coeffs.flags.writeable
+        assert back == cosxy
 
     def test_empty_entries_is_zero_function(self):
         text = ('{"degree_x": 0, "degree_y": 0, "domain": [-1, 1, -1, 1], '

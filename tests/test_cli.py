@@ -1367,6 +1367,25 @@ def _cli_process(*args, **kwargs):
     return _python("-m", "bicheb.cli", *args, **kwargs)
 
 
+class TestNonFiniteDocument:
+    """load refuses a value that is not finite, so the dense matrix of a
+    document is not scanned again: every command that reads one refuses a
+    NaN entry with load's message."""
+
+    @pytest.mark.parametrize("command", [["eval", "--point", "0,0"], ["integrate"],
+                                         ["export", "--resolution", "3", "-o", "g.csv"],
+                                         ["diff", "--axis", "x", "-o", "d.json"]],
+                             ids=lambda argv: argv[0])
+    def test_nan_entry_is_refused(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("nan.json").write_text(
+            '{"degree_x": 1, "degree_y": 0, "domain": [-1, 1, -1, 1], "tol": 0, '
+            '"entries": [[0, 0, 1.0], [1, 0, NaN]]}\n')
+        code, out, err = run(capsys, command[0], "nan.json", *command[1:])
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == "error: entry (1, 0) has invalid value nan\n"
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
