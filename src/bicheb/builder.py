@@ -6,17 +6,18 @@ its tensor passes and its slice passes share, one function per part:
   sampled so far (_peak);
 - an axis' tail is the largest entry of the last two rows (x) or columns
   (y) of the coefficients, and the axis grows unless its tail is below the
-  threshold or 0 (_tail_test).  A tensor pass of 129 x 129 entries or more
-  first estimates its tails from the samples: per axis, one product with
-  two fixed rows of the DCT-I, then the DCT-I of the other axis on the
-  two rows it gives (_tail_rows).  If the estimates prove that both
-  axes fail, by a margin that covers their rounding, the pass takes no 2-D
-  transform and doubles both bounds, as its tails would have it
-  (_proven_failure).  Any other pass is transformed, and the transform's
-  own tails decide, so the estimates never accept a pass.  Nor
-  may a pass after which the build could stop, at max_n or at the budget,
-  skip: one with a bound at max_n, or whose next pass, with both bounds
-  doubled, would exceed the budget;
+  threshold or 0.  One function gives the tails, the axes that grow and
+  the reason a failing pass reports (_tail_test); phase 2 reads the same
+  verdict.  A tensor pass of 129 x 129 entries or more first estimates its
+  tails from the samples: per axis, one product with two fixed rows of the
+  DCT-I, then the DCT-I of the other axis on the two rows it gives
+  (_tail_rows).  If the estimates prove that both axes fail, by a margin
+  that covers their rounding, the pass takes no 2-D transform and doubles
+  both bounds, as its tails would have it (_proven_failure).  Any other
+  pass is transformed, and the transform's own tails decide, so the
+  estimates never accept a pass.  Nor may a pass after which the build
+  could stop, at max_n or at the budget, skip: one with a bound at max_n,
+  or whose next pass, with both bounds doubled, would exceed the budget;
 - a growing axis doubles its bound, unless that would pass max_n
   (_doubled);
 - a doubled axis' even-indexed nodes are the previous grid's nodes bit for
@@ -24,10 +25,13 @@ its tensor passes and its slice passes share, one function per part:
   the new nodes only (_sample_new);
 - once both tails pass, the trimmed approximant must also match f at a
   fixed set of off-grid check points, within (nx + 1)(ny + 1) times the
-  threshold (_rejection, on f's check samples, taken once per build); it
-  is evaluated at the check points' unit coordinates cos((2i + 1) pi / 66),
-  where T_k repeats with period 132 in k, so the bases of every degree are
-  rows of one read-only period of them, computed at import (_check_basis).
+  threshold (_rejection).  f's 32 x 32 check samples are taken in one
+  place, a cached call in build_adaptive (_check_samples), at the build's
+  first check, and every check reads them, a tensor pass's and phase 2's.
+  The approximant is evaluated at the check points' unit coordinates
+  cos((2i + 1) pi / 66), where T_k repeats with period 132 in k, so the
+  bases of every degree are rows of one read-only period of them, computed
+  at import (_check_basis).
 Before each pass the builder checks the bytes that pass will hold against
 the grid budget.  Samples finite but so large that the transform of a pass
 overflows give a tail that is not finite, and the build stops there; a pass
@@ -83,6 +87,7 @@ The transform, the sampling, the trim rule and the grid budget are
 of ``bicheb.build_adaptive`` or ``bicheb.parseval_indicator``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -204,25 +209,21 @@ def _peak(*samples):
     return float(max(0.0, *(m for s in samples for m in (s.max(), -s.min()))))
 
 
-def _tail_test(last_rows, last_cols, threshold):
-    """The tails, the largest |entry| of the last two rows and of the last
-    two columns of the coefficients, and for each axis whether it grows: it
-    does unless its tail is below the threshold or 0, so a zero tail passes
-    even a zero threshold (f zero on the grid)."""
+def _tail_test(last_rows, last_cols, threshold, square=True):
+    """The tail test's verdict (tails, grows, why).  The tails are the
+    largest |entry| of the last two rows and of the last two columns of the
+    coefficients, and grows says for each axis whether it grows: it does
+    unless its tail is below the threshold or 0, so a zero tail passes even
+    a zero threshold (f zero on the grid).  why is None if neither axis
+    grows, else the reason: the larger tail against the threshold, or with
+    unequal degree bounds (not square) the tail of each axis that grows."""
     tails = np.abs(last_rows).max(), np.abs(last_cols).max()
-    return tails, [not (t < threshold or t == 0.0) for t in tails]
-
-
-def _failure(tails, grows, threshold, square):
-    """Why a pass whose tails `tails` (x, y) failed the tail test: the
-    larger tail against the threshold, or with unequal bounds (not square)
-    the tail of each axis that grows."""
-    if square:
-        told = f"{max(tails):.3e}"
-    else:
-        told = " and ".join(f"{t:.3e} in {axis}"
-                            for axis, t, grow in zip("xy", tails, grows) if grow)
-    return f"coefficient tail {told} still at or above {threshold:.3e}"
+    grows = [not (t < threshold or t == 0.0) for t in tails]
+    if not (grows[0] or grows[1]):
+        return tails, grows, None
+    told = (f"{max(tails):.3e}" if square else " and ".join(
+        f"{t:.3e} in {axis}" for axis, t, grow in zip("xy", tails, grows) if grow))
+    return tails, grows, f"coefficient tail {told} still at or above {threshold:.3e}"
 
 
 def _tail_rows(values, axis):
@@ -534,8 +535,8 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
             _dct_rows(along_x.T, cx)
             _dct_rows(along_y, cy)
             left, right = _skeleton(cx, cy, core)
-            _, (grow_x, grow_y) = _tail_test(_expand(left[:, -2:], right),
-                                             _expand(left, right[:, -2:]), threshold)
+            _, (grow_x, grow_y), _ = _tail_test(_expand(left[:, -2:], right),
+                                                _expand(left, right[:, -2:]), threshold)
             if not (grow_x or grow_y):
                 break
             nx, ny = _doubled(nx, ny, grow_x, grow_y, max_n, _Refused)
@@ -565,7 +566,7 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     entries below it are trimmed, and the pass converges if the
     approximant matches f within (nx + 1)(ny + 1) times the threshold at
     32 x 32 fixed check points that are nodes of no power-of-two Lobatto
-    grid (rejection); otherwise both bounds double.
+    grid (_rejection); otherwise both bounds double.
 
     A pass of 129 x 129 entries or more first estimates its tails, each
     from two fixed rows of the DCT-I times the samples (_tail_rows), x
@@ -667,7 +668,8 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
     if not isinstance(domain, Domain2):
         raise ValidationError(f"domain must be a Domain2, got {domain!r}")
 
-    reference = None  # f at the check points, sampled at most once
+    # f at the check points, sampled once, at the first check
+    reference = functools.cache(lambda: _check_samples(f, domain))
 
     def refused(*message):
         # the budget's message, if any, then why the last pass, which was
@@ -707,22 +709,19 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
                 <= chebcore._GRID_BUDGET
                 and _proven_failure(values, threshold, _ESTIMATE_SLACK * peak)):
             coeffs = _lobatto_coeffs(values)
-            tails, grows = _tail_test(coeffs[-2:, :], coeffs[:, -2:], threshold)
+            tails, grows, why = _tail_test(coeffs[-2:, :], coeffs[:, -2:],
+                                           threshold, nx == ny)
             if not (math.isfinite(tails[0]) and math.isfinite(tails[1])):
                 raise ValidationError(
                     f"the transform overflowed at {_bounds(nx, ny)}: samples up "
                     f"to {_peak(values):.3e} in magnitude give coefficients "
                     "that are not finite")
             tail = max(tails)
-            if grows[0] or grows[1]:
-                why = _failure(tails, grows, threshold, nx == ny)
-            else:
+            if why is None:
                 # Cheb2 copies the kept block, so the pass's grid of
                 # coefficients, often several times its size, is let go
                 c = Cheb2(_trim_in_place(coeffs, threshold), domain, threshold)
-                if reference is None:
-                    reference = _check_samples(f, domain)
-                why = _rejection(reference, c, nx, ny)
+                why = _rejection(reference(), c, nx, ny)
                 if why is None:
                     return c
                 why += (f" although the coefficient tail {tail:.3e} passed "
@@ -736,11 +735,8 @@ def build_adaptive(f, tol, n0=8, max_n=_MAX_N, domain=UNIT_SQUARE,
             pivots = _rank_test(values, threshold)
             found = pivots and _slice_phase(f, values, peak, pivots, tol,
                                             relative, max_n, domain)
-            if found:
-                if reference is None:
-                    reference = _check_samples(f, domain)
-                if _rejection(reference, *found) is None:
-                    return found[0]
+            if found and _rejection(reference(), *found) is None:
+                return found[0]
 
 
 # ---------------------------------------------------------------------------

@@ -485,6 +485,51 @@ class TestBuildAdaptive:
         with pytest.raises(ConvergenceError, match="off-grid misfit"):
             bc.build_adaptive(narrow_bump, 1e-10, max_n=16)
 
+    @pytest.mark.parametrize("f, tol, max_n, message", [
+        (lambda x, y: np.abs(x) + np.abs(y), 1e-15, 64,
+         r"coefficient tail (\S+) still at or above 1\.000e-15 at degree bound 64"),
+        (lambda x, y: np.sin(80.0 * x) * np.cos(y / 2.0), 1e-15, 64,
+         r"coefficient tail (\S+) in x still at or above 1\.000e-15 "
+         r"at degree bounds 64 x 16"),
+        (narrow_bump, 1e-10, 16,
+         r"off-grid misfit \S+ above \S+ although the coefficient tail (\S+) "
+         r"passed against 1\.000e-10 at degree bound 16"),
+    ], ids=["tail", "tail-in-x", "check"])
+    def test_failure_message_shapes(self, f, tol, max_n, message):
+        # each kind of failure at the cap gives its reason in one shape, and
+        # the tail it prints is tail_magnitude's
+        with pytest.raises(ConvergenceError) as info:
+            bc.build_adaptive(f, tol, max_n=max_n)
+        match = re.fullmatch(message, str(info.value))
+        assert match and match[1] == f"{info.value.tail_magnitude:.3e}"
+
+    @pytest.mark.parametrize("f, tol, relative, calls", [
+        # the tensor passes' tails fail up to 257 x 257, the slices pass at
+        # 513, and the check comes after them
+        (narrow_bump, 1e-14, True,
+         [(9, 9), (8, 17), (9, 8), (16, 33), (17, 16), (32, 65), (33, 32),
+          (64, 129), (65, 64), (128, 257), (129, 128), (256, 1), (1, 256),
+          (512, 1), (1, 512), (32, 32)]),
+        # the first pass's tails pass and its check rejects it; phase 2's
+        # result is checked against the same samples
+        (narrow_bump, 1e-10, False,
+         [(9, 9), (32, 32), (8, 17), (9, 8), (16, 33), (17, 16), (32, 65),
+          (33, 32), (64, 129), (65, 64), (128, 257), (129, 128), (256, 1),
+          (1, 256), (1, 512)]),
+        (lambda x, y: np.cos(x * y), 1e-15, False,
+         [(9, 9), (8, 17), (9, 8), (32, 32)]),
+    ], ids=["bump-relative", "bump-absolute", "cosxy"])
+    def test_check_samples_are_taken_once_at_the_first_check(
+            self, f, tol, relative, calls):
+        shapes = []
+
+        def sampled(x, y):
+            shapes.append(np.broadcast(x, y).shape)
+            return f(x, y)
+
+        bc.build_adaptive(sampled, tol, relative=relative)
+        assert shapes == calls
+
     def test_check_points_are_off_every_power_of_two_grid(self):
         check = builder._CHECK_NODES
         assert check.size == 32
@@ -1438,17 +1483,34 @@ class TestSharedRefinement:
         assert peak > np.abs(values[grid]).max()
         assert c.tol == 1e-14 * peak
 
+    # the tail each case of test_tail_test should report, with equal and
+    # with unequal degree bounds, or None where the pass succeeds
+    TOLD = {(0.0, 0.0): None,
+            (1.0, 0.5): ("1.000e+00", "1.000e+00 in x"),
+            (0.5, 1.0): ("1.000e+00", "1.000e+00 in y"),
+            (0.99, 1.0): ("1.000e+00", "1.000e+00 in y"),
+            (1.0, 2.0): ("2.000e+00", "1.000e+00 in x and 2.000e+00 in y")}
+
     @pytest.mark.parametrize("tails, grows", [
         ((0.0, 0.0), [False, False]), ((1.0, 0.5), [True, False]),
-        ((0.5, 1.0), [False, True]), ((0.99, 1.0), [False, True])])
+        ((0.5, 1.0), [False, True]), ((0.99, 1.0), [False, True]),
+        ((1.0, 2.0), [True, True])])
     def test_tail_test(self, tails, grows):
-        # a tail equal to the threshold fails it
-        (tail_x, tail_y), got = builder._tail_test(
-            np.full((2, 3), -tails[0]), np.full((3, 2), tails[1]), 1.0)
+        # a tail equal to the threshold fails it; the reason gives the larger
+        # tail, or with unequal bounds the tail of each axis that grows
+        last_rows, last_cols = np.full((2, 3), -tails[0]), np.full((3, 2), tails[1])
+        (tail_x, tail_y), got, why = builder._tail_test(last_rows, last_cols, 1.0)
         assert (tail_x, tail_y) == tails and got == grows
+        unequal = builder._tail_test(last_rows, last_cols, 1.0, square=False)[2]
+        told = self.TOLD[tails]
+        if told is None:
+            assert why is None and unequal is None
+        else:
+            assert why == f"coefficient tail {told[0]} still at or above 1.000e+00"
+            assert unequal == f"coefficient tail {told[1]} still at or above 1.000e+00"
         # a zero tail passes a zero threshold
         zeros = np.zeros((2, 2))
-        assert builder._tail_test(zeros, zeros, 0.0)[1] == [False, False]
+        assert builder._tail_test(zeros, zeros, 0.0)[1:] == ([False, False], None)
 
 
 # Builds through grids of 9 x 9 to 2049 x 2049, whose passes fail in x, in
