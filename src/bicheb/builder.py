@@ -61,12 +61,13 @@ when all are finite, prove every entry finite, so the block is not scanned
 for NaN and inf.  The check uses the factors: their product's misfit at
 the check points, plus bounds on the mass the trim drops and on rounding,
 within the check's bound, proves it passes (_factor_proof); only when that
-cannot decide does the dense product of the kept block decide.  Each step
-is charged against the budget before it samples: the tested grid, the
-slices and three dense grids, since the block can be the whole matrix;
-the charge leaves two grids to spare.  The bounds and the expansion are
-elementwise numpy, not a BLAS product, so they too give the same bytes on
-any number of CPUs.
+cannot decide does the dense product of the kept block decide.  Both
+read the same rows of the check's bases (_check_basis).  Each step is
+charged against the budget before it samples: the tested grid, the
+slices, three dense grids, since the block can be the whole matrix, and
+the check's bases, as a tensor pass charges them; the charge leaves two
+grids to spare.  The bounds and the expansion are elementwise numpy, not
+a BLAS product, so they too give the same bytes on any number of CPUs.
 
 A pass holds about two grid-sized arrays: the samples, which f's values
 are written into directly (the previous samples are let go once copied
@@ -393,18 +394,6 @@ def _trimmed_product(left, right, threshold, domain):
     return Cheb2._owning(kept, domain, threshold)
 
 
-def _folded(factor):
-    """factor @ _check_basis(n), r x 32, for factor r x (n + 1), with no
-    (n + 1) x 32 bases: the bases repeat with period 132, so factor's
-    columns are first summed mod 132, onto one period."""
-    period = len(_CHECK_PERIOD)
-    folded = factor[:, :period].copy()
-    for lo in range(period, factor.shape[1], period):
-        part = factor[:, lo:lo + period]
-        folded[:, :part.shape[1]] += part
-    return folded @ _CHECK_PERIOD[:folded.shape[1]]
-
-
 def _dropped_mass(left, right, threshold):
     """D = sum_k sum_ij min(|left[k, i]| |right[k, j]|, threshold), one k
     at a time in O(n log n): with |right[k]| sorted and its prefix sums,
@@ -428,8 +417,8 @@ def _factor_proof(left, right, reference, threshold, bound):
     the product; False when they cannot decide.
 
     Let P be the product as _expand computes it, L = sum_k outer(left[k],
-    right[k]) exactly, B the check bases as the table holds them, each at
-    most p = _CHECK_PEAK in magnitude, u = eps / 2 and S = sum_k
+    right[k]) exactly, B the check bases (_check_basis), each at most
+    p = _CHECK_PEAK in magnitude, u = eps / 2 and S = sum_k
     ||left[k]||_1 ||right[k]||_1.  To first order in u, the dense misfit at
     a check point is at most the sum of
     - |B^T (K - P) B| <= p^2 sum_ij min(|P_ij|, threshold), as K is P less
@@ -437,8 +426,9 @@ def _factor_proof(left, right, reference, threshold, bound):
       |left[k, i]| |right[k, j]| and min(., threshold) is subadditive, so
       this is at most p^2 (1 + r u) D (_dropped_mass);
     - |B^T (P - L) B| <= r u p^2 S, the expansion's rounding;
-    - |B^T L B - reference| <= m + (nx + ny + r + 4) u p^2 S, where m is
-      the misfit of (left B)^T (right B), computed through _folded;
+    - |B^T L B - reference| <= (1 + u) m + (nx + ny + r + 2) u p^2 S,
+      where m is the misfit of (left B)^T (right B) as computed, with the
+      rows of _check_basis that the dense product reads;
     - the dense product's own rounding, at most (nx + ny + 2) u p^2 sum |K|,
       and sum |K| <= (1 + r u) S.
     D's sums round it by at most (nx + ny + r + 4) u relative, and the
@@ -455,7 +445,9 @@ def _factor_proof(left, right, reference, threshold, bound):
         s = float(np.abs(left).sum(axis=1) @ np.abs(right).sum(axis=1))
         if not math.isfinite(s):
             return False
-        m = float(np.abs(_folded(left).T @ _folded(right) - reference).max())
+        basis = _check_basis(max(nx, ny))
+        m = float(np.abs((left @ basis[:nx + 1]).T @ (right @ basis[:ny + 1])
+                         - reference).max())
         d = _dropped_mass(left, right, threshold)
         margin = 2 * (nx + ny + r + 2) * math.ulp(1.0) * (s + d + m) + 2.0 ** -900
         return m + _CHECK_PEAK ** 2 * d + margin <= bound
@@ -501,15 +493,18 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
     each, so a doubled axis samples f at the new nodes of its r slices
     only (_spread, _sample_new).  Each step is charged
     against the budget first: the phase-1 grid, which stays held for phase
-    1 to resume from, the slices with their transforms, and three grids for
-    the dense matrix.  The step holds one: the expanded block, which at
-    worst is the whole product of _expand, and which is trimmed in place
-    and held, as a view of its kept corner, by the Cheb2.  So the charge
-    leaves two grids to spare.  Of the 8 r (nx + ny + 2) doubles charged
-    for the slices, their transforms and the factors, only the factors,
-    r (nx + ny + 2), are held at the check.  The factor proof adds about
+    1 to resume from, the slices with their transforms, three grids for
+    the dense matrix, and the check's bases at the larger bound
+    (_check_basis), 32 (max(nx, ny) + 1) doubles, as a tensor pass charges
+    them (_pass_entries).  The step holds one grid: the expanded block,
+    which at worst is the whole product of _expand, and which is trimmed in
+    place and held, as a view of its kept corner, by the Cheb2.  So the
+    charge leaves two grids to spare.  Of the 8 r (nx + ny + 2) doubles
+    charged for the slices, their transforms and the factors, only the
+    factors, r (nx + ny + 2), are held at the check.  Beside the bases,
+    which it reads as the dense product does, the factor proof adds about
     3 (nx + ny + 2) doubles, one term at a time, within the rest (the
-    bump's took 2.6).
+    bump's took 3.1).
     """
     rows_i, cols_j = np.array(pivots).T
     r = rows_i.size
@@ -524,8 +519,8 @@ def _slice_phase(f, values, peak, pivots, tol, relative, max_n, domain):
     def charge(nx, ny):
         _check_grid_budget(
             f"the rank-{r} pass at {_bounds(nx, ny)}",
-            values.size + 3 * (nx + 1) * (ny + 1) + 8 * r * (nx + ny + 2),
-            _Refused)
+            values.size + 3 * (nx + 1) * (ny + 1) + 8 * r * (nx + ny + 2)
+            + _CHECK_NODES.size * (max(nx, ny) + 1), _Refused)
 
     try:
         charge(nx, ny)

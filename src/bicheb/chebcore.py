@@ -28,7 +28,8 @@ grid.  A scalar point goes through the same kernel as a one-point array,
 and the builder's off-grid check forms evaluate_grid's product from the
 bases of its fixed points, whose T_k repeat in k: cheb_basis computes one
 period of them once, at import (``bicheb.builder._check_basis``).  The
-kept Lobatto nodes are computed at import too (``lobatto_nodes``).
+kept Lobatto nodes are computed at the first call that reads them
+(``lobatto_nodes``).
 Clenshaw's recurrence (``evaluate_clenshaw``) is kept as the oracle, and
 maps its point as the kernel does.  The basis matrices grow with the
 degrees, not with the points' arrays: _basis_entries gives their size,
@@ -52,6 +53,7 @@ imports json when it runs: a start-up of the CLI loads neither module
 (_Record).
 """
 
+import functools
 import math
 import os
 import reprlib
@@ -395,15 +397,15 @@ def lobatto_nodes(n):
 
     For a power of two n up to _MAX_N, the default max_n of the builder,
     the nodes are a read-only view, every (_MAX_N / n)-th node, of the
-    nodes of _MAX_N, which the module computes at import and keeps
-    (_kept_nodes, 4097 doubles, about 32 KiB).
+    nodes of _MAX_N, which the first such call computes and the process
+    keeps (_kept_nodes, 4097 doubles, about 32 KiB).
     lobatto_nodes(2 n)[::2] is lobatto_nodes(n) bit for bit, so the view
     holds the bits computed for n.  Any other n gives a new array, which
     is not kept."""
     if n < 1:
         raise ValidationError("degenerate degree: need n >= 1")
     if n <= _MAX_N and _is_power_of_two(n):
-        return _kept_nodes[:: _MAX_N // n]
+        return _kept_nodes()[:: _MAX_N // n]
     return _computed_nodes(n)
 
 
@@ -418,9 +420,14 @@ def _computed_nodes(n):
     return nodes
 
 
-# The nodes of _MAX_N, read-only, of which lobatto_nodes returns views.
-_kept_nodes = _computed_nodes(_MAX_N)
-_kept_nodes.setflags(write=False)
+@functools.cache
+def _kept_nodes():
+    """The nodes of _MAX_N, read-only, of which lobatto_nodes returns views,
+    computed at the first call, not at import.  Threads whose first calls
+    race may each compute them, to the same bits."""
+    nodes = _computed_nodes(_MAX_N)
+    nodes.setflags(write=False)
+    return nodes
 
 
 def _sample_on(f, xs, ys, out=None):

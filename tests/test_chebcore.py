@@ -283,18 +283,35 @@ class TestLobatto:
         for k in range(13):
             nodes = chebcore.lobatto_nodes(2 ** k)
             assert not nodes.flags.writeable
-            assert nodes.base is chebcore._kept_nodes
+            assert nodes.base is chebcore._kept_nodes()
             assert nodes.tobytes() == chebcore._computed_nodes(2 ** k).tobytes()
             with pytest.raises(ValueError):
                 nodes[0] = 0.0
-        assert chebcore._kept_nodes.nbytes <= 64 * 1024
+        assert chebcore._kept_nodes().nbytes <= 64 * 1024
 
     @pytest.mark.parametrize("n", [3, 100, 1000, 8192])
     def test_other_nodes_are_not_kept(self, n):
         first, second = chebcore.lobatto_nodes(n), chebcore.lobatto_nodes(n)
         assert first is not second and first.base is None and second.base is None
         assert first.flags.writeable and np.array_equal(first, second)
-        assert chebcore._kept_nodes is None or chebcore._kept_nodes.size == 4097
+        assert chebcore._kept_nodes().size == 4097
+
+    def test_import_computes_no_nodes(self):
+        # in a fresh interpreter: the kept nodes wait for the first
+        # power-of-two call, which computes them once
+        script = (
+            "import bicheb.builder, bicheb.chebcore as cc, bicheb.cli\n"
+            "assert cc._kept_nodes.cache_info().misses == 0\n"
+            "nodes = cc.lobatto_nodes(8)\n"
+            "assert not nodes.flags.writeable and nodes.base is cc._kept_nodes()\n"
+            "assert nodes.base.size == 4097 and not nodes.base.flags.writeable\n"
+            "assert nodes.tobytes() == cc._computed_nodes(8).tobytes()\n"
+            "cc.lobatto_nodes(4096)\n"
+            "assert cc._kept_nodes.cache_info().misses == 1\n")
+        env = dict(os.environ)
+        src = str(Path(bc.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], env=env, timeout=60, check=True)
 
     def test_second_axis_runs_in_place(self):
         # one grid besides the input, and one chunk's buffers of 256 KiB each
@@ -833,8 +850,11 @@ class TestCheckTable:
 
     @pytest.mark.parametrize("module", [chebcore, builder], ids=lambda m: m.__name__)
     def test_module_arrays_are_read_only(self, module):
+        # the module's arrays, and the kept nodes, which its cache holds
         arrays = {name: value for name, value in vars(module).items()
                   if isinstance(value, np.ndarray)}
+        if module is chebcore:
+            arrays["_kept_nodes()"] = chebcore._kept_nodes()
         assert arrays
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
 
@@ -1273,15 +1293,26 @@ def proof_undecided(monkeypatch):
 
 
 def dense_checks(monkeypatch):
-    """The degrees of the check bases of every dense check product."""
-    degrees = []
-    check_basis = builder._check_basis
+    """The degrees of the check bases of every dense check product: the
+    _check_basis calls made outside _factor_proof, which reads the same
+    bases."""
+    degrees, proving = [], []
+    check_basis, proof = builder._check_basis, builder._factor_proof
 
     def recording(degree):
-        degrees.append(degree)
+        if not proving:
+            degrees.append(degree)
         return check_basis(degree)
 
+    def marked(*args):
+        proving.append(True)
+        try:
+            return proof(*args)
+        finally:
+            proving.pop()
+
     monkeypatch.setattr(builder, "_check_basis", recording)
+    monkeypatch.setattr(builder, "_factor_proof", marked)
     return degrees
 
 
@@ -1385,8 +1416,9 @@ class TestFactorProof:
 
     def test_proof_arrays_fit_in_the_slice_charge(self):
         # the slices' step charges 8 r (nx + ny + 2) doubles for the slices,
-        # their transforms and the factors; at the check only the factors,
-        # r (nx + ny + 2), are left of them, beside the proof's arrays
+        # their transforms and the factors, of which only the factors,
+        # r (nx + ny + 2), are held at the check, and 32 (max(nx, ny) + 1)
+        # for the check's bases, which the proof reads as the dense check does
         (c, nx, ny, (left, right)), reference = bump_check()
         r = len(left)
         bound = (nx + 1) * (ny + 1) * c.tol
@@ -1396,7 +1428,7 @@ class TestFactorProof:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 7 * r * (nx + ny + 2)
+        assert peak <= 8 * (7 * r * (nx + ny + 2) + 32 * (max(nx, ny) + 1))
 
 
 def smooth(x, y):

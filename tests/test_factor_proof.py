@@ -18,12 +18,15 @@ from bicheb import builder, chebcore
 
 @st.composite
 def checks(draw):
-    """Rank-r factors of up to 64 columns, r <= 8, whose entries fall by a
-    drawn rate, a threshold from 1e-14 to 1 times their product's largest
-    entry, and a reference that is random or the trimmed product's own
-    check values, perturbed by up to twice the check's bound."""
+    """Rank-r factors of up to 64 or up to 300 columns, r <= 8, so some past
+    two periods (132) of the check's bases, whose entries fall by a drawn
+    rate, a threshold from 1e-14 to 1 times their product's largest entry,
+    and a reference that is random or the check values of the trimmed
+    product or of the whole one, perturbed by up to twice the check's
+    bound."""
     r = draw(st.integers(1, builder._MAX_RANK))
-    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    size = st.one_of(st.integers(1, 64), st.integers(1, 300))
+    rows, cols = draw(size), draw(size)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rate = draw(st.sampled_from([1.0, 0.9, 0.7, 0.4]))
     left = rng.standard_normal((r, rows)) * rate ** np.arange(rows)
@@ -35,8 +38,9 @@ def checks(draw):
     if draw(st.booleans()):
         reference = rng.standard_normal((32, 32)) * draw(st.sampled_from([bound, 1.0]))
     else:
-        basis = builder._check_basis(max(c.degree_x, c.degree_y))
-        values = basis[:c.degree_x + 1].T @ c.coeffs @ basis[:c.degree_y + 1]
+        coeffs = c.coeffs if draw(st.booleans()) else builder._expand(left, right)
+        basis = builder._check_basis(max(coeffs.shape) - 1)
+        values = basis[:coeffs.shape[0]].T @ coeffs @ basis[:coeffs.shape[1]]
         scale = draw(st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 1.001, 2.0]))
         reference = values + scale * bound * rng.uniform(-1.0, 1.0, (32, 32))
     return left, right, threshold, c, reference
@@ -51,10 +55,3 @@ def test_proof_accepts_only_what_the_dense_check_accepts(check):
     bound = (nx + 1) * (ny + 1) * threshold
     if builder._factor_proof(left, right, reference, threshold, bound):
         assert builder._rejection(reference, c, nx, ny) is None
-
-
-@pytest.mark.parametrize("n", [0, 7, 130, 131, 132, 263, 264, 1024, 4096])
-def test_folded_factor_is_the_product_with_the_bases(n):
-    factor = np.random.default_rng(n).standard_normal((3, n + 1))
-    expected = factor @ builder._check_basis(n)
-    assert np.abs(builder._folded(factor) - expected).max() <= 1e-12
